@@ -16,10 +16,10 @@ The generalizations compose freely::
     repro.prefix_sum(a, order=3, tuple_size=2)
     repro.scan(a, op="max", inclusive=False)
 
-Engines are selectable by name — ``"parallel"`` runs the scan on real
-worker processes over shared memory::
+Engines are selectable by name — ``"threaded"`` runs the scan on
+slab-parallel threads over the caller's buffers::
 
-    repro.prefix_sum(d, engine="parallel")
+    repro.prefix_sum(d, engine="threaded")
 
 Inputs too big for one call stream through a session (chunk boundaries
 are arbitrary; outputs concatenate bit-identically), and whole files

@@ -4,9 +4,9 @@ Commands
 --------
 ``scan <in> <out>``
     Run a generalized prefix scan over a raw binary file of integers
-    on a selectable engine (``--engine auto|host|parallel|sam|...``,
+    on a selectable engine (``--engine auto|host|threaded|sam|...``,
     ``--op``, ``--order``, ``--tuple-size``, ``--exclusive``,
-    ``--workers``).  The default engine ``auto`` is the execution
+    ``--threads``).  The default engine ``auto`` is the execution
     planner (:mod:`repro.plan`): it picks the strategy from the data
     and the machine; ``--explain`` prints its candidate table (sizes,
     predicted costs, rationale) without running the scan.
@@ -15,15 +15,15 @@ Commands
     streaming session (``--chunk-bytes``), bit-identical to ``scan``,
     with durable checkpoints (``--checkpoint``, ``--checkpoint-every``)
     and crash recovery (``--resume``).  Takes the same scan options as
-    ``scan`` including ``--engine`` and ``--workers``.  With
-    ``--shards N`` (N > 1) the job runs on the sharded driver: N
-    contiguous shards scanned concurrently and spliced, with a
-    per-shard manifest at ``--checkpoint`` so ``--resume`` re-runs
-    only unfinished shards (``--workers`` then also caps concurrent
-    shard tasks).  Compressed containers fuse into the pipeline:
-    ``--input-format blocked`` (or auto-sniffing) decodes a ``.samb``
-    container chunk by chunk, and ``--output-format blocked`` re-encodes
-    the scanned stream on the way out.
+    ``scan`` including ``--engine``.  With ``--shards N`` (N > 1) the
+    job runs on the sharded driver: N contiguous shards scanned
+    concurrently and spliced, with a per-shard manifest at
+    ``--checkpoint`` so ``--resume`` re-runs only unfinished shards
+    (``--workers`` caps concurrent shard tasks).  Compressed
+    containers fuse into the pipeline: ``--input-format blocked`` (or
+    auto-sniffing) decodes a ``.samb`` container chunk by chunk, and
+    ``--output-format blocked`` re-encodes the scanned stream on the
+    way out.
 ``compress <in> <out>``
     Delta-compress a raw binary file of integers (``--dtype``,
     ``--order`` auto-selected when omitted, ``--tuple-size``).
@@ -69,21 +69,14 @@ def _cli_float_mode(args):
     return getattr(args, "float_mode", None)
 
 
-def _resolve_cli_engine(name: str, workers: int, threads: int = 0, float_mode=None):
+def _resolve_cli_engine(name: str, threads: int = 0, float_mode=None):
     """Engine construction shared by ``scan`` and ``stream``.
 
-    ``--workers`` applies to *both* multicore engines — ``parallel``
-    and the ``parallel_chained`` carry ablation (it used to be silently
-    ignored for the latter).  ``--threads`` configures the in-memory
-    slab-parallel engine (``--engine threaded``; 0 = auto).
-    ``--float-mode`` reaches the engines that implement the contract
-    (see :func:`repro.api.resolve_engine`).
+    ``--threads`` configures the in-memory slab-parallel engine
+    (``--engine threaded``; 0 = auto).  ``--float-mode`` reaches the
+    engines that implement the contract (see
+    :func:`repro.api.resolve_engine`).
     """
-    if name in ("parallel", "parallel_chained") and workers:
-        from repro.parallel import ParallelSamScan
-
-        scheme = "chained" if name == "parallel_chained" else "decoupled"
-        return ParallelSamScan(num_workers=workers, carry_scheme=scheme)
     if name == "threaded" and threads:
         from repro.kernels import ThreadedScan
 
@@ -127,7 +120,7 @@ def _cmd_scan(args) -> int:
     op = get_op(args.op)
     inclusive = not args.exclusive
     float_mode = _cli_float_mode(args)
-    if args.engine == "auto" and not args.workers and not args.threads:
+    if args.engine == "auto" and not args.threads:
         from repro.plan import PLANNER_COUNTERS, auto_scan
 
         out = auto_scan(
@@ -144,7 +137,7 @@ def _cmd_scan(args) -> int:
         )
         return 0
     engine = _resolve_cli_engine(
-        args.engine, args.workers, args.threads, float_mode=float_mode
+        args.engine, args.threads, float_mode=float_mode
     )
     if engine is None:
         if float_mode == "compensated" and values.dtype.kind == "f":
@@ -274,7 +267,7 @@ def _cmd_stream(args) -> int:
         return _cmd_stream_sharded(args)
     float_mode = _cli_float_mode(args)
     engine = _resolve_cli_engine(
-        args.engine, args.workers, args.threads, float_mode=float_mode
+        args.engine, args.threads, float_mode=float_mode
     )
     out_kwargs = {}
     if args.output_block_elements is not None:
@@ -336,7 +329,7 @@ def _cmd_stream_sharded(args) -> int:
 
     float_mode = _cli_float_mode(args)
     engine = _resolve_cli_engine(
-        args.engine, args.workers, args.threads, float_mode=float_mode
+        args.engine, args.threads, float_mode=float_mode
     )
     try:
         result = scan_file_sharded(
@@ -704,11 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "deprecated exact=False API tri-state)")
         p.add_argument("--engine", default="auto", choices=list(ENGINE_NAMES),
                        help="auto (default: the planner picks from the "
-                            "data), host, parallel (multicore shared "
-                            "memory), or a simulated-GPU engine")
-        p.add_argument("--workers", type=int, default=0,
-                       help="worker processes for the parallel engines "
-                            "(0 = cpu count)")
+                            "data), host, threaded (slab-parallel "
+                            "multicore), or a simulated-GPU engine")
         p.add_argument("--threads", type=int, default=0,
                        help="slab threads for the in-memory threaded "
                             "kernel (engine 'threaded' or chunk scans; "
@@ -744,6 +734,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="N > 1: run the sharded driver (N contiguous "
                         "shards scanned concurrently and carry-spliced; "
                         "--checkpoint becomes a per-shard manifest)")
+    p.add_argument("--workers", type=int, default=0,
+                   help="cap on concurrent shard tasks of the sharded "
+                        "driver (0 = cpu count)")
     p.add_argument("--adaptive-chunks", action="store_true",
                    help="resize chunks from measured per-chunk seconds "
                         "(single-session driver; sharded jobs adapt by "

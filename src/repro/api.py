@@ -3,11 +3,11 @@
 Thin, validated wrappers over the fast host engine
 (:mod:`repro.core.host`).  Every scan-shaped function accepts an
 optional ``engine`` — either a name from :data:`ENGINE_NAMES`
-(``"parallel"`` runs the shared-memory multicore engine,
+(``"threaded"`` runs the slab-parallel multicore kernel,
 ``"sam"``/``"lookback"``/... run the simulated-GPU engines,
 ``"host"`` forces the serial-equivalent fast path) or any object with
 ``run(values, order=..., tuple_size=..., op=..., inclusive=...)`` such
-as :class:`repro.core.SamScan`, :class:`repro.parallel.ParallelSamScan`
+as :class:`repro.core.SamScan`, :class:`repro.kernels.ThreadedScan`
 or a baseline.  All engines are bit-identical; they differ in what
 else they give you (measured traffic, real parallel speedup, ...).
 
@@ -48,8 +48,6 @@ ENGINE_NAMES = (
     "auto",
     "host",
     "threaded",
-    "parallel",
-    "parallel_chained",
     "sam",
     "sam_chained",
     "lookback",
@@ -81,10 +79,9 @@ def resolve_engine(engine, float_mode=None):
 
     ``float_mode`` threads the float contract into the engines that
     implement it (``"threaded"``; the host path and the planner handle
-    it at their own entry points).  The simulated-GPU engines and the
-    process-pool engine implement only the exact contract, so a
-    non-exact mode on those names is an error rather than a silent
-    downgrade.
+    it at their own entry points).  The simulated-GPU engines
+    implement only the exact contract, so a non-exact mode on those
+    names is an error rather than a silent downgrade.
     """
     if engine is None or not isinstance(engine, str):
         return engine
@@ -101,11 +98,6 @@ def resolve_engine(engine, float_mode=None):
             f"float_mode={float_mode!r} needs engine='threaded', the host "
             f"path, or the planner (engine='auto')"
         )
-    if name in ("parallel", "parallel_chained"):
-        from repro.parallel import ParallelSamScan
-
-        scheme = "chained" if name == "parallel_chained" else "decoupled"
-        return ParallelSamScan(carry_scheme=scheme)
     if name in ("sam", "sam_chained"):
         from repro.core import SamScan
 

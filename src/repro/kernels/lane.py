@@ -6,8 +6,8 @@ regardless of ``s`` and ``q``.  This module is the host-side embodiment
 of that claim: a single, zero-copy kernel layer that the fast host
 engine (:mod:`repro.core.host`), the streaming session
 (:mod:`repro.stream.session`), the sharded out-of-core driver
-(:mod:`repro.stream.sharded`), and the multicore workers
-(:mod:`repro.parallel.worker`) all share, instead of each hand-rolling
+(:mod:`repro.stream.sharded`), and the threaded multicore kernel
+(:mod:`repro.kernels.threaded`) all share, instead of each hand-rolling
 a Python loop over ``s`` strided lane slices with per-lane temporaries.
 
 Layout and the 2-D lane-block trick

@@ -14,9 +14,9 @@ comes from slab-parallelism plus a single splice.
 
 Threads — not processes — give real parallelism here because numpy's
 ufunc inner loops release the GIL: slab scans and carry folds run
-concurrently with zero serialization or IPC cost, unlike
-:mod:`repro.parallel`'s shared-memory process pool.  Looped (non-ufunc)
-operators hold the GIL, so they always take the serial kernel.
+concurrently over the caller's buffers with zero serialization, IPC
+or copy cost.  Looped (non-ufunc) operators hold the GIL, so they
+always take the serial kernel.
 
 Determinism and exactness
 -------------------------

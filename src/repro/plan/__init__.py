@@ -1,9 +1,9 @@
 """``repro.plan`` — the execution planner.
 
-Six PRs built six ways to run the same scan: the serial lane kernel,
-the slab-parallel threaded kernel, the shared-memory process pool, the
-single-session out-of-core driver, the sharded driver, and the serving
-layer's batched sessions.  This package chooses among them *from the
+Several PRs built several ways to run the same scan: the serial lane
+kernel, the slab-parallel threaded kernel, the single-session
+out-of-core driver, the sharded driver, and the serving layer's
+batched sessions.  This package chooses among them *from the
 data*: a :class:`Workload` (size, dtype, op, order, tuple size, where
 the bytes live) and a :class:`Machine` (core count plus the
 empirically tuned kernel geometry) are priced through a cost model

@@ -56,16 +56,9 @@ T_DISPATCH_SECONDS = 6e-5
 #: Opening the out-of-core machinery (mmap, session, output file).
 T_FILE_SECONDS = 4e-4
 
-#: Warming / reattaching the shared-memory process pool.
-T_POOL_SECONDS = 3e-2
-
 #: Fraction of linear scaling a slab/shard actually delivers (memory
 #: bandwidth is shared; threads contend on it).
 PARALLEL_EFFICIENCY = 0.7
-
-#: The process pool additionally copies chunks into and out of shared
-#: memory: ~3x the traffic of the in-place threaded kernel.
-PROCESS_TRAFFIC_FACTOR = 3.0
 
 #: Sharded jobs pay a splice pass plus manifest bookkeeping per shard.
 T_SHARD_SECONDS = 2e-3
@@ -75,7 +68,7 @@ T_SHARD_SECONDS = 2e-3
 class Candidate:
     """One priced strategy: what would run, and what it should cost."""
 
-    strategy: str            # "serial" | "threaded" | "parallel" | "stream" | "sharded"
+    strategy: str            # "serial" | "threaded" | "stream" | "stream_threaded" | "sharded"
     params: dict = field(default_factory=dict)
     predicted_seconds: float = 0.0
     throughput_source: str = "model"   # "model" | "measured"
@@ -86,7 +79,7 @@ class Candidate:
         """Compact display / counters form, e.g. ``threaded:4`` or
         ``sharded:6`` (a sharded candidate is named by its shard count,
         not its worker cap)."""
-        for key in ("threads", "shards", "workers"):
+        for key in ("threads", "shards"):
             if key in self.params:
                 return f"{self.strategy}:{self.params[key]}"
         return self.strategy
@@ -217,31 +210,6 @@ def price_threaded(
     occupancy = ramp(workload.nbytes, machine.parallel_cutover_bytes, 1.0)
     candidate.predicted_seconds = fixed + workload.nbytes / rate * occupancy
     candidate.note = f"{effective} effective core(s), splice + fold per pass"
-    return candidate
-
-
-def price_parallel(
-    workload: Workload,
-    machine: Machine,
-    store: Optional[CalibrationStore],
-    workers: int,
-) -> Candidate:
-    """The shared-memory process pool (``repro.parallel``)."""
-    candidate = Candidate("parallel", params={"workers": workers})
-    effective = max(1, min(workers, machine.cpu_count))
-    scale = 1.0 + (effective - 1) * PARALLEL_EFFICIENCY
-    # The process pool keeps the pass-per-order layout (its workers
-    # scan order-1 chunks), so it is priced at the full order even
-    # where the host kernels would fuse.
-    modeled = _anchored_base(workload, store) * scale / (
-        workload.order * PROCESS_TRAFFIC_FACTOR
-    )
-    rate = _throughput(candidate, workload, store, modeled)
-    occupancy = ramp(workload.nbytes, machine.parallel_cutover_bytes, 1.0)
-    candidate.predicted_seconds = (
-        T_POOL_SECONDS + workload.nbytes / rate * occupancy
-    )
-    candidate.note = "process pool over shared memory (copy-in/copy-out)"
     return candidate
 
 

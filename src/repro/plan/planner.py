@@ -20,8 +20,6 @@ In memory (``repro.scan(x)`` / ``repro.prefix_sum(x)``):
   inputs never pay planning overhead, let alone dispatch overhead).
 * ``threaded:T`` — the slab-parallel kernel, for integer ufunc scans
   on a multicore machine, over a small ladder of thread counts.
-* ``parallel:W`` — the shared-memory process pool, only proposed at
-  sizes where its warmup and copy traffic could possibly amortize.
 
 On files (``repro.scan_file``):
 
@@ -58,7 +56,6 @@ import numpy as np
 from repro.plan.calibration import CalibrationStore, get_store
 from repro.plan.cost import (
     Candidate,
-    price_parallel,
     price_serial,
     price_sharded,
     price_threaded,
@@ -69,9 +66,6 @@ from repro.plan.workload import Machine, Workload, machine_snapshot
 #: consulting the machine snapshot or the calibration store: planning
 #: must cost nothing where there is nothing to win.
 TINY_BYTES = 256 << 10
-
-#: Smallest payload for which the process pool is even priced.
-PARALLEL_MIN_BYTES = 64 << 20
 
 #: Shard sizing for the sharded out-of-core candidate.
 MIN_SHARD_BYTES = 8 << 20
@@ -251,12 +245,6 @@ def _enumerate(
                 candidate = price_threaded(workload, machine, store, threads)
                 _mark_compensated(workload, candidate)
                 candidates.append(candidate)
-            # The process pool regroups chunk reductions and cannot
-            # replay the compensated chain — integer workloads only.
-            if workload.integer and workload.nbytes >= PARALLEL_MIN_BYTES:
-                candidates.append(
-                    price_parallel(workload, machine, store, machine.cpu_count)
-                )
     else:
         if _parallel_safe(workload):
             if machine.multicore and workload.source != "compressed-file":
@@ -302,7 +290,7 @@ def _synthesize(
     force: str,
 ) -> Optional[Candidate]:
     """Price a forced strategy that feasibility gating skipped (e.g.
-    ``parallel`` below its size floor) — but never one that would be
+    ``threaded`` on a one-core machine) — but never one that would be
     *incorrect* for the workload (float regrouping, looped ops)."""
     name, _, arg = force.partition(":")
     count = int(arg) if arg else machine.cpu_count
@@ -315,10 +303,6 @@ def _synthesize(
     candidate = None
     if name == "threaded" and workload.source == "memory":
         candidate = price_threaded(workload, machine, store, count)
-    elif name == "parallel" and workload.source == "memory":
-        if not workload.integer:
-            return None  # the process pool cannot replay the dd chain
-        candidate = price_parallel(workload, machine, store, count)
     elif name == "stream_threaded" and workload.source == "file":
         candidate = price_threaded(workload, machine, store, count)
     elif name == "sharded" and workload.on_disk:
@@ -396,7 +380,7 @@ def plan_scan(
     """Score the candidate set and pick a strategy for ``workload``.
 
     ``force`` names a strategy label (``"serial"``, ``"threaded:4"``,
-    ``"parallel:2"``, ...) to choose regardless of predicted cost —
+    ``"sharded:4"``, ...) to choose regardless of predicted cost —
     used by the differential fuzzer and the planner benchmark to
     exercise *every* candidate's dispatch path, and only offered for
     strategies that are correct for the workload.
@@ -488,9 +472,8 @@ def execute_plan(plan: Plan, values, *, op=None, forced: bool = False) -> np.nda
     resolvable by name (a locally constructed :class:`AssociativeOp`);
     such workloads are always planned serial, and the serial kernel
     takes the object verbatim.  ``forced=True`` (the fuzzer)
-    additionally zeroes the threaded kernel's cutover and the process
-    pool's degradation threshold so the strategy genuinely executes
-    even at fuzz sizes.
+    additionally zeroes the threaded kernel's cutover so the strategy
+    genuinely executes even at fuzz sizes.
     """
     w = plan.workload
     run_op = op if op is not None else w.op
@@ -506,21 +489,6 @@ def execute_plan(plan: Plan, values, *, op=None, forced: bool = False) -> np.nda
             float_mode=float_mode,
         )
         out = engine.run(
-            values,
-            order=w.order,
-            tuple_size=w.tuple_size,
-            op=run_op,
-            inclusive=w.inclusive,
-        ).values
-    elif chosen.strategy == "parallel":
-        from repro.parallel import ParallelSamScan
-
-        kwargs = {"num_workers": chosen.params.get("workers")}
-        if forced:
-            kwargs["min_parallel_elements"] = 0
-        # No explicit teardown: the engine shares the module's warm
-        # worker pool, which amortizes across planned scans.
-        out = ParallelSamScan(**kwargs).run(
             values,
             order=w.order,
             tuple_size=w.tuple_size,

@@ -18,9 +18,9 @@ chunks stay scan no-ops but count as feed calls, like ``feed``.
 
 Batch eligibility is the same rule as every other fast path in the
 repo: fixed-width integers under a real-ufunc operator (exact
-regrouping), on the plain host path (no delegated engine, no slab
-threads) — plus, since the compensated float mode landed, float
-``add`` sessions opened with ``float_mode="compensated"``: their
+regrouping), on the plain host path (no delegated engine, no pinned
+slab thread count) — plus, since the compensated float mode landed,
+float ``add`` sessions opened with ``float_mode="compensated"``: their
 error-free carry makes the batched regrouping deterministic, so they
 batch through :class:`repro.kernels.BatchedCompensatedKernel` (chunks
 that would cross a segment boundary fall back to an individual feed
@@ -28,6 +28,13 @@ inside :func:`feed_batch` — the boundary advances the per-stream
 double-double chain, which is sequential).  Exact-mode floats keep
 their bit-exact per-session prepend path; the caller simply feeds
 those sessions individually.
+
+Sessions the planner opened with ``threads="auto"`` batch too: below
+the threaded kernel's tuned parallel cutover their chunks would take
+the serial kernel anyway, and at or above it :func:`feeds_solo` sends
+the feed to its own slab-parallel ``feed`` — the same per-chunk rule
+the threaded kernel applies.  Either layout is bit-identical (integer
+regrouping is exact; compensated carries are layout-invariant).
 """
 
 from __future__ import annotations
@@ -43,14 +50,15 @@ from repro.kernels import (
     BatchedLaneKernel,
     batchable_op_dtype,
 )
+from repro.kernels.threaded import _tuned_cutover
 from repro.stream.errors import SessionStateError
 from repro.stream.session import ScanSession
 
 
 def batch_key(session: ScanSession):
     """The session's batch-compatibility key, or ``None`` if the
-    session cannot take the batched path (engine-delegated, threaded,
-    float/unknown dtype, or looped operator).
+    session cannot take the batched path (engine-delegated, pinned to
+    a thread count, float/unknown dtype, or looped operator).
 
     Two sessions may share a dispatch iff their keys are equal and not
     ``None``.  ``inclusive`` is deliberately *not* part of the key: the
@@ -66,7 +74,7 @@ def batch_key(session: ScanSession):
     cached = getattr(session, "_batch_key_cache", False)
     if cached is not False:
         return cached
-    if session._engine is not None or session.threads is not None:
+    if session._engine is not None or session.threads not in (None, "auto"):
         key = None
     elif session.dtype is None:
         return None
@@ -89,6 +97,19 @@ def batch_key(session: ScanSession):
         )
     session._batch_key_cache = key
     return key
+
+
+def feeds_solo(session: ScanSession, nbytes: int) -> bool:
+    """Whether a feed of ``nbytes`` from a batchable session should be
+    dispatched alone: a ``threads="auto"`` session's chunk at or above
+    the tuned parallel cutover, where the slab-parallel kernel wins.
+    The cutover is cached on the session, like :func:`batch_key`."""
+    if session.threads != "auto":
+        return False
+    cutover = getattr(session, "_solo_cutover", None)
+    if cutover is None:
+        cutover = session._solo_cutover = _tuned_cutover(session.dtype)
+    return nbytes >= cutover
 
 
 def batch_kernel_for(session: ScanSession):

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.serve import protocol
-from repro.serve.batch import batch_kernel_for, batch_key, feed_batch
+from repro.serve.batch import batch_kernel_for, batch_key, feed_batch, feeds_solo
 from repro.serve.errors import ProtocolError, error_to_header
 from repro.serve.registry import SessionRegistry
 from repro.stream.errors import SessionStateError
@@ -410,9 +410,10 @@ class ScanServer:
                 dropped.append((feed, exc))
                 continue
             key = batch_key(session)
-            group_key = (
-                ("batch",) + key if key is not None else ("solo", id(session))
-            )
+            if key is None or feeds_solo(session, feed.nbytes):
+                group_key = ("solo", id(session))
+            else:
+                group_key = ("batch",) + key
             if group_key not in groups:
                 groups[group_key] = []
                 order.append(group_key)

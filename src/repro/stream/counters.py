@@ -1,12 +1,11 @@
-"""Counters for streaming scans, analogous to ``parallel.counters``.
+"""Counters for streaming scans.
 
 A streaming job's wall-clock decomposes into phases the one-shot
 engines do not have — reading chunks out of the memory map, scanning
 them, writing scanned bytes back out, and persisting checkpoints — so
 :class:`StreamCounters` records each phase separately, plus the event
 counts (chunks, bytes, checkpoint writes, resumes) that determine
-whether an out-of-core run behaved as configured.  The shape follows
-:class:`repro.parallel.counters.ParallelCounters`: a dataclass with
+whether an out-of-core run behaved as configured: a dataclass with
 aggregate properties, ``as_dict`` for JSON benchmarks, and a compact
 ``__str__`` for logs.
 """

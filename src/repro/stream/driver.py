@@ -3,8 +3,8 @@
 :func:`scan_file` memory-maps the input, cuts it into ``chunk_bytes``
 pieces, and pipelines them through a :class:`ScanSession`
 double-buffered: a prefetch thread copies chunk ``i+1`` out of the map
-while the session (and its inner engine — e.g. the ``repro.parallel``
-worker pool, which stays warm across chunks) scans chunk ``i``.  Peak
+while the session (and its inner engine — e.g. the threaded kernel,
+whose thread pool stays warm across chunks) scans chunk ``i``.  Peak
 resident memory is a few chunks regardless of file size.
 
 Compressed streaming: the input and/or output may be a blocked

@@ -1,8 +1,8 @@
 """Typed errors for the streaming subsystem.
 
-Mirrors :mod:`repro.parallel.errors`: callers can catch the base class
-to handle any streaming failure, or the specific subclasses to react
-differently to checkpoint problems vs. runtime failures.
+Callers can catch the base class to handle any streaming failure, or
+the specific subclasses to react differently to checkpoint problems
+vs. runtime failures.
 """
 
 from __future__ import annotations

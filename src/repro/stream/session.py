@@ -35,12 +35,11 @@ Each of the ``order`` scan passes is continued through the shared
   in.
 
 * **Delegated path (``engine=...``).**  For integer dtypes the chunk's
-  stage scan is handed to any one-shot engine (the ``repro.parallel``
-  pool, ``SamScan``, a baseline...) and the carry is folded on
-  afterwards — exact because fixed-width integer arithmetic is truly
-  associative (wraparound included).  The inner engine is constructed
-  once and reused across chunks, so ``ParallelSamScan``'s warm worker
-  pool amortizes over the whole stream.  Float inputs silently take
+  stage scan is handed to any one-shot engine (``SamScan``, a
+  baseline...) and the carry is folded on afterwards — exact because
+  fixed-width integer arithmetic is truly associative (wraparound
+  included).  The inner engine is constructed once and reused across
+  chunks, so any set-up it does amortizes over the whole stream.  Float inputs silently take
   the exact path: float addition is only pseudo-associative, and the
   session's contract is bit-identity with the one-shot host scan.
 

@@ -100,8 +100,8 @@ from repro.stream.errors import (
 )
 from repro.stream.session import ScanSession
 
-#: Delegated inner engines (e.g. the shared ``repro.parallel`` pool)
-#: are one resource: concurrent shard threads take turns using them.
+#: Delegated inner engines (e.g. a simulated ``SamScan``) are one
+#: resource: concurrent shard threads take turns using them.
 _DELEGATE_LOCK = threading.Lock()
 
 

@@ -1,7 +1,7 @@
 """Tests for the engine= routing in the public API."""
 
 import numpy as np
-
+import pytest
 
 import repro
 from conftest import make_int_array, small_sam
@@ -54,3 +54,42 @@ class TestEngineParameter:
         assert np.array_equal(
             repro.prefix_sum(values, engine=None), prefix_sum_serial(values)
         )
+
+
+class TestApiRouting:
+    def test_engine_by_name(self, rng):
+        values = make_int_array(rng, 2000, dtype=np.int64)
+        got = repro.prefix_sum(values, order=2, engine="threaded")
+        assert np.array_equal(got, prefix_sum_serial(values, order=2))
+
+    def test_scan_by_name(self, rng):
+        values = make_int_array(rng, 2000, dtype=np.int64)
+        got = repro.scan(values, op="max", engine="threaded")
+        assert np.array_equal(got, prefix_sum_serial(values, op="max"))
+
+    def test_host_name_is_host_path(self, rng):
+        values = make_int_array(rng, 100, dtype=np.int32)
+        assert np.array_equal(
+            repro.prefix_sum(values, engine="host"), prefix_sum_serial(values)
+        )
+
+    def test_engine_names_all_resolve(self):
+        assert len(repro.ENGINE_NAMES) == 9
+        for name in repro.ENGINE_NAMES:
+            engine = repro.resolve_engine(name)
+            assert engine is None or hasattr(engine, "run")
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            repro.resolve_engine("warp_drive")
+
+    def test_process_pool_name_rejected(self, rng):
+        # Not an engine name: it must fail loudly, never fall back to
+        # another engine.
+        values = make_int_array(rng, 100, dtype=np.int64)
+        with pytest.raises(ValueError, match="unknown engine"):
+            repro.prefix_sum(values, engine="parallel")
+
+    def test_engine_object_passthrough(self):
+        engine = small_sam()
+        assert repro.resolve_engine(engine) is engine

@@ -31,14 +31,14 @@ class TestScanCommand:
         raw = tmp_path / "in.bin"
         values.tofile(raw)
         outputs = {}
-        for name in ("host", "parallel", "sam"):
+        for name in ("host", "threaded", "sam"):
             out = tmp_path / f"out_{name}.bin"
             assert main([
                 "scan", str(raw), str(out), "--dtype", "int64",
                 "--order", "2", "--tuple-size", "2", "--engine", name,
             ]) == 0
             outputs[name] = np.fromfile(out, dtype=np.int64)
-        assert np.array_equal(outputs["host"], outputs["parallel"])
+        assert np.array_equal(outputs["host"], outputs["threaded"])
         assert np.array_equal(outputs["host"], outputs["sam"])
 
     def test_exclusive_and_op(self, tmp_path, rng):
@@ -61,35 +61,15 @@ class TestScanCommand:
                 ["scan", "a", "b", "--engine", "warp_drive"]
             )
 
-    @pytest.mark.parametrize("engine,scheme", [
-        ("parallel", "decoupled"),
-        ("parallel_chained", "chained"),
-    ])
-    def test_workers_honored_for_both_parallel_engines(
-        self, tmp_path, rng, monkeypatch, engine, scheme
-    ):
-        # --workers used to be silently ignored for parallel_chained.
-        import repro.parallel
-
-        captured = {}
-        real = repro.parallel.ParallelSamScan
-
-        def spy(*args, **kwargs):
-            captured.update(kwargs)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(repro.parallel, "ParallelSamScan", spy)
-        values = rng.integers(-100, 100, 2000).astype(np.int32)
+    def test_workers_is_a_stream_option_only(self, tmp_path, rng, capsys):
+        # No scan engine takes a worker count; --workers caps sharded
+        # stream tasks and nothing else.
         raw = tmp_path / "in.bin"
-        out = tmp_path / "out.bin"
-        values.tofile(raw)
-        assert main([
-            "scan", str(raw), str(out), "--engine", engine, "--workers", "2",
-        ]) == 0
-        assert captured["num_workers"] == 2
-        assert captured["carry_scheme"] == scheme
-        got = np.fromfile(out, dtype=np.int32)
-        assert np.array_equal(got, np.cumsum(values, dtype=np.int32))
+        rng.integers(-100, 100, 100).astype(np.int32).tofile(raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", str(raw), str(tmp_path / "out.bin"), "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestStreamCommand:
@@ -124,18 +104,43 @@ class TestStreamCommand:
         got = np.fromfile(out, dtype=np.int32)
         assert np.array_equal(got, np.cumsum(values, dtype=np.int32))
 
-    def test_stream_on_parallel_engine(self, tmp_path, rng):
-        values = rng.integers(-100, 100, 70_000).astype(np.int64)
+    def test_stream_on_delegated_engine(self, tmp_path, rng):
+        # A named engine scans every chunk; the session folds carries.
+        values = rng.integers(-100, 100, 6_000).astype(np.int64)
         raw = tmp_path / "in.bin"
         values.tofile(raw)
         out = tmp_path / "out.bin"
         assert main([
             "stream", str(raw), str(out), "--dtype", "int64",
-            "--engine", "parallel", "--workers", "2",
-            "--chunk-bytes", str(1 << 18),
+            "--engine", "sam", "--chunk-bytes", "8192",
         ]) == 0
         got = np.fromfile(out, dtype=np.int64)
         assert np.array_equal(got, np.cumsum(values, dtype=np.int64))
+
+    def test_sharded_stream_takes_workers(self, tmp_path, rng, monkeypatch, capsys):
+        import repro.stream
+
+        captured = {}
+        real = repro.stream.scan_file_sharded
+
+        def spy(*args, **kwargs):
+            captured.update(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(repro.stream, "scan_file_sharded", spy)
+        values = rng.integers(-100, 100, 40_000).astype(np.int64)
+        raw = tmp_path / "in.bin"
+        values.tofile(raw)
+        out = tmp_path / "out.bin"
+        assert main([
+            "stream", str(raw), str(out), "--dtype", "int64", "--order", "2",
+            "--shards", "2", "--workers", "2", "--chunk-bytes", "16384",
+        ]) == 0
+        got = np.fromfile(out, dtype=np.int64)
+        expected = np.cumsum(np.cumsum(values, dtype=np.int64), dtype=np.int64)
+        assert np.array_equal(got, expected)
+        assert captured["workers"] == 2
+        assert "2 shards" in capsys.readouterr().out
 
 
 class TestCompressionCommands:

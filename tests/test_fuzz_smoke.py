@@ -27,9 +27,8 @@ class TestFuzzTool:
         config = random_config(rng)
         assert config["engine"] in (
             "sam", "sam_chained", "lookback", "reduce_scan",
-            "three_phase", "streamscan", "parallel", "parallel_chained",
-            "stream", "sharded", "threaded", "plan", "compressed",
-            "float_eft",
+            "three_phase", "streamscan", "stream", "sharded", "threaded",
+            "plan", "compressed", "float_eft", "fused_order",
         )
         assert 1 <= config["order"] <= 4
         assert 1 <= config["tuple_size"] <= 8
@@ -47,7 +46,7 @@ class TestFuzzTool:
                 # iteration and are dispatched before construction in
                 # run_one.
                 build_engine(config)
-        assert len(seen) == 15
+        assert len(seen) == 13
 
     def test_run_one_agrees(self):
         rng = np.random.default_rng(2)

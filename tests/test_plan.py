@@ -190,8 +190,18 @@ class TestPlanScan:
         labels = [c.label for c in plan.candidates]
         assert "serial" in labels
         assert any(l.startswith("threaded:") for l in labels)
-        assert "parallel:8" in labels
         assert plan.chosen.strategy == "threaded"  # model: slabs win at 64 MiB
+
+    def test_no_process_pool_candidate(self):
+        for nbytes in (1 << 20, 64 << 20, 1 << 30):
+            for w in (
+                Workload(nbytes=nbytes, dtype="int32"),
+                Workload(nbytes=nbytes, dtype="int64", order=3),
+                Workload(nbytes=nbytes, dtype="float64", float_mode="compensated"),
+            ):
+                plan = plan_scan(w, machine=fake_machine(cpu_count=8))
+                labels = [c.label for c in plan.candidates]
+                assert not any(l.startswith("parallel") for l in labels), labels
 
     def test_floats_and_looped_ops_only_get_serial(self):
         for w in (
@@ -265,10 +275,15 @@ class TestPlanScan:
             plan_scan(w, machine=fake_machine(), force="threaded:2")
 
     def test_forced_strategy_is_synthesized_when_gated_out(self):
-        w = Workload(nbytes=1 << 20, dtype="int64")  # far below pool floor
-        plan = plan_scan(w, machine=fake_machine(cpu_count=8), force="parallel:2")
-        assert plan.chosen.label == "parallel:2"
+        w = Workload(nbytes=1 << 20, dtype="int64")  # one core: no threads
+        plan = plan_scan(w, machine=fake_machine(cpu_count=1), force="threaded:2")
+        assert plan.chosen.label == "threaded:2"
         assert "forced" in plan.reason
+
+    def test_force_process_pool_rejected(self):
+        w = Workload(nbytes=64 << 20, dtype="int64")
+        with pytest.raises(ValueError, match="cannot force"):
+            plan_scan(w, machine=fake_machine(cpu_count=8), force="parallel:2")
 
     def test_counters_record_plans(self):
         before = PLANNER_COUNTERS.plans

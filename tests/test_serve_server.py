@@ -164,6 +164,48 @@ def test_batched_dispatch_engages_and_stays_exact(tmp_path, rng):
         assert gauges["batch_occupancy"] > 1.0
 
 
+def test_auto_threaded_feed_above_cutover_goes_solo(monkeypatch, rng):
+    # Planner-threaded ("auto") sessions batch their small feeds; a feed
+    # at or above the threaded cutover is dispatched on its own, and a
+    # pinned thread count never batches.
+    import repro.serve.batch
+    from repro.serve.server import _PendingFeed
+
+    monkeypatch.setattr(repro.serve.batch, "_tuned_cutover", lambda dtype: 1024)
+
+    class Conn:
+        inflight_bytes = 0
+
+    server = ScanServer()
+    chunks = {
+        "small0": make_int_array(rng, 64, dtype=np.int64),
+        "small1": make_int_array(rng, 64, dtype=np.int64),
+        "big": make_int_array(rng, 128, dtype=np.int64),
+        "pinned": make_int_array(rng, 64, dtype=np.int64),
+    }
+    for name in chunks:
+        server.registry.open(
+            name, order=2, dtype="int64",
+            threads=2 if name == "pinned" else "auto",
+        )
+    conn = Conn()
+    feeds = [
+        _PendingFeed(conn, name, chunk, i, chunk.nbytes)
+        for i, (name, chunk) in enumerate(chunks.items())
+    ]
+    replies = server._run_round(feeds)
+    assert server.batch_dispatches == 1  # small0 + small1
+    assert server.solo_dispatches == 2   # big (above cutover) + pinned
+    by_id = {header["id"]: (header, payload) for _, _, header, payload in replies}
+    for i, chunk in enumerate(chunks.values()):
+        header, payload = by_id[i]
+        oracle = ScanSession(op="add", order=2, dtype="int64")
+        assert header["offset"] == chunk.size
+        np.testing.assert_array_equal(
+            np.frombuffer(payload, dtype=np.int64), oracle.feed(chunk.copy())
+        )
+
+
 def test_open_errors_and_unknown_session(serve, rng):
     _, address = serve
     with ScanClient(address) as client:

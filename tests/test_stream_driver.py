@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_int_array
+from conftest import make_int_array, small_sam
 from repro.core.host import host_prefix_sum
 from repro.stream import (
     CheckpointError,
@@ -74,18 +74,13 @@ class TestScanFile:
         expected = host_prefix_sum(values, tuple_size=3)
         assert np.array_equal(np.fromfile(out, dtype=np.int32), expected)
 
-    def test_parallel_inner_engine(self, tmp_path, rng):
-        from repro.parallel import ParallelSamScan
-
-        values = make_int_array(rng, 100_000, dtype=np.int64)
+    def test_configured_inner_engine(self, tmp_path, rng):
+        values = make_int_array(rng, 5_000, dtype=np.int64)
         raw = write_input(tmp_path, values)
         out = tmp_path / "out.bin"
-        engine = ParallelSamScan(
-            num_workers=2, min_parallel_elements=0, fallback="raise"
-        )
         result = scan_file(
-            raw, out, dtype="int64", order=2, engine=engine,
-            chunk_bytes=1 << 17,
+            raw, out, dtype="int64", order=2, engine=small_sam(),
+            chunk_bytes=1 << 13,
         )
         expected = host_prefix_sum(values, order=2)
         assert np.array_equal(np.fromfile(out, dtype=np.int64), expected)

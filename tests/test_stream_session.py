@@ -14,7 +14,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_int_array
+from conftest import make_int_array, small_sam
 from repro.core.host import host_prefix_sum
 from repro.reference import prefix_sum_serial
 from repro.stream import (
@@ -145,18 +145,11 @@ class TestSplitPointEquivalence:
 
 
 class TestDelegatedEngines:
-    def test_parallel_inner_engine(self, rng):
-        from repro.parallel import ParallelSamScan
-
-        values = make_int_array(rng, 30_000, dtype=np.int64)
-        engine = ParallelSamScan(
-            num_workers=2,
-            chunk_elements=2048,
-            min_parallel_elements=0,
-            fallback="raise",
-        )
+    def test_configured_inner_engine(self, rng):
+        values = make_int_array(rng, 3_000, dtype=np.int64)
+        engine = small_sam()
         session = ScanSession(op="add", order=2, tuple_size=3, engine=engine)
-        got = feed_partition(session, values, [0, 7, 7, 11_000, 20_001, 30_000])
+        got = feed_partition(session, values, [0, 7, 7, 1_100, 2_001, 3_000])
         expected = host_prefix_sum(values, order=2, tuple_size=3)
         assert np.array_equal(got, expected)
         assert session.counters.delegated_stage_scans > 0
@@ -174,7 +167,7 @@ class TestDelegatedEngines:
         # Engines only guarantee bit-identity for integers; float
         # chunks must silently take the exact host continuation.
         values = rng.random(5000).astype(np.float64)
-        session = ScanSession(engine="parallel")
+        session = ScanSession(engine="sam")
         got = feed_partition(session, values, [0, 1234, 5000])
         assert got.tobytes() == host_prefix_sum(values).tobytes()
         assert session.counters.delegated_stage_scans == 0

@@ -28,21 +28,17 @@ from repro.baselines import (
     ThreePhaseScan,
 )
 from repro.core import SamScan
-from repro.parallel import ParallelSamScan
 from repro.reference import prefix_sum_serial
 
 ENGINES = (
     "sam", "sam_chained", "lookback", "reduce_scan", "three_phase",
-    "streamscan", "parallel", "parallel_chained", "stream", "sharded",
+    "streamscan", "stream", "sharded",
     "threaded", "plan", "compressed", "float_eft", "fused_order",
 )
 
 #: Strategies the "plan" kind forces through the planner's dispatcher
 #: (None = let the planner choose, which is itself a dispatch arm).
-PLAN_FORCES = (None, "serial", "threaded:2", "threaded:3", "parallel:2")
-#: Float workloads never get a process-pool candidate (it cannot replay
-#: the double-double chain), so the float plan arms force only these.
-PLAN_FLOAT_FORCES = (None, "serial", "threaded:2", "threaded:3")
+PLAN_FORCES = (None, "serial", "threaded:2", "threaded:3")
 OPERATORS = ("add", "max", "min", "xor", "and", "or")
 DTYPES = (np.int32, np.int64, np.uint32, np.uint64)
 #: The "float_eft" kind's differential matrix: compensated output must
@@ -69,11 +65,8 @@ def random_config(rng, engines=ENGINES):
         "order": int(rng.integers(1, 5)),
         "tuple_size": int(rng.integers(1, 9)),
         "inclusive": bool(rng.integers(0, 2)),
-        # Only the parallel engines read these: real worker processes
-        # and a small chunk size so even fuzz-sized inputs span many
-        # chunks (exercising the shared-memory carry protocol).
+        # Only the sharded jobs read this: the concurrent shard task cap.
         "workers": int(rng.integers(1, 5)),
-        "chunk_elements": int(rng.choice([64, 256, 1024])),
         # Only the "stream" kind reads this: it seeds the random chunk
         # boundaries the input is split at before being fed through a
         # ScanSession (split-point equivalence fuzzing).
@@ -91,8 +84,7 @@ def random_config(rng, engines=ENGINES):
         # through the planner's dispatcher (None = the planner's own
         # pick), so every execute_plan arm gets differential coverage;
         # plan_float flips the workload to a compensated float64 one
-        # (the planner's float arms), with the force drawn from the
-        # float-legal subset.
+        # (the planner's float arms).
         "plan_force": PLAN_FORCES[int(rng.integers(0, len(PLAN_FORCES)))],
         "plan_float": bool(rng.integers(0, 2)),
         # Only the "float_eft" kind reads these: the float dtype, a
@@ -298,7 +290,7 @@ class PlannedScan:
     """Adapter: routes a scan through the execution planner
     (:func:`repro.plan.auto_scan`) — flag-less, letting the planner
     choose, or with a forced candidate label so every dispatch arm
-    (serial kernel, threaded slabs, process pool) is differentially
+    (serial kernel, threaded slabs) is differentially
     checked against the oracle regardless of what this machine's cost
     model would pick on its own.  ``float_mode`` puts the plan under
     the compensated contract (the float arms; the oracle is then the
@@ -628,21 +620,13 @@ def build_engine(config):
             workers=min(config["workers"], 3),
             chunk_bytes=config["shard_chunk_bytes"],
         )
-    if kind in ("parallel", "parallel_chained"):
-        return ParallelSamScan(
-            num_workers=config["workers"],
-            chunk_elements=config["chunk_elements"],
-            min_parallel_elements=0,   # fuzz-sized inputs must not degrade
-            fallback="raise",          # any worker failure is a fuzz failure
-            carry_scheme="chained" if kind == "parallel_chained" else "decoupled",
-        )
     raise ValueError(kind)
 
 
 def run_plan_float(config, rng) -> bool:
     """The planner's float arms: a compensated float64 workload routed
     through :func:`repro.plan.auto_scan` — planner's own pick or a
-    forced float-legal candidate — must agree bit for bit with the
+    forced candidate — must agree bit for bit with the
     serial compensated kernel (the mode's reference)."""
     from repro.kernels import compensated_scan_into
     from repro.ops import get_op
@@ -651,10 +635,7 @@ def run_plan_float(config, rng) -> bool:
     order = 1 + config["order"] % 3
     n = config["n"] - config["n"] % s
     values = _float_corpus(rng, np.float64, config["float_flavor"], n)
-    force = config["plan_force"]
-    if force not in PLAN_FLOAT_FORCES:
-        force = None
-    engine = PlannedScan(force=force, float_mode="compensated")
+    engine = PlannedScan(force=config["plan_force"], float_mode="compensated")
     out = engine.run(
         values, order=order, tuple_size=s, op="add",
         inclusive=config["inclusive"],
