@@ -2,7 +2,7 @@
 """Benchmark: streaming out-of-core scan vs the one-shot host engine.
 
 Sweeps the chunk budget over a fixed file and times ``scan_file``
-(memory-mapped, double-buffered, optionally checkpointed) against the
+(chunked, prefetched, optionally checkpointed) against the
 one-shot baseline (read whole file, ``host_prefix_sum``, write whole
 file).  Writes ``benchmarks/results/BENCH_stream.json`` with raw
 seconds, items/s, relative throughput, and the stream driver's own

@@ -11,8 +11,8 @@ Commands
     and the machine; ``--explain`` prints its candidate table (sizes,
     predicted costs, rationale) without running the scan.
 ``stream <in> <out>``
-    Scan a file out of core: memory-mapped, chunked through a
-    streaming session (``--chunk-bytes``), bit-identical to ``scan``,
+    Scan a file out of core: read in chunks through a streaming
+    session (``--chunk-bytes``), bit-identical to ``scan``,
     with durable checkpoints (``--checkpoint``, ``--checkpoint-every``)
     and crash recovery (``--resume``).  Takes the same scan options as
     ``scan`` including ``--engine``.  With ``--shards N`` (N > 1) the

@@ -320,8 +320,10 @@ def scan_file(
 ):
     """Scan a binary file out of core (see :mod:`repro.stream`).
 
-    Memory-maps ``input_path``, pipelines double-buffered chunks of
-    ``chunk_bytes`` through a session on ``engine``, and writes the
+    Reads ``input_path`` in chunks of ``chunk_bytes`` (one read into a
+    fresh array per chunk, scanned in place by a session on
+    ``engine``; chunk i+1 is prefetched while chunk i scans, and a
+    one-chunk job runs on the calling thread alone) and writes the
     scanned stream to ``output_path`` — bit-identical to a one-shot
     scan but with peak memory bounded by a few chunks.  With
     ``checkpoint=path`` progress is persisted atomically every
@@ -525,7 +527,13 @@ def _scan_file_planned(
     common = dict(
         dtype=dtype, op=op, order=order, tuple_size=tuple_size,
         inclusive=inclusive, checkpoint=checkpoint, resume=resume,
-        input_format=input_format,
+        # The plan already sniffed the input: pass on its answer so the
+        # driver does not open and read the header a second time.
+        input_format=(
+            "blocked"
+            if plan.workload.source == "compressed-file"
+            else "raw"
+        ),
     )
     t0 = time.perf_counter()
     if chosen.strategy == "sharded":

@@ -8,10 +8,11 @@ The subsystem has three layers:
   every op / dtype / order / tuple size, inclusive and exclusive.
 * Checkpoints (``checkpoint.py``) — atomic, integrity-hashed snapshots
   of a session (carry state + offset + config hash + counters).
-* :func:`scan_file` (``driver.py``) — the out-of-core driver:
-  memory-mapped input, double-buffered chunk pipelining through any
-  inner engine, durable checkpoints every k chunks, ``resume=True``
-  continuation after interruption.
+* :func:`scan_file` (``driver.py``) — the out-of-core driver: one
+  read, one in-place scan and one write per chunk through any inner
+  engine, chunk i+1 prefetched while chunk i scans (a one-chunk job
+  starts no thread), durable checkpoints every k chunks,
+  ``resume=True`` continuation after interruption.
 * :func:`scan_file_sharded` (``sharded.py``) — the sharded driver:
   S contiguous shards scanned concurrently, carry-spliced on the host,
   and folded in parallel; per-shard manifest checkpoints resume only

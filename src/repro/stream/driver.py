@@ -1,18 +1,24 @@
 """Out-of-core driver: scan files larger than RAM, resumably.
 
-:func:`scan_file` memory-maps the input, cuts it into ``chunk_bytes``
-pieces, and pipelines them through a :class:`ScanSession`
-double-buffered: a prefetch thread copies chunk ``i+1`` out of the map
-while the session (and its inner engine — e.g. the threaded kernel,
-whose thread pool stays warm across chunks) scans chunk ``i``.  Peak
-resident memory is a few chunks regardless of file size.
+:func:`scan_file` cuts the input into ``chunk_bytes`` pieces, and each
+piece costs one read, one scan and one write: the chunk is read with a
+seek and one read into a fresh array the driver owns, the
+:class:`ScanSession` scans that array in place, and the sink writes it.
+Chunk 0 is read on the calling thread.  When a next chunk exists, a
+one-worker prefetch thread reads chunk ``i+1`` while the session (and
+its inner engine — e.g. the threaded kernel, whose thread pool stays
+warm across chunks) scans chunk ``i``; a one-chunk job starts no
+thread and maps nothing.  Peak resident memory is a few chunks
+regardless of file size.  A file that shrinks under the job raises
+:class:`StreamError` on the short read, before the partial chunk is
+scanned or written.
 
 Compressed streaming: the input and/or output may be a blocked
 ``.samb`` container (:mod:`repro.compression.stream`) instead of raw
 bytes — ``input_format="blocked"`` (or ``"auto"``, which sniffs the
 magic) and ``output_format="blocked"``.  Decode, scan, and encode are
 *fused* per chunk: the prefetch thread decodes container blocks while
-the main thread scans the previous chunk and feeds the scanned values
+the calling thread scans the previous chunk and feeds the scanned values
 straight into the incremental container writer — each block is touched
 once, while hot, and the bytes crossing the disk are the compressed
 ones.  Chunk boundaries are aligned to the least common multiple of
@@ -373,14 +379,6 @@ def scan_file(
     else:
         sink = _RawOutput(output_path, start_elements, itemsize)
 
-    data = None
-    if input_format == "raw":
-        data = (
-            np.memmap(input_path, dtype=resolved_dtype, mode="r")
-            if total_elements
-            else np.empty(0, dtype=resolved_dtype)
-        )
-
     io_record = None
     if input_format == "blocked" or output_format == "blocked":
         io_record = {
@@ -392,28 +390,41 @@ def scan_file(
         if output_format == "blocked":
             io_record["output_block_elements"] = out_block
 
+    # Not a memmap: each chunk is read into a fresh array, which the
+    # session may then scan in place.
+    source = open(input_path, "rb") if reader is None else None
+
     def fetch(lo: int, hi: int):
-        """Read (and, for blocked input, decode — the fused decode half
-        runs in the prefetch thread, overlapping the main thread's
-        scan) one chunk.  Returns timings split so decode seconds and
+        """Read (and, for blocked input, decode) one chunk into memory
+        the driver owns.  Returns timings split so decode seconds and
         compressed bytes are attributed separately from raw IO."""
         t0 = time.perf_counter()
         if reader is not None:
             decode0 = reader.decode_seconds
             payload0 = reader.payload_bytes_read
-            copied = reader.read_range(lo, hi)
+            chunk = reader.read_range(lo, hi)
             elapsed = time.perf_counter() - t0
             decode = reader.decode_seconds - decode0
             return (
-                copied,
+                chunk,
                 max(0.0, elapsed - decode),
                 decode,
                 reader.payload_bytes_read - payload0,
             )
-        copied = np.array(data[lo:hi], copy=True)
-        return copied, time.perf_counter() - t0, 0.0, 0
+        chunk = np.empty(hi - lo, dtype=resolved_dtype)
+        source.seek(lo * itemsize)
+        got = source.readinto(memoryview(chunk).cast("B"))
+        if got != chunk.nbytes:
+            raise StreamError(
+                f"short read from {input_path!r}: expected {chunk.nbytes} "
+                f"bytes at offset {lo * itemsize}, got {got} (was the file "
+                f"truncated while the job ran?)"
+            )
+        return chunk, time.perf_counter() - t0, 0.0, 0
 
-    prefetcher = ThreadPoolExecutor(max_workers=1)
+    # Created only when a next chunk exists: a one-chunk job starts no
+    # thread.
+    prefetcher = None
     position = start_elements
     chunks_done = 0
     since_checkpoint = 0
@@ -424,12 +435,12 @@ def scan_file(
 
     try:
         pending = None
-        if position < total_elements:
-            pending = prefetcher.submit(
-                fetch, position, min(position + take(), total_elements)
-            )
         while position < total_elements:
-            chunk, read_seconds, decode_seconds, payload_bytes = pending.result()
+            chunk, read_seconds, decode_seconds, payload_bytes = (
+                fetch(position, min(position + take(), total_elements))
+                if pending is None
+                else pending.result()
+            )
             counters.seconds_read += read_seconds
             counters.seconds_decode += decode_seconds
             counters.compressed_bytes_in += payload_bytes
@@ -440,13 +451,15 @@ def scan_file(
                 # The prefetch of chunk i+1 uses the size decided after
                 # chunk i-1 — adaptive resizing lags one chunk behind
                 # the measurement, which is fine for a damped doubler.
+                if prefetcher is None:
+                    prefetcher = ThreadPoolExecutor(max_workers=1)
                 pending = prefetcher.submit(
                     fetch,
                     next_position,
                     min(next_position + take(), total_elements),
                 )
             t_chunk = time.perf_counter()
-            scanned = session.feed(chunk)
+            scanned = session._feed(chunk, own=True)
             t0 = time.perf_counter()
             encode_seconds = sink.write(scanned)
             counters.seconds_write += time.perf_counter() - t0 - encode_seconds
@@ -476,11 +489,12 @@ def scan_file(
         counters.seconds_write += time.perf_counter() - t0
     finally:
         sink.close()
-        prefetcher.shutdown(wait=True, cancel_futures=True)
+        if prefetcher is not None:
+            prefetcher.shutdown(wait=True, cancel_futures=True)
         if reader is not None:
             reader.close()
-        if isinstance(data, np.memmap):
-            del data
+        if source is not None:
+            source.close()
 
     if checkpoint is not None and os.path.exists(checkpoint):
         os.remove(checkpoint)  # the job is complete; nothing to resume

@@ -304,7 +304,14 @@ class ScanSession:
 
         The concatenation of every returned chunk equals the one-shot
         scan of the concatenation of every fed chunk, bit for bit.
+        The caller's chunk is never modified.
         """
+        return self._feed(chunk, own=False)
+
+    def _feed(self, chunk, own: bool) -> np.ndarray:
+        """:meth:`feed`, where ``own=True`` hands the chunk's buffer to
+        the session: the scan may run in place in it and return it (the
+        file driver reads every chunk into a fresh array it owns)."""
         array = np.asarray(chunk)
         if array.ndim != 1:
             raise ValueError(f"expected a 1-D chunk, got shape {array.shape}")
@@ -334,7 +341,7 @@ class ScanSession:
                 self.op, self.dtype, self.order, self.tuple_size
             )
         ):
-            out = self._feed_fused(array)
+            out = self._feed_fused(array, own)
         else:
             out = array
             for iteration in range(self.order):
@@ -344,9 +351,9 @@ class ScanSession:
                     iteration,
                     inclusive_output=self.inclusive or not last,
                     # The first pass reads the caller's array (never
-                    # mutate it); later passes own their buffer and
-                    # scan in place.
-                    own=iteration > 0,
+                    # mutate it unless the caller handed it over);
+                    # later passes own their buffer and scan in place.
+                    own=own or iteration > 0,
                 )
         self._offset += len(array)
         self.counters.chunks += 1
@@ -357,7 +364,7 @@ class ScanSession:
 
     # -- internals -------------------------------------------------------
 
-    def _feed_fused(self, array: np.ndarray) -> np.ndarray:
+    def _feed_fused(self, array: np.ndarray, own: bool) -> np.ndarray:
         """Single-pass fused order-q feed (integer ADD, ``s >= 2``).
 
         The session's ``(order, tuple_size)`` carry *is* the fused
@@ -369,7 +376,7 @@ class ScanSession:
         """
         s, q, pos = self.tuple_size, self.order, self._offset
         prev_last = self._carry[q - 1].copy() if not self.inclusive else None
-        out = array.copy()
+        out = array if own else array.copy()
         perm = kernels.phase_perm(pos, s)
         carry = np.ascontiguousarray(self._carry[:, perm])
         if self.threads is None:

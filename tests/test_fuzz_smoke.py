@@ -28,7 +28,7 @@ class TestFuzzTool:
         assert config["engine"] in (
             "sam", "sam_chained", "lookback", "reduce_scan",
             "three_phase", "streamscan", "stream", "sharded", "threaded",
-            "plan", "compressed", "float_eft", "fused_order",
+            "plan", "compressed", "float_eft", "fused_order", "file",
         )
         assert 1 <= config["order"] <= 4
         assert 1 <= config["tuple_size"] <= 8
@@ -41,12 +41,13 @@ class TestFuzzTool:
             if config["engine"] in seen:
                 continue
             seen.add(config["engine"])
-            if config["engine"] not in ("float_eft", "fused_order"):
+            if config["engine"] not in ("float_eft", "fused_order", "file"):
                 # float_eft and fused_order drive several engines per
-                # iteration and are dispatched before construction in
-                # run_one.
+                # iteration, and file draws its own dtype and chunk
+                # budget; all three are dispatched before construction
+                # in run_one.
                 build_engine(config)
-        assert len(seen) == 13
+        assert len(seen) == 14
 
     def test_run_one_agrees(self):
         rng = np.random.default_rng(2)
@@ -82,6 +83,15 @@ class TestFuzzTool:
         # input at random chunk boundaries through a ScanSession.
         assert main(
             ["--iterations", "15", "--seed", "4", "--only", "stream"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "0 failures" in out
+
+    def test_file_only_campaign(self, capsys):
+        # Random arrays round-tripped through scan_file at chunk budgets
+        # of one element, below, at and above the file size.
+        assert main(
+            ["--iterations", "15", "--seed", "5", "--only", "file"]
         ) == 0
         out = capsys.readouterr().out
         assert "0 failures" in out

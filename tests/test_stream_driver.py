@@ -108,6 +108,122 @@ class TestScanFile:
             scan_file(raw, tmp_path / "o.bin", checkpoint_every=0)
 
 
+class TestOneReadOneWrite:
+    """Each chunk is one read into an array the driver owns, one scan in
+    place and one write; a one-chunk job runs on the calling thread."""
+
+    def test_one_chunk_job_starts_no_thread(self, tmp_path, rng, monkeypatch):
+        import repro.stream.driver as driver
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a one-chunk job must not start a thread")
+
+        monkeypatch.setattr(driver, "ThreadPoolExecutor", no_threads)
+        values = make_int_array(rng, 30_000, dtype=np.int64)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        result = scan_file(raw, out, dtype="int64", order=2)
+        expected = host_prefix_sum(values, order=2)
+        assert np.array_equal(np.fromfile(out, dtype=np.int64), expected)
+        assert result.counters.chunks == 1
+        assert result.counters.bytes_out == values.nbytes
+
+    def test_multi_chunk_job_prefetches(self, tmp_path, rng, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        import repro.stream.driver as driver
+
+        built, submitted = [], []
+
+        class CountingExecutor(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+            def submit(self, *args, **kwargs):
+                submitted.append(args[1:])
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "ThreadPoolExecutor", CountingExecutor)
+        values = make_int_array(rng, 10_000)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        result = scan_file(raw, out, dtype="int32", order=2, chunk_bytes=4096)
+        expected = host_prefix_sum(values, order=2)
+        assert np.array_equal(np.fromfile(out, dtype=np.int32), expected)
+        assert result.counters.chunks == 10
+        # Chunk 0 is read on the calling thread; every later chunk is
+        # prefetched by the one worker.
+        assert len(built) == 1
+        assert submitted == [
+            (lo, min(lo + 1024, 10_000)) for lo in range(1024, 10_000, 1024)
+        ]
+
+    @pytest.mark.parametrize("chunk_bytes", [1 << 20, 4096])
+    def test_short_read_raises_and_writes_no_short_chunk(
+        self, tmp_path, rng, monkeypatch, chunk_bytes
+    ):
+        values = make_int_array(rng, 10_000)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        real_getsize = os.path.getsize
+
+        def inflated(path):
+            # The file "shrinks" after the driver sized the job.
+            extra = 4 * 100 if os.fspath(path) == str(raw) else 0
+            return real_getsize(path) + extra
+
+        monkeypatch.setattr(os.path, "getsize", inflated)
+        with pytest.raises(StreamError, match="short read") as info:
+            scan_file(raw, out, dtype="int32", chunk_bytes=chunk_bytes)
+        assert str(raw) in str(info.value)
+        # Only whole chunks read before the short one reach the output.
+        written = np.fromfile(out, dtype=np.int32)
+        full = len(values) // 1024 * 1024 if chunk_bytes == 4096 else 0
+        assert len(written) == full
+        assert np.array_equal(written, host_prefix_sum(values)[:full])
+
+
+class TestFeedLeavesCallerArray:
+    """The driver hands its own chunks to the session to scan in place;
+    public ``ScanSession.feed`` must still never touch the caller's."""
+
+    KINDS = {
+        "plain": (np.int64, dict(order=2)),
+        "plain-threaded": (np.int64, dict(order=1, tuple_size=2, threads=2)),
+        "fused": (np.int64, dict(order=3, tuple_size=2)),
+        "exclusive": (np.int32, dict(order=2, tuple_size=3, inclusive=False)),
+        "float-exact": (np.float64, dict(order=2, tuple_size=2)),
+        "float-regrouped": (np.float64, dict(float_mode="regrouped")),
+        "float-compensated": (
+            np.float64, dict(order=2, float_mode="compensated")
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_feed_does_not_mutate(self, rng, kind):
+        from repro.stream import ScanSession
+
+        dtype, config = self.KINDS[kind]
+        values = rng.integers(-1000, 1000, 5_000).astype(dtype)
+        session = ScanSession(**config)
+        whole = ScanSession(**config).feed(values.copy())
+        parts = []
+        for lo, hi in ((0, 1), (1, 2_000), (2_000, 5_000)):
+            chunk = values[lo:hi]
+            before = chunk.tobytes()
+            scanned = session.feed(chunk)
+            assert chunk.tobytes() == before
+            assert not np.shares_memory(scanned, chunk)
+            parts.append(scanned)
+        stitched = np.concatenate(parts)
+        if kind == "float-regrouped":
+            # Regrouped rounding may differ across splits.
+            assert np.allclose(stitched, whole)
+        else:
+            assert stitched.tobytes() == whole.tobytes()
+
+
 class TestCheckpointResume:
     def run_interrupted(self, tmp_path, rng, n=40_000, fail_after=7, **kw):
         values = make_int_array(rng, n)

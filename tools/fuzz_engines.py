@@ -33,7 +33,7 @@ from repro.reference import prefix_sum_serial
 ENGINES = (
     "sam", "sam_chained", "lookback", "reduce_scan", "three_phase",
     "streamscan", "stream", "sharded",
-    "threaded", "plan", "compressed", "float_eft", "fused_order",
+    "threaded", "plan", "compressed", "float_eft", "fused_order", "file",
 )
 
 #: Strategies the "plan" kind forces through the planner's dispatcher
@@ -46,6 +46,12 @@ DTYPES = (np.int32, np.int64, np.uint32, np.uint64)
 FLOAT_EFT_THREADS = (1, 2, 3, 8)
 FLOAT_EFT_SHARDS = (1, 2, 4)
 POLICIES = ("round_robin", "reversed", "rotating", "random")
+#: The "file" kind's dtypes (integers plus exact-mode floats) and the
+#: operators a float scan accepts.
+FILE_DTYPES = DTYPES + (np.float32, np.float64)
+FLOAT_OPERATORS = ("add", "max", "min")
+#: The "file" kind's chunk budgets, relative to the file size.
+FILE_CHUNKS = ("element", "below", "exact", "above")
 
 
 def random_config(rng, engines=ENGINES):
@@ -575,6 +581,49 @@ def run_fused_order(config, rng) -> bool:
     return True
 
 
+def run_file(config, rng) -> bool:
+    """The ``file`` differential arm: one random array round-tripped
+    through :func:`repro.stream.scan_file` with a chunk budget of one
+    element, below the file size, exactly the file size or above it
+    (the one-chunk job, read and scanned on the calling thread), for
+    integer and exact-mode float dtypes, against the serial oracle.
+    The extra draws come from the data ``rng`` so the configurations
+    of the other kinds do not shift."""
+    import os
+    import tempfile
+
+    from repro.stream import scan_file
+
+    dtype = np.dtype(FILE_DTYPES[int(rng.integers(0, len(FILE_DTYPES)))])
+    n = config["n"]
+    if dtype.kind == "f":
+        op = str(rng.choice(FLOAT_OPERATORS))
+        values = rng.normal(0.0, 1e3, n).astype(dtype)
+    else:
+        op = config["op"]
+        values = rng.integers(0, 2**16, n).astype(dtype)
+    nbytes = values.nbytes
+    chunk = str(rng.choice(FILE_CHUNKS))
+    chunk_bytes = {
+        "element": dtype.itemsize,
+        "below": int(rng.integers(1, max(2, nbytes))),
+        "exact": max(1, nbytes),
+        "above": nbytes + int(rng.integers(1, 1 << 16)),
+    }[chunk]
+    config.update(dtype=dtype.type, op=op, file_chunk=chunk)
+    kwargs = dict(order=config["order"], tuple_size=config["tuple_size"],
+                  op=op, inclusive=config["inclusive"])
+    with tempfile.TemporaryDirectory(prefix="fuzz-file-") as tmp:
+        input_path = os.path.join(tmp, "in.bin")
+        output_path = os.path.join(tmp, "out.bin")
+        values.tofile(input_path)
+        scan_file(input_path, output_path, dtype=dtype,
+                  chunk_bytes=chunk_bytes, **kwargs)
+        out = np.fromfile(output_path, dtype=dtype)
+    expected = prefix_sum_serial(values, **kwargs)
+    return out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
+
+
 def build_engine(config):
     kw = dict(
         threads_per_block=config["threads_per_block"],
@@ -653,6 +702,8 @@ def run_one(config, rng) -> bool:
         return run_float_eft(config, rng)
     if config["engine"] == "fused_order":
         return run_fused_order(config, rng)
+    if config["engine"] == "file":
+        return run_file(config, rng)
     if config["engine"] == "plan" and config["plan_float"]:
         return run_plan_float(config, rng)
     dtype = np.dtype(config["dtype"])
