@@ -693,8 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bit for bit; compensated scans with error-free "
                             "carries — more accurate AND deterministically "
                             "parallel across any thread/shard count; "
-                            "regrouped allows carry-fold rounding (the "
-                            "deprecated exact=False API tri-state)")
+                            "regrouped allows carry-fold rounding")
         p.add_argument("--engine", default="auto", choices=list(ENGINE_NAMES),
                        help="auto (default: the planner picks from the "
                             "data), host, threaded (slab-parallel "

@@ -309,7 +309,6 @@ def scan_file(
     resume: bool = False,
     shards: int = None,
     workers: int = None,
-    exact: bool = True,
     float_mode: str = None,
     threads=None,
     adaptive_chunks: bool = None,
@@ -338,8 +337,8 @@ def scan_file(
     stay on the sequential exact path unless ``float_mode`` says
     otherwise: ``"compensated"`` shards floats deterministically
     through error-free carries (bit-identical for any shard count),
-    ``"regrouped"`` (the legacy ``exact=False``) shards with carry-fold
-    rounding.  Returns a :class:`repro.stream.ShardedResult`.
+    ``"regrouped"`` shards with carry-fold rounding.  Returns a
+    :class:`repro.stream.ShardedResult`.
 
     ``threads`` opts chunk scans into the slab-parallel in-memory
     kernel (per session, or per shard task with the combined
@@ -404,7 +403,6 @@ def scan_file(
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             resume=resume,
-            exact=exact,
             float_mode=float_mode,
             adaptive_chunks=adaptive_chunks,
             input_format=input_format,
@@ -431,7 +429,6 @@ def scan_file(
             workers=workers,
             checkpoint=checkpoint,
             resume=resume,
-            exact=exact,
             float_mode=float_mode,
             threads=threads,
             **format_kwargs,
@@ -475,7 +472,6 @@ def _scan_file_planned(
     checkpoint,
     checkpoint_every,
     resume,
-    exact,
     float_mode=None,
     adaptive_chunks=None,
     input_format="auto",
@@ -500,8 +496,7 @@ def _scan_file_planned(
                     input_path, output_path, dtype=dtype, op=op, order=order,
                     tuple_size=tuple_size, inclusive=inclusive,
                     shards=shard_count, checkpoint=checkpoint, resume=True,
-                    exact=exact, float_mode=float_mode,
-                    input_format=input_format,
+                    float_mode=float_mode, input_format=input_format,
                 )
             kwargs = {}
             if checkpoint_every is not None:
@@ -544,7 +539,6 @@ def _scan_file_planned(
             input_path, output_path,
             shards=chosen.params.get("shards"),
             workers=chosen.params.get("workers"),
-            exact=exact,
             float_mode=float_mode,
             **kwargs,
         )

@@ -101,14 +101,15 @@ def check_compensated(op, dtype):
     return op, resolved
 
 
-def resolve_float_mode(dtype, float_mode=None, exact=None, default="exact"):
-    """Resolve the float-mode parameter pair of a scan surface.
+def resolve_float_mode(dtype, float_mode=None, exact=None):
+    """Resolve a scan surface's float mode.
 
     Returns one of :data:`FLOAT_MODES` for float dtypes, ``None`` for
     integers (integer regrouping is exact; the modes do not apply).
-    ``float_mode`` wins when given; otherwise the legacy ``exact``
-    tri-state maps ``True -> "exact"``, ``False -> "regrouped"``,
-    ``None -> default`` (the surface's historical float behaviour).
+    ``float_mode`` wins when given; otherwise
+    :class:`~repro.kernels.LaneKernel`'s ``exact`` switch maps a false
+    value to ``"regrouped"`` and ``True`` or ``None`` to ``"exact"``,
+    the default.
     """
     if np.dtype(dtype).kind in "iu":
         return None
@@ -118,9 +119,7 @@ def resolve_float_mode(dtype, float_mode=None, exact=None, default="exact"):
                 f"float_mode must be one of {FLOAT_MODES}, got {float_mode!r}"
             )
         return float_mode
-    if exact is None:
-        return default
-    return "exact" if exact else "regrouped"
+    return "exact" if exact is None or exact else "regrouped"
 
 
 def fresh_state(dtype, tuple_size: int) -> np.ndarray:

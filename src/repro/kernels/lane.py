@@ -41,7 +41,7 @@ Exactness modes
 * :func:`lane_scan` continues a scan by folding a carry row *after*
   accumulating — one extra vectorized pass, no prepend copies.  The
   fold regroups the reduction, which is exact for integers; it is the
-  sharded driver's ``exact=False`` float mode.
+  sharded driver's ``float_mode="regrouped"``.
 * :func:`lane_scan_exact` continues by *prepending* the carry row to
   the chunk (one ``n + s`` buffer) so the ufunc accumulate reproduces
   the one-shot scan's exact sequence of partial results — float
@@ -702,9 +702,8 @@ class LaneKernel:
     ``(value, err)`` state so results are bit-identical for any chunk
     split *and* any thread/shard count, and more accurate than the
     naive fold.  ``float_mode`` (``"exact"`` | ``"compensated"`` |
-    ``"regrouped"``) wins over the legacy ``exact`` tri-state when both
-    are given; integers ignore it (integer regrouping is already
-    exact).
+    ``"regrouped"``) wins over the ``exact`` switch when both are
+    given; integers ignore it (integer regrouping is already exact).
 
     ``start`` is the global index of the first element that will be
     fed; ``prime`` preloads an absolute carry row (lane order) so the

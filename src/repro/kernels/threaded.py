@@ -33,9 +33,9 @@ chain would be sequential in the carry anyway, so there is nothing to
 overlap.  ``float_mode="compensated"`` runs the error-free-carry
 segment decomposition of :mod:`repro.kernels.compensated` — fully
 parallel, bit-identical for *any* thread count, and more accurate than
-the naive fold.  ``float_mode="regrouped"`` (legacy ``exact=False``)
-opts into the fast regrouped fold (deterministic for a fixed thread
-count, but not bit-identical to serial).
+the naive fold.  ``float_mode="regrouped"`` opts into the fast
+regrouped fold (deterministic for a fixed thread count, but not
+bit-identical to serial).
 
 Cutover
 -------
@@ -411,7 +411,6 @@ def threaded_scan_into(
     tuple_size: int = 1,
     inclusive: bool = True,
     threads=None,
-    exact: Optional[bool] = None,
     cutover_bytes: Optional[int] = None,
     float_mode: Optional[str] = None,
 ) -> np.ndarray:
@@ -420,17 +419,16 @@ def threaded_scan_into(
     The threaded sibling of :func:`repro.kernels.scan_into`: pass 1
     scans ``src`` into ``out``, later passes rescan ``out`` in place,
     the exclusive shift happens once at the end.  Float handling
-    follows ``float_mode`` (falling back to the legacy ``exact``
-    tri-state): ``"exact"`` (the default) runs the serial passes — a
-    regrouped splice would change rounding; ``"compensated"`` runs the
-    segment-parallel error-free passes (bit-identical for any thread
-    count, more accurate than the naive fold); ``"regrouped"``
-    (``exact=False``) lets floats regroup through the slab splice.
+    follows ``float_mode``: ``"exact"`` (the default) runs the serial
+    passes — a regrouped splice would change rounding;
+    ``"compensated"`` runs the segment-parallel error-free passes
+    (bit-identical for any thread count, more accurate than the naive
+    fold); ``"regrouped"`` lets floats regroup through the slab splice.
     Integers always get the full slab parallelism.
     """
     op = get_op(op)
     src = np.asarray(src)
-    mode = resolve_float_mode(src.dtype, float_mode, exact)
+    mode = resolve_float_mode(src.dtype, float_mode)
     if mode == "exact":
         from repro.kernels.lane import scan_into
 
@@ -495,8 +493,7 @@ class ThreadedLaneKernel(LaneKernel):
     exact) and the bit-exact serial prepend mode for floats.  Float
     ``float_mode="compensated"`` runs the segment-parallel error-free
     path (bit-identical for any thread count);
-    ``float_mode="regrouped"`` / ``exact=False`` opts into the threaded
-    regrouped fold.
+    ``float_mode="regrouped"`` opts into the threaded regrouped fold.
     """
 
     def __init__(
@@ -587,12 +584,11 @@ class ThreadedScan:
     Same ``run(values, order=, tuple_size=, op=, inclusive=)`` contract
     as every other engine; bit-identical to the host path for all
     dtypes by default (floats take the exact serial passes unless
-    ``float_mode``/``exact`` says otherwise).
+    ``float_mode`` says otherwise).
     """
 
-    def __init__(self, threads=None, exact=None, cutover_bytes=None, float_mode=None):
+    def __init__(self, threads=None, cutover_bytes=None, float_mode=None):
         self.threads = threads
-        self.exact = exact
         self.float_mode = float_mode
         self.cutover_bytes = cutover_bytes
 
@@ -623,7 +619,6 @@ class ThreadedScan:
             tuple_size=tuple_size,
             inclusive=inclusive,
             threads=threads,
-            exact=self.exact,
             cutover_bytes=self.cutover_bytes,
             float_mode=self.float_mode,
         )

@@ -139,6 +139,21 @@ def _aligned_take(elements: int, align: int, stride: int) -> int:
     return max(align, elements - elements % align)
 
 
+def _read_raw(fh, path: str, dtype, lo: int, hi: int) -> np.ndarray:
+    """Elements ``[lo, hi)`` of the raw file open as ``fh``, read with a
+    seek and one ``readinto`` into a fresh array the caller owns."""
+    chunk = np.empty(hi - lo, dtype=dtype)
+    fh.seek(lo * chunk.itemsize)
+    got = fh.readinto(memoryview(chunk).cast("B"))
+    if got != chunk.nbytes:
+        raise StreamError(
+            f"short read from {path!r}: expected {chunk.nbytes} bytes at "
+            f"offset {lo * chunk.itemsize}, got {got} (was the file "
+            f"truncated while the job ran?)"
+        )
+    return chunk
+
+
 def resolve_input_format(input_path, input_format: str) -> str:
     """``"auto"`` sniffs the blocked-container magic; explicit formats
     pass through (``"blocked"`` is still validated by the reader)."""
@@ -411,15 +426,7 @@ def scan_file(
                 decode,
                 reader.payload_bytes_read - payload0,
             )
-        chunk = np.empty(hi - lo, dtype=resolved_dtype)
-        source.seek(lo * itemsize)
-        got = source.readinto(memoryview(chunk).cast("B"))
-        if got != chunk.nbytes:
-            raise StreamError(
-                f"short read from {input_path!r}: expected {chunk.nbytes} "
-                f"bytes at offset {lo * itemsize}, got {got} (was the file "
-                f"truncated while the job ran?)"
-            )
+        chunk = _read_raw(source, input_path, resolved_dtype, lo, hi)
         return chunk, time.perf_counter() - t0, 0.0, 0
 
     # Created only when a next chunk exists: a one-chunk job starts no

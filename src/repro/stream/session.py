@@ -283,7 +283,7 @@ class ScanSession:
             (self.order, self.tuple_size), identity, dtype=self.dtype
         )
         self.float_mode = kernels.resolve_float_mode(
-            self.dtype, self._float_mode_param, None
+            self.dtype, self._float_mode_param
         )
         if self.float_mode == "compensated":
             from repro.kernels.compensated import check_compensated

@@ -41,14 +41,21 @@ one-shot host scan for every op / order / tuple size, inclusive and
 exclusive.  Floats are only pseudo-associative, so they pick one of
 three ``float_mode`` contracts: ``"exact"`` (the default — fall back
 to the sequential bit-exact session path), ``"regrouped"`` (shard
-anyway and accept carry-fold rounding; the legacy ``exact=False``),
-or ``"compensated"`` — shard on the fixed segment grid of
-:mod:`repro.kernels.compensated`, collect per-segment ``(T, F)``
-totals in the scan pass, replay the global double-double chain as the
-splice, and render in the fold pass.  Compensated results are
-bit-identical for every shard count *and* more accurate than the
-serial naive fold (the per-step rounding errors are recovered exactly
-and re-injected).
+anyway and accept carry-fold rounding), or ``"compensated"`` — shard
+on the fixed segment grid of :mod:`repro.kernels.compensated`, collect
+per-segment ``(T, F)`` totals in the scan pass, replay the global
+double-double chain as the splice, and render in the fold pass.
+Compensated results are bit-identical for every shard count *and*
+more accurate than the serial naive fold (the per-step rounding errors
+are recovered exactly and re-injected).
+
+One shard loop: every pass over a shard — the scan pass and the fold
+pass of every carry kind — is :func:`_shard_pass`, which reads the
+shard's region chunk by chunk, applies the pass's step, and writes the
+result back to the same region.  Raw chunks are read the way
+:func:`repro.stream.scan_file` reads them (a seek and one ``readinto``
+into a fresh array), so a file that is shorter than the job expects
+raises :class:`StreamError` naming it instead of scanning zeros.
 
 Durability: progress is tracked in a **per-shard manifest** (see
 :mod:`repro.stream.checkpoint`).  Passes ping-pong between the output
@@ -61,6 +68,7 @@ from the intact pass source, then folding again).
 from __future__ import annotations
 
 import base64
+import contextlib
 import os
 import threading
 import time
@@ -71,6 +79,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
+from repro.compression.stream import BlockedFileReader, BlockedIndex, read_index
 from repro.kernels import LaneKernel, ThreadedLaneKernel, resolve_threads
 from repro.ops import get_op
 from repro.stream.checkpoint import (
@@ -79,17 +88,10 @@ from repro.stream.checkpoint import (
     write_checkpoint,
 )
 from repro.stream.counters import StreamCounters
-
-# The adaptive chunker was born here and moved to the single-session
-# driver when it grew adaptive_chunks= too; re-exported for back-compat.
-from repro.compression.stream import BlockedFileReader, BlockedIndex, read_index
-from repro.stream.driver import (  # noqa: F401 - re-exports
-    ADAPT_HIGH_SECONDS,
-    ADAPT_LOW_SECONDS,
-    ADAPT_MAX_CHUNK_BYTES,
-    ADAPT_MIN_CHUNK_BYTES,
+from repro.stream.driver import (
     DEFAULT_CHUNK_BYTES,
     _AdaptiveChunker,
+    _read_raw,
     resolve_input_format,
     scan_file,
 )
@@ -199,12 +201,7 @@ class _SessionKernel:
         return self.session.counters.delegated_stage_scans
 
 
-def _fold_chunk(op, chunk, carry, pos, tuple_size, seen) -> None:
-    """In-place ``op(carry[lane], x)`` over the chunk's seen lanes."""
-    kernels.fold_lanes(chunk, op, carry, pos=pos, tuple_size=tuple_size, seen=seen)
-
-
-def _exclusive_shift(op, chunk, prev, pos, tuple_size) -> np.ndarray:
+def _exclusive_shift(chunk, prev, pos, tuple_size) -> np.ndarray:
     """Lane-shift a folded inclusive chunk; ``prev`` carries lane heads
     across chunk boundaries (updated in place)."""
     perm = kernels.phase_perm(pos, tuple_size)
@@ -218,31 +215,39 @@ def _exclusive_shift(op, chunk, prev, pos, tuple_size) -> np.ndarray:
 # -- the splice ----------------------------------------------------------
 
 
-def _splice(op, dtype, tuple_size, shards, aggregates, baked) -> np.ndarray:
+def _splice(job, aggregates, baked) -> np.ndarray:
     """Phase 2: exclusive scan of shard aggregates, per tuple lane.
 
     Returns ``carries[i]`` — the absolute carry at shard ``i``'s start
-    for the current pass.  Baked shards report absolute aggregates
-    (their carry is already inside), so they *reset* the running value
-    instead of combining into it.  A trailing ``None`` aggregate is
-    allowed (``try_prime`` only needs the carry *at* that shard).
+    for the current pass, for ``len(aggregates)`` leading shards.  A
+    carry is a ``(s,)`` row classically and the ``(q, s)`` order-total
+    matrix in fused mode, where the combine is the binomial splice
+    identity (:func:`repro.kernels.fused_combine`) with the shard's
+    *per-lane* element counts — shard bounds are arbitrary, so lanes
+    differ by at most one element.  Lanes a shard does not touch keep
+    the running value.  Baked shards report absolute aggregates (their
+    carry is already inside), so they *reset* the running value instead
+    of combining into it.  A trailing ``None`` aggregate is allowed
+    (``try_prime`` only needs the carry *at* that shard).
     """
-    identity = op.identity(dtype)
-    running = np.full(tuple_size, identity, dtype=dtype)
-    carries = np.empty((len(shards), tuple_size), dtype=dtype)
-    for i, (lo, hi) in enumerate(shards):
+    s = job.tuple_size
+    shape = (job.order, s) if job.fused else (s,)
+    running = np.full(shape, job.op.identity(job.dtype), dtype=job.dtype)
+    carries = np.empty((len(aggregates), *shape), dtype=job.dtype)
+    for i, (lo, hi) in enumerate(job.shards[: len(aggregates)]):
         carries[i] = running
-        present = _lane_counts(lo, hi, tuple_size) > 0
-        if not present.any():
-            continue
         agg = aggregates[i]
-        if agg is None:
+        counts = _lane_counts(lo, hi, s)
+        present = counts > 0
+        if agg is None or not present.any():
             continue
         if baked[i]:
             running = np.where(present, agg, running)
+        elif job.fused:
+            running = kernels.fused_combine(running, agg, counts)
         else:
-            seen = _seen_before(lo, tuple_size)
-            combined = np.where(seen, op.apply(running, agg), agg)
+            seen = _seen_before(lo, s)
+            combined = np.where(seen, job.op.apply(running, agg), agg)
             running = np.where(present, combined, running)
     return carries
 
@@ -297,65 +302,18 @@ def _splice_compensated(job, aggregates) -> list:
     return carries
 
 
-def _splice_fused(dtype, order, tuple_size, shards, aggregates, baked):
-    """Phase 2 in fused mode: chain ``(q, s)`` order-total matrices.
-
-    The exclusive scan over shard aggregates, but each aggregate is the
-    shard's full order-total matrix (scanned locally from zero carry)
-    and the combine is the binomial splice identity
-    (:func:`repro.kernels.fused_combine`) with the shard's *per-lane*
-    element counts — shard bounds are arbitrary, so lanes differ by at
-    most one element.  Baked shards reset the running matrix (their
-    carry is already inside).  Returns ``carries[i]``: the absolute
-    ``(q, s)`` matrix at shard ``i``'s start, lanes in global order.
-    """
-    q, s = order, tuple_size
-    running = np.zeros((q, s), dtype=dtype)
-    carries = np.empty((len(shards), q, s), dtype=dtype)
-    for i, (lo, hi) in enumerate(shards):
-        carries[i] = running
-        counts = _lane_counts(lo, hi, s)
-        if not counts.any():
-            continue
-        agg = aggregates[i]
-        if agg is None:
-            continue
-        if baked[i]:
-            running = np.where(counts > 0, agg, running)
-        else:
-            running = kernels.fused_combine(running, agg, counts)
-    return carries
-
-
 def _job_splice(job, aggregates, baked):
     """Dispatch phase 2 on the job's mode."""
     if job.float_mode == "compensated":
         return _splice_compensated(job, aggregates)
-    if job.fused:
-        return _splice_fused(
-            job.dtype, job.order, job.tuple_size, job.shards, aggregates,
-            baked,
-        )
-    return _splice(
-        job.op, job.dtype, job.tuple_size, job.shards, aggregates, baked
-    )
+    return _splice(job, aggregates, baked)
 
 
 # -- manifest encoding ---------------------------------------------------
 
 
-def _encode_row(row: np.ndarray) -> str:
-    return base64.b64encode(row.tobytes()).decode("ascii")
-
-
-def _decode_row(blob: str, dtype, tuple_size) -> np.ndarray:
-    raw = base64.b64decode(blob)
-    expected = tuple_size * dtype.itemsize
-    if len(raw) != expected:
-        raise StreamError(
-            f"manifest aggregate row is {len(raw)} bytes, expected {expected}"
-        )
-    return np.frombuffer(raw, dtype=dtype).copy()
+def _encode_aggregate(aggregate: np.ndarray) -> str:
+    return base64.b64encode(aggregate.tobytes()).decode("ascii")
 
 
 # -- the driver ----------------------------------------------------------
@@ -389,7 +347,7 @@ class _ShardedJob:
         self.shard_threads = max(1, int(shard_threads))
         #: ``"compensated"`` routes the scan/splice/fold phases through
         #: the error-free-carry kernels; ``None`` is the classic
-        #: regrouping driver (integers, and floats under exact=False).
+        #: regrouping driver (integers, and regrouped floats).
         self.float_mode = float_mode
         #: Fused order-q mode: one scan pass with ``(q, s)`` aggregates
         #: instead of ``order`` passes with one carry row each.
@@ -461,12 +419,12 @@ class _ShardedJob:
             "done": list(self.done),
             "baked": list(self.baked),
             "aggregates": [
-                None if row is None else _encode_row(row)
+                None if row is None else _encode_aggregate(row)
                 for row in self.aggregates
             ],
             "completed_passes": [
                 {
-                    "aggregates": [_encode_row(r) for r in rec["aggregates"]],
+                    "aggregates": [_encode_aggregate(r) for r in rec["aggregates"]],
                     "baked": list(rec["baked"]),
                 }
                 for rec in self.completed_passes
@@ -552,37 +510,23 @@ class _ShardedJob:
         fused mode, a ``(K, 2, tuple_size)`` segment-totals stack in
         compensated mode (``K`` derives from the stored shard bounds,
         so :meth:`load_manifest` restores ``self.shards`` first)."""
+        s = self.tuple_size
         if self.fused:
-            raw = base64.b64decode(blob)
-            expected = self.order * self.tuple_size * self.itemsize
-            if len(raw) != expected:
-                raise StreamError(
-                    f"manifest aggregate for shard {shard_index} is "
-                    f"{len(raw)} bytes, expected {expected} "
-                    f"(an ({self.order}, {self.tuple_size}) matrix)"
-                )
-            return (
-                np.frombuffer(raw, dtype=self.dtype)
-                .reshape(self.order, self.tuple_size)
-                .copy()
-            )
-        if self.float_mode != "compensated":
-            return _decode_row(blob, self.dtype, self.tuple_size)
-        lo, hi = self.shards[shard_index]
-        span = kernels.segment_span(self.tuple_size)
-        segments = -(-(hi - lo) // span)
+            shape, what = (self.order, s), f"an ({self.order}, {s}) matrix"
+        elif self.float_mode == "compensated":
+            lo, hi = self.shards[shard_index]
+            segments = -(-(hi - lo) // kernels.segment_span(s))
+            shape, what = (segments, 2, s), f"{segments} segment totals"
+        else:
+            shape, what = (s,), f"a {s}-lane carry row"
         raw = base64.b64decode(blob)
-        expected = segments * 2 * self.tuple_size * self.itemsize
+        expected = int(np.prod(shape)) * self.itemsize
         if len(raw) != expected:
             raise StreamError(
                 f"manifest aggregate for shard {shard_index} is {len(raw)} "
-                f"bytes, expected {expected} ({segments} segment totals)"
+                f"bytes, expected {expected} ({what})"
             )
-        return (
-            np.frombuffer(raw, dtype=self.dtype)
-            .reshape(segments, 2, self.tuple_size)
-            .copy()
-        )
+        return np.frombuffer(raw, dtype=self.dtype).reshape(shape).copy()
 
     # -- progress --------------------------------------------------------
 
@@ -597,26 +541,10 @@ class _ShardedJob:
         with self.lock:
             if not all(self.done[:shard_index]):
                 return None
-            if self.fused:
-                if shard_index == 0:
-                    return np.zeros(
-                        (self.order, self.tuple_size), dtype=self.dtype
-                    )
-                carries = _splice_fused(
-                    self.dtype, self.order, self.tuple_size,
-                    self.shards[: shard_index + 1],
-                    [self.aggregates[j] for j in range(shard_index)] + [None],
-                    [self.baked[j] for j in range(shard_index)] + [False],
-                )
-                return carries[shard_index]
-            if shard_index == 0:
-                identity = self.op.identity(self.dtype)
-                return np.full(self.tuple_size, identity, dtype=self.dtype)
             carries = _splice(
-                self.op, self.dtype, self.tuple_size,
-                self.shards[: shard_index + 1],
-                [self.aggregates[j] for j in range(shard_index)] + [None],
-                [self.baked[j] for j in range(shard_index)] + [False],
+                self,
+                self.aggregates[:shard_index] + [None],
+                self.baked[:shard_index] + [False],
             )
             return carries[shard_index]
 
@@ -661,16 +589,111 @@ def _splice_none_guard(aggregates) -> None:
 # -- shard tasks (run on executor threads) -------------------------------
 
 
+def _shard_pass(
+    job: _ShardedJob, shard_index, counters, source, target, step, *,
+    reader=None, heads=None, rows=False,
+) -> None:
+    """The one shard loop: read the shard's region of ``source`` chunk
+    by chunk, apply ``step(chunk, pos)``, write the result to the same
+    region of ``target``, then fsync it.
+
+    Raw chunks are read like :func:`repro.stream.scan_file` reads them
+    (a short read raises :class:`StreamError`).  A blocked ``reader``
+    replaces the raw source and decodes through a one-deep prefetch:
+    the next chunk's blocks decode on a side thread while the current
+    chunk scans.  Depth 1 means ``read_range`` calls never overlap each
+    other (the reader's handle stays single-threaded); values are
+    unaffected — container inputs are integers, and integer scans are
+    split-invariant.
+
+    ``heads`` marks the fold pass: every second of it goes to
+    ``seconds_fold``, and an exclusive job lane-shifts each chunk with
+    ``heads`` as the running lane heads.  In the scan pass read and
+    write seconds are counted here and ``step`` counts its own.
+    ``rows`` keeps interior takes multiples of ``tuple_size`` relative
+    to the shard start (the fused fold needs one depth per row).
+    """
+    lo, hi = job.shards[shard_index]
+    s = job.tuple_size
+    fold_pass = heads is not None
+    shift = fold_pass and not job.inclusive
+    chunker = _AdaptiveChunker(
+        max(1, job.chunk_bytes // job.itemsize), job.itemsize,
+        job.adaptive_chunks, counters,
+    )
+
+    def next_take(pos):
+        take = min(chunker.elements, hi - pos)
+        if rows and pos + take < hi and take % s:
+            # The last take soaks up the n % s tail.
+            take = take - take % s or min(s, hi - pos)
+        return take
+
+    with contextlib.ExitStack() as stack:
+        out_fh = stack.enter_context(open(target, "r+b"))
+        prefetch = None
+        if reader is None:
+            in_fh = stack.enter_context(open(source, "rb"))
+        else:
+            prefetch = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="shard-decode"
+            )
+            stack.callback(prefetch.shutdown, wait=True, cancel_futures=True)
+        out_fh.seek(lo * job.itemsize)
+        pos = lo
+        pending = None  # future of the prefetched chunk
+        while pos < hi:
+            chunk_start = time.perf_counter()
+            if pending is not None:
+                chunk = pending.result()
+                pending = None
+                counters.overlapped_decodes += 1
+            elif reader is not None:
+                chunk = reader.read_range(pos, pos + next_take(pos))
+            else:
+                chunk = _read_raw(
+                    in_fh, source, job.dtype, pos, pos + next_take(pos)
+                )
+            end = pos + len(chunk)
+            t_read = time.perf_counter()
+            if prefetch is not None and end < hi:
+                pending = prefetch.submit(
+                    reader.read_range, end, end + next_take(end)
+                )
+            if step is not None:
+                chunk = step(chunk, pos)
+            if shift:
+                chunk = _exclusive_shift(chunk, heads, pos, s)
+            t_step = time.perf_counter()
+            out_fh.write(memoryview(chunk).cast("B"))
+            t_write = time.perf_counter()
+            if fold_pass:
+                counters.seconds_fold += t_write - chunk_start
+            else:
+                counters.seconds_read += t_read - chunk_start
+                counters.seconds_write += t_write - t_step
+            counters.chunks += 1
+            pos = end
+            chunker.observe(t_write - chunk_start)
+        t0 = time.perf_counter()
+        out_fh.flush()
+        os.fsync(out_fh.fileno())
+        if fold_pass:
+            counters.seconds_fold += time.perf_counter() - t0
+        else:
+            counters.seconds_write += time.perf_counter() - t0
+
+
 def _scan_shard(
     job: _ShardedJob, pass_index, shard_index, fold_carry, prime,
     publish=True,
 ):
-    """One shard's order-1 scan pass.
+    """One shard's scan pass.
 
     Reads its region of the pass source, folds ``fold_carry`` (the
     previous pass's spliced carry) into the values, scans each lane as
     a continuation, and writes the result to the same region of the
-    pass target.  Returns ``(aggregate_row, baked, counters)``.
+    pass target.  Returns ``(aggregate, baked, counters)``.
 
     With ``publish`` the task records its aggregate and done flag
     itself (under the job lock) *before* returning, so a successor
@@ -711,104 +734,57 @@ def _scan_shard(
     else:
         # The shared in-place kernel (repro.kernels); exact=False is the
         # sharded contract — bit-exact for integers, carry-fold rounding
-        # for floats (which only get here under ``exact=False``).
+        # for floats (which only get here under float_mode="regrouped").
         kernel = LaneKernel(
             op, dtype, s, start=lo, prime=prime, exact=False,
             order=kernel_order,
         )
     seen = _seen_before(lo, s)
+
+    def step(chunk, pos):
+        t0 = time.perf_counter()
+        if fold_carry is not None:
+            kernels.fold_lanes(
+                chunk, op, fold_carry, pos=pos, tuple_size=s, seen=seen
+            )
+            t_fold = time.perf_counter()
+            counters.seconds_fold += t_fold - t0
+            t0 = t_fold
+        chunk = kernel.feed(chunk)
+        counters.seconds_scan += time.perf_counter() - t0
+        return chunk
+
     # Pass 1 of a compressed job reads blocks through the shared index
     # (each task opens its own file handle; the parsed metadata is one
     # object); later passes ping-pong between raw scratch/output files.
     reader = None
-    source = None
-    prefetch = None
     if pass_index == 1 and job.blocked_index is not None:
         reader = BlockedFileReader(job.input_path, index=job.blocked_index)
-        # One-deep decode pipeline: the next chunk's blocks decode on a
-        # side thread while the current chunk scans, so decode work
-        # hides under scan wall-clock.  Depth 1 means read_range calls
-        # never overlap each other (the reader's handle stays
-        # single-threaded); values are unaffected — container inputs
-        # are integers, and integer scans are split-invariant.
-        prefetch = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="shard-decode"
-        )
-    else:
-        source = np.memmap(job.source_path(pass_index), dtype=dtype, mode="r")
-    chunker = _AdaptiveChunker(
-        max(1, job.chunk_bytes // job.itemsize), job.itemsize,
-        job.adaptive_chunks, counters,
-    )
-    out_fh = open(job.target_path(pass_index), "r+b")
     try:
-        out_fh.seek(lo * job.itemsize)
-        pos = lo
-        pending = None  # (future, element count) of the prefetched chunk
-        while pos < hi:
-            chunk_start = time.perf_counter()
-            if pending is not None:
-                future, take = pending
-                pending = None
-                chunk = future.result()
-                counters.overlapped_decodes += 1
-            else:
-                take = min(chunker.elements, hi - pos)
-                if reader is not None:
-                    chunk = reader.read_range(pos, pos + take)
-                else:
-                    chunk = np.array(source[pos : pos + take], copy=True)
-            t_read = time.perf_counter()
-            counters.seconds_read += t_read - chunk_start
-            if prefetch is not None and pos + take < hi:
-                nxt = min(chunker.elements, hi - (pos + take))
-                pending = (
-                    prefetch.submit(
-                        reader.read_range, pos + take, pos + take + nxt
-                    ),
-                    nxt,
-                )
-            if fold_carry is not None:
-                _fold_chunk(op, chunk, fold_carry, pos, s, seen)
-                t_fold = time.perf_counter()
-                counters.seconds_fold += t_fold - t_read
-                t_read = t_fold
-            chunk = kernel.feed(chunk)
-            t_scan = time.perf_counter()
-            counters.seconds_scan += t_scan - t_read
-            out_fh.write(memoryview(chunk).cast("B"))
-            t_write = time.perf_counter()
-            counters.seconds_write += t_write - t_scan
-            counters.chunks += 1
-            counters.bytes_in += chunk.nbytes
-            counters.bytes_out += chunk.nbytes
-            if reader is not None:
-                counters.decoded_bytes_in += chunk.nbytes
-            if pass_index == 1:
-                counters.elements += len(chunk)
-            pos += take
-            chunker.observe(t_write - chunk_start)
-        t0 = time.perf_counter()
-        out_fh.flush()
-        os.fsync(out_fh.fileno())
-        counters.seconds_write += time.perf_counter() - t0
+        _shard_pass(
+            job, shard_index, counters, job.source_path(pass_index),
+            job.target_path(pass_index), step, reader=reader,
+        )
     finally:
-        out_fh.close()
-        if prefetch is not None:
-            prefetch.shutdown(wait=True, cancel_futures=True)
         if reader is not None:
-            # read_range was timed under seconds_read; reattribute its
-            # decode share so the phases decompose like the fused
-            # driver.  Prefetched decodes ran off the loop's clock
-            # entirely (their wall-clock hid under the scan), so the
-            # subtraction clamps at zero rather than going negative.
-            counters.compressed_bytes_in += reader.payload_bytes_read
-            counters.seconds_decode += reader.decode_seconds
-            counters.seconds_read = max(
-                0.0, counters.seconds_read - reader.decode_seconds
-            )
             reader.close()
-        del source
+    nbytes = (hi - lo) * job.itemsize
+    counters.bytes_in += nbytes
+    counters.bytes_out += nbytes
+    if reader is not None:
+        # read_range was timed under seconds_read; reattribute its
+        # decode share so the phases decompose like the fused driver.
+        # Prefetched decodes ran off the loop's clock entirely (their
+        # wall-clock hid under the scan), so the subtraction clamps at
+        # zero rather than going negative.
+        counters.decoded_bytes_in += nbytes
+        counters.compressed_bytes_in += reader.payload_bytes_read
+        counters.seconds_decode += reader.decode_seconds
+        counters.seconds_read = max(
+            0.0, counters.seconds_read - reader.decode_seconds
+        )
+    if pass_index == 1:
+        counters.elements += hi - lo
     counters.shards += 1
     counters.primed_shards += int(baked)
     counters.delegated_stage_scans += kernel.delegated_stage_scans
@@ -828,178 +804,82 @@ def _scan_shard(
 
 def _fold_shard(job: _ShardedJob, shard_index, carry, do_fold):
     """Phase 3 for one shard: fold the spliced carry into the output
-    region in place (and lane-shift it when the scan is exclusive)."""
-    if job.float_mode == "compensated":
-        return _fold_shard_compensated(job, shard_index, carry)
-    if job.fused:
-        return _fold_shard_fused(job, shard_index, carry, do_fold)
-    lo, hi = job.shards[shard_index]
-    op, dtype, s = job.op, job.dtype, job.tuple_size
-    counters = StreamCounters(engine_used=job._engine_label())
-    seen = _seen_before(lo, s)
-    identity = op.identity(dtype)
-    prev = np.where(seen, carry, np.full(s, identity, dtype=dtype)).astype(dtype)
-    source = np.memmap(job.output_path, dtype=dtype, mode="r")
-    chunker = _AdaptiveChunker(
-        max(1, job.chunk_bytes // job.itemsize), job.itemsize,
-        job.adaptive_chunks, counters,
-    )
-    out_fh = open(job.output_path, "r+b")
-    try:
-        out_fh.seek(lo * job.itemsize)
-        pos = lo
-        while pos < hi:
-            chunk_start = time.perf_counter()
-            take = min(chunker.elements, hi - pos)
-            chunk = np.array(source[pos : pos + take], copy=True)
-            if do_fold:
-                _fold_chunk(op, chunk, carry, pos, s, seen)
-            if not job.inclusive:
-                chunk = _exclusive_shift(op, chunk, prev, pos, s)
-            out_fh.write(memoryview(chunk).cast("B"))
-            counters.chunks += 1
-            pos += take
-            elapsed = time.perf_counter() - chunk_start
-            counters.seconds_fold += elapsed
-            chunker.observe(elapsed)
-        t0 = time.perf_counter()
-        out_fh.flush()
-        os.fsync(out_fh.fileno())
-        counters.seconds_fold += time.perf_counter() - t0
-    finally:
-        out_fh.close()
-        del source
-    counters.folded_shards += 1
-    return counters
+    region in place (and lane-shift it when the scan is exclusive).
 
+    Each carry kind supplies only its transform:
 
-def _fold_shard_fused(job: _ShardedJob, shard_index, carry, do_fold):
-    """Phase 3 in fused mode: apply a ``(q, s)`` carry matrix in place.
-
-    A carry ``T_j`` entering the shard contributes
-    ``C(d + q - j, q - j) * T_j`` to the order-``q`` value at local
-    lane depth ``d`` (:func:`repro.kernels.fused_weights`), so the fold
-    is ``q`` weighted rank-1 updates per chunk instead of one constant
-    fold per pass.  Chunk takes stay multiples of ``s`` relative to the
-    shard start so every reshaped row sits at one uniform depth; the
-    columns are the shard's fixed lane permutation ``phase_perm(lo)``.
-    Exact mod ``2**w`` — the fused gate admits only integer ADD.
+    * a plain ``(s,)`` row folds with :func:`repro.kernels.fold_lanes`;
+    * a fused ``(q, s)`` matrix: a carry ``T_j`` entering the shard
+      contributes ``C(d + q - j, q - j) * T_j`` to the order-``q`` value
+      at local lane depth ``d`` (:func:`repro.kernels.fused_weights`),
+      so the fold is ``q`` weighted rank-1 updates per row-aligned
+      chunk, columns in the shard's lane permutation ``phase_perm(lo)``
+      — exact mod ``2**w``, since the fused gate admits only integer
+      ADD;
+    * compensated is the render pass: it re-reads the raw values from
+      the input, re-derives the exact per-step errors (``two_sum_err``
+      needs only ``prev + x -> L``, all on disk) and renders with the
+      spliced per-segment chain.  It runs for *every* shard — even
+      shard 0's carry-free region needs its local compensation
+      re-injected — which is why compensated shards never bake or
+      prime.
     """
     lo, hi = job.shards[shard_index]
     op, dtype, s, q = job.op, job.dtype, job.tuple_size, job.order
     counters = StreamCounters(engine_used=job._engine_label())
-    seen = _seen_before(lo, s)
     identity = op.identity(dtype)
-    # Exclusive heads: the order-q running totals (row q-1) at lo.
-    prev = np.where(
-        seen, carry[q - 1], np.full(s, identity, dtype=dtype)
-    ).astype(dtype)
-    local = np.ascontiguousarray(carry[:, kernels.phase_perm(lo, s)])
-    fold_needed = do_fold and bool(local.any())
-    source = np.memmap(job.output_path, dtype=dtype, mode="r")
-    chunker = _AdaptiveChunker(
-        max(1, job.chunk_bytes // job.itemsize), job.itemsize,
-        job.adaptive_chunks, counters,
-    )
-    out_fh = open(job.output_path, "r+b")
-    try:
-        out_fh.seek(lo * job.itemsize)
-        pos = lo
-        while pos < hi:
-            chunk_start = time.perf_counter()
-            take = min(chunker.elements, hi - pos)
-            if pos + take < hi and take % s:
-                # Keep interior takes row-aligned to the shard grid so
-                # depths are uniform per reshaped row (the last take
-                # soaks up the n % s tail).
-                take = take - take % s or min(s, hi - pos)
-            chunk = np.array(source[pos : pos + take], copy=True)
-            if fold_needed:
-                rel = pos - lo
+    seen = _seen_before(lo, s)
+    step = None
+    raw_fh = None
+    if job.float_mode == "compensated":
+        chain, head = carry  # head is None only for shard 0: no seen lanes
+        last_row = identity if head is None else head
+        kernel = kernels.CompensatedFoldKernel(dtype, s, lo, chain)
+        raw_fh = open(job.input_path, "rb")
+
+        def step(chunk, pos):
+            end = pos + len(chunk)
+            return kernel.fold(
+                chunk, _read_raw(raw_fh, job.input_path, dtype, pos, end)
+            )
+    elif job.fused:
+        last_row = carry[q - 1]  # exclusive heads: the order-q totals
+        local = np.ascontiguousarray(carry[:, kernels.phase_perm(lo, s)])
+        if do_fold and local.any():
+
+            def step(chunk, pos):
+                depth = (pos - lo) // s
                 m, r = divmod(chunk.size, s)
                 with np.errstate(over="ignore"):
                     if m:
                         blk = chunk[: m * s].reshape(m, s)
-                        W = kernels.fused_weights(m, q, dtype, d0=rel // s)
+                        W = kernels.fused_weights(m, q, dtype, d0=depth)
                         for k in range(q):
                             blk += W[:, k : k + 1] * local[q - 1 - k]
                     if r:
-                        Wt = kernels.fused_weights(
-                            1, q, dtype, d0=rel // s + m
-                        )
+                        Wt = kernels.fused_weights(1, q, dtype, d0=depth + m)
                         tail = chunk[m * s :]
                         for k in range(q):
                             tail += Wt[0, k] * local[q - 1 - k, :r]
-            if not job.inclusive:
-                chunk = _exclusive_shift(op, chunk, prev, pos, s)
-            out_fh.write(memoryview(chunk).cast("B"))
-            counters.chunks += 1
-            pos += take
-            elapsed = time.perf_counter() - chunk_start
-            counters.seconds_fold += elapsed
-            chunker.observe(elapsed)
-        t0 = time.perf_counter()
-        out_fh.flush()
-        os.fsync(out_fh.fileno())
-        counters.seconds_fold += time.perf_counter() - t0
-    finally:
-        out_fh.close()
-        del source
-    counters.folded_shards += 1
-    return counters
+                return chunk
+    else:
+        last_row = carry
+        if do_fold:
 
-
-def _fold_shard_compensated(job: _ShardedJob, shard_index, carry):
-    """Phase 3 in compensated mode: the render pass.
-
-    Re-reads the shard's naive continuation from the output, the raw
-    values from the input, re-derives the exact per-step errors
-    (``two_sum_err`` needs only ``prev + x -> L``, all on disk), and
-    renders in place with the spliced per-segment chain.  Runs for
-    *every* shard — even shard 0's carry-free region needs its local
-    compensation re-injected — which is why compensated shards never
-    bake or prime.
-    """
-    lo, hi = job.shards[shard_index]
-    op, dtype, s = job.op, job.dtype, job.tuple_size
-    chain, head = carry
-    counters = StreamCounters(engine_used=job._engine_label())
-    kernel = kernels.CompensatedFoldKernel(dtype, s, lo, chain)
-    identity = op.identity(dtype)
-    prev = np.full(s, identity, dtype=dtype)
-    if head is not None:
-        prev[:] = head  # segment-aligned bounds: all lanes seen
-    source = np.memmap(job.output_path, dtype=dtype, mode="r")
-    raw = np.memmap(job.input_path, dtype=dtype, mode="r")
-    chunker = _AdaptiveChunker(
-        max(1, job.chunk_bytes // job.itemsize), job.itemsize,
-        job.adaptive_chunks, counters,
-    )
-    out_fh = open(job.output_path, "r+b")
+            def step(chunk, pos):
+                kernels.fold_lanes(
+                    chunk, op, carry, pos=pos, tuple_size=s, seen=seen
+                )
+                return chunk
+    heads = np.where(seen, last_row, identity).astype(dtype)
     try:
-        out_fh.seek(lo * job.itemsize)
-        pos = lo
-        while pos < hi:
-            chunk_start = time.perf_counter()
-            take = min(chunker.elements, hi - pos)
-            chunk = np.array(source[pos : pos + take], copy=True)
-            kernel.fold(chunk, raw[pos : pos + take])
-            if not job.inclusive:
-                chunk = _exclusive_shift(op, chunk, prev, pos, s)
-            out_fh.write(memoryview(chunk).cast("B"))
-            counters.chunks += 1
-            pos += take
-            elapsed = time.perf_counter() - chunk_start
-            counters.seconds_fold += elapsed
-            chunker.observe(elapsed)
-        t0 = time.perf_counter()
-        out_fh.flush()
-        os.fsync(out_fh.fileno())
-        counters.seconds_fold += time.perf_counter() - t0
+        _shard_pass(
+            job, shard_index, counters, job.output_path, job.output_path,
+            step, heads=heads, rows=job.fused,
+        )
     finally:
-        out_fh.close()
-        del source
-        del raw
+        if raw_fh is not None:
+            raw_fh.close()
     counters.folded_shards += 1
     return counters
 
@@ -1023,7 +903,6 @@ def scan_file_sharded(
     adaptive_chunks: bool = True,
     checkpoint=None,
     resume: bool = False,
-    exact: bool = True,
     float_mode: Optional[str] = None,
     threads=None,
     input_format: str = "auto",
@@ -1042,10 +921,7 @@ def scan_file_sharded(
     accurate than the serial fold; ``add``/order-1/raw-input only,
     anything else falls back sequentially with a ``fallback_reason``),
     or ``"regrouped"`` (shard anyway, accept carry-fold rounding).
-    The legacy ``exact`` tri-state still works (``True -> "exact"``,
-    ``False -> "regrouped"``) but ``float_mode`` wins when both are
-    given.  ``threads``
-    adds slab-parallel intra-chunk scans *inside* each shard task: the
+    ``threads`` adds slab-parallel intra-chunk scans *inside* each shard task: the
     total budget (an int, or ``"auto"`` for the CPU count) is divided
     by the shard worker count so shards × intra-chunk threads never
     oversubscribes beyond the request; ``None`` keeps shard tasks
@@ -1107,7 +983,7 @@ def scan_file_sharded(
             )
         total_elements = input_bytes // itemsize
 
-    mode = kernels.resolve_float_mode(resolved_dtype, float_mode, exact)
+    mode = kernels.resolve_float_mode(resolved_dtype, float_mode)
     if mode == "compensated":
         from repro.kernels.compensated import check_compensated
 
@@ -1116,8 +992,8 @@ def scan_file_sharded(
     if mode == "exact":
         # Floats are only pseudo-associative: regrouped carries would
         # round differently from the one-shot scan.  The sequential
-        # session path is bit-exact; float_mode="regrouped" (or the
-        # legacy exact=False) opts into sharding anyway, and
+        # session path is bit-exact; float_mode="regrouped" opts into
+        # sharding anyway, and
         # float_mode="compensated" shards *and* keeps determinism.
         fallback_reason = (
             "float dtype: bit-exactness requires the sequential exact "
@@ -1337,7 +1213,7 @@ def _run(job: _ShardedJob, executor, resumed: bool) -> None:
     # region.  The final pass's source file is intact (ping-pong), so
     # re-running the recorded scan reproduces the pre-fold bytes.
     prev_carries = None
-    if job.passes >= 2:
+    if resumed_into_fold and job.passes >= 2:
         prev_rec = job.completed_passes[job.passes - 2]
         prev_carries = _job_splice(job, prev_rec["aggregates"], prev_rec["baked"])
 
@@ -1346,8 +1222,8 @@ def _run(job: _ShardedJob, executor, resumed: bool) -> None:
         if fold_done[i]:
             continue
         futures[executor.submit(
-            _rescan_and_fold_shard if resumed_into_fold else _fold_only_shard,
-            job, i, carries, final, prev_carries,
+            _fold_task, job, i, carries, final, prev_carries,
+            resumed_into_fold,
         )] = i
     for future in as_completed(futures):
         i = futures[future]
@@ -1355,28 +1231,22 @@ def _run(job: _ShardedJob, executor, resumed: bool) -> None:
         job.record_completion(i, counters)
 
 
-def _fold_only_shard(job, shard_index, carries, final, prev_carries):
-    return _fold_shard(
-        job, shard_index, carries[shard_index],
-        do_fold=not final["baked"][shard_index],
-    )
-
-
-def _rescan_and_fold_shard(job, shard_index, carries, final, prev_carries):
-    """Redo a shard's final scan pass (from the intact source), then
-    fold — the crash-recovery path for interrupted in-place folds."""
-    fold_carry = _pass_fold_carry(job, job.passes, prev_carries, shard_index)
-    prime = carries[shard_index] if final["baked"][shard_index] else None
-    _, _, scan_counters = _scan_shard(
-        job, job.passes, shard_index, fold_carry, prime, publish=False
-    )
-    fold_counters = _fold_shard(
-        job, shard_index, carries[shard_index],
-        do_fold=not final["baked"][shard_index],
-    )
-    return StreamCounters.aggregate(
-        [scan_counters, fold_counters], engine_used=scan_counters.engine_used
-    )
+def _fold_task(job, shard_index, carries, final, prev_carries, rescan):
+    """Phase 3 for one shard.  With ``rescan`` (a resumed fold phase)
+    the shard's final scan pass is redone first, from the intact
+    source — the crash-recovery path for interrupted in-place folds."""
+    carry = carries[shard_index]
+    baked = final["baked"][shard_index]
+    parts = []
+    if rescan:
+        fold_carry = _pass_fold_carry(job, job.passes, prev_carries, shard_index)
+        prime = carry if baked else None
+        _, _, scan_counters = _scan_shard(
+            job, job.passes, shard_index, fold_carry, prime, publish=False
+        )
+        parts.append(scan_counters)
+    parts.append(_fold_shard(job, shard_index, carry, do_fold=not baked))
+    return StreamCounters.aggregate(parts, engine_used=job._engine_label())
 
 
 def _pass_fold_carry(job, pass_index, prev_carries, shard_index):

@@ -456,23 +456,23 @@ def test_api_scan_file_float_mode(rng, tmp_path):
     )
 
 
-def test_regrouped_mode_matches_legacy_exact_false(rng, tmp_path):
+def test_exact_keyword_is_rejected(tmp_path):
+    """The deprecated ``exact=`` alias is gone: ``float_mode`` is the
+    only float switch on the file drivers and the threaded engine."""
+    import repro
+    from repro.kernels import ThreadedScan, threaded_scan_into
     from repro.stream import scan_file_sharded
 
-    x = rng.standard_normal(20_000)
+    x = np.arange(8, dtype=np.float64)
     x.tofile(tmp_path / "in.bin")
-    new = scan_file_sharded(
-        tmp_path / "in.bin", tmp_path / "new.bin",
-        dtype=np.float64, op="add", shards=3, chunk_bytes=1 << 14,
-        float_mode="regrouped",
-    )
-    legacy = scan_file_sharded(
-        tmp_path / "in.bin", tmp_path / "legacy.bin",
-        dtype=np.float64, op="add", shards=3, chunk_bytes=1 << 14,
-        exact=False,
-    )
-    assert new.fallback_reason is None and legacy.fallback_reason is None
-    _assert_bitwise(
-        np.fromfile(tmp_path / "new.bin", dtype=np.float64),
-        np.fromfile(tmp_path / "legacy.bin", dtype=np.float64),
-    )
+    out = tmp_path / "out.bin"
+    with pytest.raises(TypeError, match="exact"):
+        scan_file_sharded(tmp_path / "in.bin", out, dtype=np.float64,
+                          exact=False)
+    with pytest.raises(TypeError, match="exact"):
+        repro.scan_file(tmp_path / "in.bin", out, dtype=np.float64,
+                        exact=False)
+    with pytest.raises(TypeError, match="exact"):
+        ThreadedScan(exact=False)
+    with pytest.raises(TypeError, match="exact"):
+        threaded_scan_into(x, np.empty_like(x), "add", exact=False)

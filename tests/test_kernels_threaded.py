@@ -106,14 +106,15 @@ def test_threaded_float_default_is_exact_serial(threads, tuple_size):
 
 
 def test_threaded_float_inexact_is_deterministic():
-    """``exact=False`` regroups float rounding but never randomizes it."""
+    """``float_mode="regrouped"`` regroups float rounding but never
+    randomizes it."""
     op = get_op("add")
     rng = np.random.default_rng(5)
     values = rng.standard_normal(4096)
     runs = [
         threaded_scan_into(
             values, np.empty_like(values), op, threads=4,
-            exact=False, cutover_bytes=0,
+            float_mode="regrouped", cutover_bytes=0,
         )
         for _ in range(3)
     ]

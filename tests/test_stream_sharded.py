@@ -7,6 +7,8 @@ manifest resume after injected crashes and a real SIGKILL of the CLI,
 and the float exact-path fallback.
 """
 
+import base64
+import json
 import os
 import pathlib
 import signal
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from conftest import make_int_array
+from repro import kernels
 from repro.core.host import host_prefix_sum
 from repro.stream import (
     CheckpointError,
@@ -30,6 +33,9 @@ from repro.stream import (
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: The three carry kinds of the sharded splice/fold.
+CARRY_KINDS = ("plain", "fused", "compensated")
 
 
 def write_input(tmp_path, values, name="in.bin"):
@@ -197,7 +203,7 @@ class TestFloatPath:
         out = tmp_path / "out.bin"
         result = scan_file_sharded(
             raw, out, dtype="float64", shards=4, workers=2,
-            chunk_bytes=2048, exact=False,
+            chunk_bytes=2048, float_mode="regrouped",
         )
         assert result.fallback_reason is None
         assert result.num_shards == 4
@@ -205,9 +211,35 @@ class TestFloatPath:
         assert np.allclose(np.fromfile(out, np.float64), expected)
 
 
+class TestShortRead:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_input_raises_naming_the_file(
+        self, tmp_path, rng, monkeypatch, workers
+    ):
+        values = make_int_array(rng, 10_000)
+        raw = write_input(tmp_path, values)
+        real_getsize = os.path.getsize
+
+        def inflated(path):
+            # The input is shorter than the size the job was planned for.
+            extra = 4 * 1000 if os.fspath(path) == str(raw) else 0
+            return real_getsize(path) + extra
+
+        monkeypatch.setattr(os.path, "getsize", inflated)
+        with pytest.raises(StreamError, match="short read") as info:
+            scan_file_sharded(
+                raw, tmp_path / "out.bin", dtype="int32", shards=2,
+                workers=workers, chunk_bytes=4096,
+            )
+        assert str(raw) in str(info.value)
+
+
 class TestManifestResume:
-    def run_interrupted(self, tmp_path, rng, n=30_000, fail_after=3, **kw):
-        values = make_int_array(rng, n)
+    def run_interrupted(
+        self, tmp_path, rng, n=30_000, fail_after=3, values=None, **kw
+    ):
+        if values is None:
+            values = make_int_array(rng, n)
         raw = write_input(tmp_path, values)
         out = tmp_path / "out.bin"
         manifest = tmp_path / "job.manifest"
@@ -234,22 +266,71 @@ class TestManifestResume:
         assert not manifest.exists()  # complete jobs clean up
         assert not (tmp_path / "out.bin.scratch").exists()
 
-    def test_resume_mid_fold_phase(self, tmp_path, rng):
+    def carry_kind_job(self, kind, rng, n=30_000):
+        """Values, job options and the bit-exact expected output of an
+        exclusive scan of one carry kind.  An exclusive scan runs the
+        fold/shift phase for every shard regardless of priming."""
+        if kind == "plain":
+            values = make_int_array(rng, n)
+            kw = dict(order=1, tuple_size=2)
+            expected = host_prefix_sum(values, tuple_size=2, inclusive=False)
+        elif kind == "fused":
+            values = make_int_array(rng, n, dtype=np.int64)
+            kw = dict(dtype="int64", order=3, tuple_size=4)
+            expected = host_prefix_sum(
+                values, order=3, tuple_size=4, inclusive=False
+            )
+        else:
+            values = rng.standard_normal(n)
+            kw = dict(
+                dtype="float64", order=1, tuple_size=2,
+                float_mode="compensated",
+            )
+            expected = kernels.compensated_scan_into(
+                values, np.empty_like(values), "add", tuple_size=2,
+                inclusive=False,
+            )
+        return values, dict(kw, inclusive=False), expected
+
+    @pytest.mark.parametrize("kind", CARRY_KINDS)
+    def test_resume_mid_fold_phase(self, tmp_path, rng, kind):
         # Crash *inside* the fold phase: an in-place fold is not
         # idempotent, so resume must rebuild unfinished shards from the
-        # intact pass source before refolding.  An exclusive scan runs
-        # the fold/shift phase for every shard regardless of priming,
-        # so with 6 scan completions first, completion 7 is a fold.
+        # intact pass source before refolding.  Every shard scans once
+        # and then folds, so the completion after the last scan is a
+        # fold.  The compensated plan snaps to the segment grid, which
+        # can give fewer shards than asked for.
+        values, kw, expected = self.carry_kind_job(kind, rng)
+        planned = 6
+        if kind == "compensated":
+            span = kernels.segment_span(kw["tuple_size"])
+            planned = len(plan_shards(-(-len(values) // span), 6))
         values, raw, out, manifest, config = self.run_interrupted(
-            tmp_path, rng, fail_after=7, order=1, tuple_size=2,
-            inclusive=False,
+            tmp_path, rng, values=values, fail_after=planned + 1, **kw
         )
         state = read_shard_manifest(manifest)["state"]
         assert state["phase"] == {"kind": "fold"}
         result = scan_file_sharded(raw, out, resume=True, **config)
         assert result.counters.resumes == 1
-        expected = host_prefix_sum(values, tuple_size=2, inclusive=False)
-        assert np.array_equal(np.fromfile(out, dtype=np.int32), expected)
+        if kind == "fused":
+            assert result.passes == 1
+        got = np.fromfile(out, dtype=expected.dtype)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kind", CARRY_KINDS)
+    def test_wrong_aggregate_length_rejected(self, tmp_path, rng, kind):
+        values, kw, _ = self.carry_kind_job(kind, rng)
+        values, raw, out, manifest, config = self.run_interrupted(
+            tmp_path, rng, values=values, fail_after=2, **kw
+        )
+        payload = json.loads(manifest.read_text())
+        aggregates = payload["state"]["aggregates"]
+        i = next(i for i, blob in enumerate(aggregates) if blob is not None)
+        short = base64.b64decode(aggregates[i])[:-1]
+        aggregates[i] = base64.b64encode(short).decode("ascii")
+        manifest.write_text(json.dumps(payload))
+        with pytest.raises(StreamError, match=f"aggregate for shard {i}"):
+            scan_file_sharded(raw, out, resume=True, **config)
 
     def test_resume_with_mismatched_config_rejected(self, tmp_path, rng):
         values, raw, out, manifest, config = self.run_interrupted(tmp_path, rng)

@@ -158,32 +158,51 @@ class ShardedFileScan:
     input written to a temp file, scanned across random shard counts,
     worker counts, and tiny chunk sizes, output read back.  Exercises
     shard splits, carry splicing, priming, and fold against the same
-    oracle comparison as every in-memory engine.
+    oracle comparison as every in-memory engine.  With
+    ``fail_after_shards`` the job runs with a manifest, is killed by
+    the injected-failure hook after that many shard completions (scan
+    or fold), and is resumed from the manifest.
     """
 
-    def __init__(self, shards: int, workers: int, chunk_bytes: int):
+    def __init__(self, shards: int, workers: int, chunk_bytes: int,
+                 fail_after_shards=None):
         self.shards = shards
         self.workers = workers
         self.chunk_bytes = chunk_bytes
+        self.fail_after_shards = fail_after_shards
 
     def run(self, values, order=1, tuple_size=1, op="add", inclusive=True):
         import os
         import tempfile
 
-        from repro.stream import scan_file_sharded
+        from repro.stream import InjectedFailureError, scan_file_sharded
 
         values = np.asarray(values)
         with tempfile.TemporaryDirectory(prefix="fuzz-sharded-") as tmp:
             input_path = os.path.join(tmp, "in.bin")
             output_path = os.path.join(tmp, "out.bin")
             values.tofile(input_path)
-            scan_file_sharded(
-                input_path, output_path,
+            kwargs = dict(
                 dtype=values.dtype, op=op, order=order,
                 tuple_size=tuple_size, inclusive=inclusive,
                 shards=self.shards, workers=self.workers,
                 chunk_bytes=self.chunk_bytes,
             )
+            attempts = [{}]
+            if self.fail_after_shards is not None:
+                kwargs["checkpoint"] = os.path.join(tmp, "job.manifest")
+                attempts = [
+                    {"fail_after_shards": self.fail_after_shards},
+                    {"resume": True},
+                ]
+            for extra in attempts:
+                try:
+                    scan_file_sharded(
+                        input_path, output_path, **kwargs, **extra
+                    )
+                    break
+                except InjectedFailureError:
+                    pass
             out = np.fromfile(output_path, dtype=values.dtype)
 
         class Result:
@@ -668,6 +687,7 @@ def build_engine(config):
             shards=config["shards"],
             workers=min(config["workers"], 3),
             chunk_bytes=config["shard_chunk_bytes"],
+            fail_after_shards=config.get("fail_after_shards"),
         )
     raise ValueError(kind)
 
@@ -716,6 +736,12 @@ def run_one(config, rng) -> bool:
         values = rng.integers(0, 2**16, config["n"]).astype(dtype)
     else:
         values = rng.integers(-(2**16), 2**16, config["n"]).astype(dtype)
+    if config["engine"] == "sharded":
+        # A crash point in [1, 2 x shards] (scan and fold completions)
+        # or none, drawn from the data rng like the "file" kind's draws
+        # so the other kinds' configurations do not shift.
+        crash = int(rng.integers(0, 2 * config["shards"] + 1))
+        config["fail_after_shards"] = crash or None
     # Lookback's tuple path needs divisible sizes; truncate like the
     # paper's tuple experiments do.
     if config["engine"] == "lookback" and config["tuple_size"] > 1:
