@@ -26,7 +26,11 @@ values.
 The module-level ``pack_*`` / ``parse_*`` / ``encode_block`` /
 ``decode_block_payload`` helpers are shared with the streaming
 reader/writer (:mod:`repro.compression.stream`), which processes the
-same format without materializing whole containers in memory.
+same format without materializing whole containers in memory.  A block
+payload decodes through the same residual decoder as a
+:class:`~repro.compression.codec.DeltaCodec` blob: varints straight to
+signed residuals, then the order-``q`` prefix sum in place, so the
+block's residual array becomes its output.
 """
 
 from __future__ import annotations
@@ -38,14 +42,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.codec import CodecError, choose_model
-from repro.compression.zigzag import (
-    varint_decode,
-    varint_encode,
-    zigzag_decode,
-    zigzag_encode,
-)
-from repro.core.host import host_delta_encode, host_prefix_sum
+from repro.compression.codec import CodecError, _decode_residuals, choose_model
+from repro.compression.zigzag import varint_encode, zigzag_encode
+from repro.core.host import host_delta_encode
 
 MAGIC = b"SAMB"
 #: v2 appends CRC32 checksums: per-payload in the index, plus index and
@@ -168,9 +167,10 @@ def decode_block_payload(
 ) -> np.ndarray:
     """Decode one block payload back to its values, exactly.
 
-    All coder-layer failures surface as :class:`CodecError` (cause
-    chained) so callers can catch one typed error for any malformed
-    container.
+    The CRC is checked first; then the shared residual decoder runs
+    (see :mod:`repro.compression.zigzag` for its two paths).  All
+    coder-layer failures surface as :class:`CodecError` (cause chained)
+    so callers can catch one typed error for any malformed container.
     """
     dtype = np.dtype(dtype)
     payload = bytes(payload)
@@ -179,19 +179,10 @@ def decode_block_payload(
             f"block {block_index} payload checksum mismatch "
             "(truncated or corrupt payload)"
         )
-    unsigned = np.uint32 if dtype.itemsize == 4 else np.uint64
-    try:
-        encoded = varint_decode(payload, count, dtype=unsigned)
-    except CodecError:
-        raise
-    except ValueError as exc:
-        raise CodecError(
-            f"corrupt varint payload in block {block_index}: {exc}"
-        ) from exc
-    residuals = zigzag_decode(encoded).astype(dtype)
-    if decode_engine is None:
-        return host_prefix_sum(residuals, order=order, tuple_size=tuple_size)
-    return decode_engine.run(residuals, order=order, tuple_size=tuple_size).values
+    return _decode_residuals(
+        payload, count, dtype, order, tuple_size, decode_engine,
+        where=f" in block {block_index}",
+    )
 
 
 @dataclass

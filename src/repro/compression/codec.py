@@ -25,12 +25,13 @@ from typing import Iterable, Optional, Tuple
 import numpy as np
 
 from repro.compression.zigzag import (
-    varint_decode,
+    _zigzag_varint_decode,
     varint_encode,
-    zigzag_decode,
     zigzag_encode,
 )
-from repro.core.host import host_delta_encode, host_prefix_sum
+from repro.core.host import _validate, host_delta_encode
+from repro.kernels import scan_into
+from repro.ops import ADD
 
 #: Container magic ("SAM delta"), bumped on format changes.
 MAGIC = b"SAMD"
@@ -209,24 +210,41 @@ class DeltaCodec:
         """Decode a container back to the original array, exactly."""
         data = blob.data if isinstance(blob, CompressedBlob) else bytes(blob)
         parsed = self.parse_header(data)
-        unsigned_dtype = np.uint32 if parsed.dtype.itemsize == 4 else np.uint64
         payload = data[_HEADER.size :]
         if zlib.crc32(bytes(payload)) != parsed.payload_crc:
             raise CodecError(
                 "payload checksum mismatch (truncated or corrupt payload)"
             )
-        try:
-            encoded = varint_decode(payload, parsed.count, dtype=unsigned_dtype)
-        except CodecError:
-            raise
-        except ValueError as exc:
-            raise CodecError(f"corrupt varint payload: {exc}") from exc
-        residuals = zigzag_decode(encoded).astype(parsed.dtype)
-        if self.decode_engine is None:
-            return host_prefix_sum(
-                residuals, order=parsed.order, tuple_size=parsed.tuple_size
-            )
-        result = self.decode_engine.run(
-            residuals, order=parsed.order, tuple_size=parsed.tuple_size
+        return _decode_residuals(
+            payload, parsed.count, parsed.dtype, parsed.order,
+            parsed.tuple_size, self.decode_engine,
         )
-        return result.values
+
+
+def _decode_residuals(
+    payload: bytes,
+    count: int,
+    dtype,
+    order: int,
+    tuple_size: int,
+    decode_engine=None,
+    where: str = "",
+) -> np.ndarray:
+    """The residual decoder both containers share: varint payload ->
+    signed residuals -> order-``q`` prefix sum, run in place, so the
+    residual array is the one returned.  A ``decode_engine`` receives
+    the residuals and returns its own result instead.  Varint errors
+    surface as :class:`CodecError` naming ``where`` (cause chained).
+    """
+    try:
+        residuals = _zigzag_varint_decode(payload, count, dtype)
+    except ValueError as exc:
+        raise CodecError(f"corrupt varint payload{where}: {exc}") from exc
+    if decode_engine is not None:
+        return decode_engine.run(
+            residuals, order=order, tuple_size=tuple_size
+        ).values
+    _validate(residuals, order, tuple_size)
+    if residuals.size == 0:
+        return residuals
+    return scan_into(residuals, residuals, ADD, order=order, tuple_size=tuple_size)

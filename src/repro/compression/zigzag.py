@@ -7,6 +7,11 @@ LEB128 varints then store in as few bytes as their magnitude needs.
 This is the same residual coder used by protobuf and many column
 stores — a simple, honest stand-in for the paper's unspecified "coder"
 component.
+
+Decoding is a hot path: :func:`_zigzag_varint_decode` turns a payload
+straight into signed residuals, byte-wide when almost every varint is
+one byte, through :func:`varint_decode` (whose validation defines the
+error contract) otherwise.
 """
 
 from __future__ import annotations
@@ -32,11 +37,18 @@ def zigzag_decode(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype not in _SIGNED:
         raise TypeError(f"zigzag decode needs uint32/uint64, got {values.dtype}")
-    shifted = (values >> np.uint8(1)).view(values.dtype)
-    sign = (values & np.uint8(1)).astype(values.dtype)
-    with np.errstate(over="ignore"):
-        mask = (np.array(0, dtype=values.dtype) - sign).astype(values.dtype)
-    return (shifted ^ mask).view(_SIGNED[values.dtype])
+    return _unzigzag(values, np.empty_like(values))
+
+
+def _unzigzag(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``(v >> 1) ^ -(v & 1)`` into ``out`` (which may be ``values``),
+    returned as a signed view; the sign mask is the one temporary."""
+    one = values.dtype.type(1)
+    sign = values & one
+    np.right_shift(values, one, out=out)
+    np.negative(sign, out=sign)
+    np.bitwise_xor(out, sign, out=out)
+    return out.view(f"i{out.dtype.itemsize}")
 
 
 def varint_encode(values: np.ndarray) -> bytes:
@@ -75,8 +87,12 @@ def varint_decode(data: bytes, count: int, dtype=np.uint64) -> np.ndarray:
 
     Vectorized by byte ordinal: continuation bits mark each varint's
     extent, so value boundaries fall out of a prefix sum over the
-    terminator mask, and at most ten masked passes (one per possible
-    byte position) OR the 7-bit groups into place.  Error behavior is
+    terminator mask.  Values are assembled directly in ``dtype``
+    (:func:`_assemble`): one gather of every varint's first byte, then
+    one pass per further byte position that touches the varints still
+    that wide.  Groups at or past ``dtype``'s width are dropped, which
+    is the scalar decoder's wraparound (a uint32 result is its uint64
+    value mod 2**32).  Error behavior is
     bit-for-bit the scalar decoder's (`_varint_decode_scalar`): raises
     ``ValueError`` on truncated input, overlong varints, or trailing
     garbage, reporting the first offending value in stream order.
@@ -128,14 +144,110 @@ def varint_decode(data: bytes, count: int, dtype=np.uint64) -> np.ndarray:
             f"{trailing} trailing bytes after decoding {count} varints"
         )
 
-    payload = (raw & np.uint8(0x7F)).astype(np.uint64)
-    out = np.zeros(count, dtype=np.uint64)
-    lens = run_len[:count]
-    starts = starts[:count]
-    for k in range(int(lens.max())):
-        active = lens > k
-        out[active] |= payload[starts[active] + k] << np.uint64(7 * k)
-    return out.astype(dtype)
+    return _assemble(raw, starts[:count], run_len[:count], dtype)
+
+
+def _assemble(raw: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+              dtype: np.dtype) -> np.ndarray:
+    """OR the 7-bit groups of the (valid) varints at ``starts`` with byte
+    lengths ``lens`` into an unsigned ``dtype`` array.
+
+    Pass ``k`` ORs in byte ``k`` of every varint longer than ``k``
+    bytes.  While those are at least half of the working set, the pass
+    runs over the whole set with the shorter varints' bytes masked to
+    zero (no scatter); below half, the set is first compacted to them.
+    A group shifted to bit ``8 * itemsize`` or past it is zero mod
+    ``2**bits``, so the loop stops there.
+    """
+    out = (raw[starts] & np.uint8(0x7F)).astype(dtype)
+    where = None  # indices of the working set in ``out``; None = all
+    last = len(raw) - 1
+    for k in range(1, -(-8 * dtype.itemsize // 7)):
+        live = lens > k
+        nlive = int(np.count_nonzero(live))
+        if not nlive:
+            break
+        if 2 * nlive < live.size:
+            keep = np.flatnonzero(live)
+            where = keep if where is None else where[keep]
+            starts, lens = starts[keep], lens[keep]
+        at = starts + k
+        if nlive < at.size:
+            np.minimum(at, last, out=at)
+            byte = raw[at] & np.uint8(0x7F)
+            byte *= live
+        else:
+            byte = raw[at] & np.uint8(0x7F)
+        group = byte.astype(dtype)
+        group <<= dtype.type(7 * k)
+        if where is None:
+            out |= group
+        else:
+            out[where] |= group
+    return out
+
+
+#: The narrow path runs when at most one byte in this many is a
+#: continuation byte (see :func:`_zigzag_varint_decode`).
+_NARROW_SHARE = 10
+
+
+def _zigzag_varint_decode(data: bytes, count: int, dtype) -> np.ndarray:
+    """Decode ``count`` zigzag varints straight to signed ``dtype``
+    (int32/int64) residuals.
+
+    Bit-identical to ``zigzag_decode(varint_decode(data, count,
+    unsigned))``, errors included.  Two paths, picked by the payload's
+    count of continuation bytes:
+
+    * **narrow** (almost all one-byte varints, as smooth signals give):
+      the terminator bytes are compressed out with one uint8 mask,
+      zigzagged as bytes and widened once; the few wide varints — each
+      delta block's first residuals, coded against zero — are then
+      assembled from the continuation-byte positions and patched in.
+      The widened array, which is returned, is the only block-sized
+      array wider than a byte.  A payload this path finds invalid
+      (terminator count is not ``count``, a trailing continuation
+      byte, an 11-byte run) goes to the general path, whose validation
+      raises the usual error.
+    * **general**: :func:`varint_decode` (its validation index arrays
+      included) straight into the unsigned width, then an in-place
+      zigzag.
+    """
+    dtype = np.dtype(dtype)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    count = int(count)
+    if 0 < count and len(raw) and raw[-1] < 0x80:
+        ends = raw < 0x80
+        wide_bytes = len(raw) - int(np.count_nonzero(ends))
+        if (wide_bytes == len(raw) - count
+                and wide_bytes * _NARROW_SHARE <= len(raw)):
+            out = _narrow_decode(raw, ends, wide_bytes, dtype)
+            if out is not None:
+                return out
+    unsigned = varint_decode(data, count, dtype=_UNSIGNED[dtype])
+    return _unzigzag(unsigned, unsigned)
+
+
+def _narrow_decode(raw, ends, wide_bytes: int, dtype: np.dtype):
+    """The narrow path of :func:`_zigzag_varint_decode`; ``None`` when a
+    varint is longer than ten bytes."""
+    terms = raw[ends] if wide_bytes else raw.copy()
+    # Zigzag the one-byte values as bytes, then widen once.
+    out = _unzigzag(terms, terms).astype(dtype)
+    if not wide_bytes:
+        return out
+    cont = np.flatnonzero(~ends)
+    # A byte belongs to the varint numbered by the terminators before
+    # it: its position less the continuation bytes before it.
+    owner = cont - np.arange(wide_bytes)
+    heads = np.flatnonzero(np.diff(owner, prepend=-1))
+    lens = np.diff(np.append(heads, wide_bytes)) + 1
+    if lens.max() > 10:
+        return None
+    unsigned = _assemble(raw, cont[heads], lens, _UNSIGNED[dtype])
+    out[owner[heads]] = _unzigzag(unsigned, unsigned)
+    return out
 
 
 def _varint_decode_scalar(data: bytes, count: int, dtype=np.uint64) -> np.ndarray:

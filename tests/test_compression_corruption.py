@@ -225,9 +225,9 @@ class TestVarintDifferential:
             try:
                 vec = varint_decode(data, count)
             except ValueError as exc:
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError) as scalar:
                     _varint_decode_scalar(data, count)
-                del exc
+                assert str(exc) == str(scalar.value)
             else:
                 assert np.array_equal(
                     vec, _varint_decode_scalar(data, count)

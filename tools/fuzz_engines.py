@@ -52,6 +52,11 @@ FILE_DTYPES = DTYPES + (np.float32, np.float64)
 FLOAT_OPERATORS = ("add", "max", "min")
 #: The "file" kind's chunk budgets, relative to the file size.
 FILE_CHUNKS = ("element", "below", "exact", "above")
+#: The "compressed" kind's signal shapes: a small-step random walk from
+#: a random offset (one-byte residuals behind wide block heads — the
+#: decoder's narrow path), a uniform draw in +-2**16 (two- and
+#: three-byte residuals) and the dtype's full range (the widest).
+COMPRESSED_SHAPES = ("walk", "uniform", "full")
 
 
 def random_config(rng, engines=ENGINES):
@@ -716,6 +721,17 @@ def run_plan_float(config, rng) -> bool:
     return np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
+def _compressed_signal(rng, shape, dtype, n):
+    """One of :data:`COMPRESSED_SHAPES` as ``n`` values of ``dtype``."""
+    info = np.iinfo(dtype)
+    if shape == "walk":
+        start = int(rng.integers(info.min // 2, info.max // 2))
+        return (start + np.cumsum(rng.integers(-8, 9, n))).astype(dtype)
+    if shape == "uniform":
+        return rng.integers(-(2**16), 2**16, n).astype(dtype)
+    return rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+
+
 def run_one(config, rng) -> bool:
     """Run one configuration; returns True on agreement."""
     if config["engine"] == "float_eft":
@@ -732,7 +748,13 @@ def run_one(config, rng) -> bool:
     if config["engine"] == "compressed" and dtype.kind == "u":
         dtype = np.dtype(np.int32 if dtype.itemsize == 4 else np.int64)
         config["dtype"] = dtype.type
-    if dtype.kind == "u":
+    if config["engine"] == "compressed":
+        # Drawn from the data rng, like the "file" kind's draws, so the
+        # other kinds' configurations do not shift.
+        shape = str(rng.choice(COMPRESSED_SHAPES))
+        config["compressed_shape"] = shape
+        values = _compressed_signal(rng, shape, dtype, config["n"])
+    elif dtype.kind == "u":
         values = rng.integers(0, 2**16, config["n"]).astype(dtype)
     else:
         values = rng.integers(-(2**16), 2**16, config["n"]).astype(dtype)
