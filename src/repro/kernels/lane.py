@@ -35,13 +35,27 @@ regrouping is exact.  Floats keep the plain single-call form: it
 performs the exact per-lane left fold, so results stay bit-identical
 to the serial reference.
 
+The trick pays even at ``s == 1``: numpy's ``(m, 2)`` axis-0
+accumulate runs several times faster in cache than the 1-D one, so a
+plain integer scan runs as a tuple-2 scan plus one shifted combine,
+``P[k] = A[k] op A[k - 1]`` (the two lanes together are the prefix).
+:func:`_pair_scan` does this per cache-sized scratch tile
+(:data:`_PAIR_TILE_BYTES`) and folds the carry into the tile's head
+before the accumulate, so no separate carry pass remains.  It is
+gated to the commutative built-in integer ops (add, max, min, xor,
+and, or) and to chunks between :data:`_PAIR_MIN_ELEMENTS` and
+:data:`_PAIR_MAX_BYTES`: shorter chunks pay more in per-tile calls
+than they save, and above the ceiling a fresh-output scan is
+DRAM-bound and the extra scratch pass loses.
+
 Exactness modes
 ---------------
 
 * :func:`lane_scan` continues a scan by folding a carry row *after*
-  accumulating — one extra vectorized pass, no prepend copies.  The
-  fold regroups the reduction, which is exact for integers; it is the
-  sharded driver's ``float_mode="regrouped"``.
+  accumulating — one extra vectorized pass, no prepend copies (the
+  ``s == 1`` lane-pair path folds it into the first element instead).
+  The fold regroups the reduction, which is exact for integers; it is
+  the sharded driver's ``float_mode="regrouped"``.
 * :func:`lane_scan_exact` continues by *prepending* the carry row to
   the chunk (one ``n + s`` buffer) so the ufunc accumulate reproduces
   the one-shot scan's exact sequence of partial results — float
@@ -60,7 +74,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.ops import AssociativeOp, get_op
+from repro.ops import BUILTIN_OPS, AssociativeOp, get_op
 
 #: Row-block byte budget for the cache-blocked wide-stride path.  One
 #: block of ``BLOCK_BYTES // (s * itemsize)`` rows is accumulated while
@@ -91,6 +105,29 @@ FUSED_BLOCK_BYTES = 1 << 20
 #: loses to pass-per-order — same engagement-heuristic role as
 #: :data:`BLOCKED_MIN_STRIDE_BYTES` plays for the blocked order-1 path.
 FUSED_MIN_TUPLE = 2
+
+#: Lane-pair path (``s == 1`` integer scans, see :func:`_pair_scan`):
+#: the scratch tile size, the shortest chunk that takes the path (below
+#: it the per-tile calls cost more than they save) and the chunk byte
+#: ceiling (above it a fresh-output scan is DRAM-bound and the extra
+#: scratch pass loses to the 1-D accumulate).  Sized from a measured
+#: crossover table, not tuned per run.
+_PAIR_TILE_BYTES = 256 << 10
+_PAIR_MIN_ELEMENTS = 8192
+_PAIR_MAX_BYTES = 32 << 20
+
+#: The integer dtypes the lane-pair path runs on; floats would regroup
+#: rounding.
+_PAIR_DTYPES = tuple(
+    np.dtype(name) for name in ("int32", "uint32", "int64", "uint64")
+)
+
+#: The built-in operators the lane-pair path may regroup: commutative
+#: and exactly associative over fixed-width integers.  Custom ops are
+#: excluded even when they wrap one of these ufuncs.
+_PAIR_OPS = tuple(
+    BUILTIN_OPS[name] for name in ("add", "max", "min", "xor", "and", "or")
+)
 
 #: Memoized per-dtype geometry from the empirical tuner, keyed by
 #: (dtype.kind, itemsize).  Lazily filled: importing the tuner at
@@ -190,6 +227,54 @@ def _lane_scan_strided(src, op, s, out, carry):
     return out
 
 
+def _pair_supported(src, op, out) -> bool:
+    """Whether an ``s == 1`` scan of ``src`` takes :func:`_pair_scan`."""
+    return (
+        src.ndim == 1
+        and out.ndim == 1
+        and src.dtype in _PAIR_DTYPES
+        and out.dtype == src.dtype
+        and op in _PAIR_OPS
+        and _PAIR_MIN_ELEMENTS <= src.size
+        and src.nbytes <= _PAIR_MAX_BYTES
+    )
+
+
+def _pair_scan(src, op, out, carry):
+    """``s == 1`` scan as a tuple-2 scan plus one shifted combine.
+
+    One scratch tile per call holds two head slots and then the tile:
+    ``[c, e, x0, x1, ...]``, with ``c`` the running prefix (the incoming
+    carry, or the identity ``e``).  Per tile, one axis-0 accumulate over
+    the ``(m, 2)`` pair view leaves ``A[j]`` — the fold of every slot of
+    ``j``'s parity up to ``j`` — so ``c`` is folded into the even lane
+    only, and ``out[j] = A[j + 2] op A[j + 1]`` joins the two parities
+    into the prefix.  Exact only for the commutative, exactly
+    associative ops of :data:`_PAIR_OPS` over integers
+    (:func:`_pair_supported`).  ``out`` may alias ``src`` or be any
+    strided 1-D view: each tile is copied before it is written.
+    """
+    ufunc = op.ufunc
+    dt = src.dtype
+    n = src.size
+    tile = min(n + n % 2, _PAIR_TILE_BYTES // dt.itemsize)
+    buf = np.empty(tile + 2, dtype=dt)
+    buf[:2] = op.identity(dt)
+    if carry is not None:
+        buf[:1] = carry[:1]
+    for i in range(0, n, tile):
+        k = min(tile, n - i)
+        buf[2 : k + 2] = src[i : i + k]
+        # An odd (last) tile is accumulated with one stale slot past
+        # its end, to whole pairs; that slot is never read.
+        pairs = buf[: k + 2 + k % 2].reshape(-1, 2)
+        ufunc.accumulate(pairs, axis=0, out=pairs, dtype=dt)
+        dst = out[i : i + k]
+        ufunc(buf[2 : k + 2], buf[1 : k + 1], out=dst, dtype=dt)
+        buf[:1] = dst[-1:]
+    return out
+
+
 def lane_scan(
     src: np.ndarray,
     op: AssociativeOp,
@@ -219,6 +304,13 @@ def lane_scan(
     Returns ``out``.  Without a carry the result is bit-identical to
     the serial reference's lane scan for every dtype, floats included:
     each lane is still one sequential left fold.
+
+    ``s == 1`` integer chunks inside the :func:`_pair_supported` gate
+    take the lane-pair path (:func:`_pair_scan`): one scratch tile is
+    allocated per call (never shared, so threaded slabs may call this
+    concurrently), and the carry is folded into the first element of
+    the chunk before the accumulate rather than over the whole chunk
+    after it.  The result is the same, bit for bit.
     """
     src = np.asarray(src)
     s = int(tuple_size)
@@ -228,6 +320,8 @@ def lane_scan(
     if n == 0:
         return out
     if s == 1:
+        if _pair_supported(src, op, out):
+            return _pair_scan(src, op, out, carry)
         op.accumulate(src, out=out)
         if carry is not None:
             op.apply_into(carry[0], out, out=out)

@@ -15,6 +15,7 @@ import pytest
 
 from repro import kernels
 from repro.kernels import LaneKernel
+from repro.kernels import lane as lane_mod
 from repro.ops import AssociativeOp, get_op
 from repro.reference.serial import prefix_sum_serial
 
@@ -299,3 +300,139 @@ def test_lane_scan_strided_non_ufunc_falls_back_per_lane():
     ref = prefix_sum_serial(view.copy(), tuple_size=2, op=op)
     got = kernels.lane_scan(view, op, 2, out=np.empty_like(view.copy()))
     _assert_bitwise(got, ref)
+
+
+# -- the s == 1 lane-pair path -------------------------------------------
+
+PAIR_OPS = ["add", "max", "min", "xor", "and", "or"]
+PAIR_DTYPES = ["int32", "uint32", "int64", "uint64"]
+
+
+def _pair_lengths(dtype):
+    lo = lane_mod._PAIR_MIN_ELEMENTS
+    tile = lane_mod._PAIR_TILE_BYTES // np.dtype(dtype).itemsize
+    return [
+        lo - 1, lo, lo + 1, lo + 3,
+        tile - 1, tile, tile + 1,
+        2 * tile + 7, 3 * tile + 1,
+    ]
+
+
+def _full_range(rng, n, dtype):
+    # Full-width draws, so add wraps around on nearly every element.
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+
+
+def _accumulate_oracle(op, values, carry):
+    dt = values.dtype
+    want = op.ufunc.accumulate(values, dtype=dt)
+    if carry is not None:
+        want = op.ufunc(carry[0], want, dtype=dt)
+    return want
+
+
+@pytest.fixture
+def pair_calls(monkeypatch):
+    """Count the chunks that take the lane-pair path."""
+    calls = []
+    real = lane_mod._pair_scan
+
+    def spy(src, op, out, carry):
+        calls.append(src.size)
+        return real(src, op, out, carry)
+
+    monkeypatch.setattr(lane_mod, "_pair_scan", spy)
+    return calls
+
+
+@pytest.mark.parametrize("opname", PAIR_OPS)
+@pytest.mark.parametrize("dtype", PAIR_DTYPES)
+def test_pair_path_matches_1d_accumulate(opname, dtype, pair_calls):
+    op = get_op(opname)
+    rng = np.random.default_rng(hash((opname, dtype, "pair")) % 2**32)
+    for n in _pair_lengths(dtype):
+        values = _full_range(rng, n, dtype)
+        for carry in (None, _full_range(rng, 1, dtype)):
+            want = _accumulate_oracle(op, values, carry)
+            msg = f"n={n} carry={carry is not None}"
+
+            inplace = values.copy()
+            kernels.lane_scan(inplace, op, 1, out=inplace, carry=carry)
+            _assert_bitwise(inplace, want, "in place " + msg)
+
+            src = values.copy()
+            distinct = kernels.lane_scan(src, op, 1, carry=carry)
+            _assert_bitwise(distinct, want, "distinct " + msg)
+            _assert_bitwise(src, values, "source untouched " + msg)
+
+            base = _full_range(rng, 2 * n, dtype)
+            view = base[::2]
+            view[...] = values
+            odd = base[1::2].copy()
+            kernels.lane_scan(view, op, 1, out=view, carry=carry)
+            _assert_bitwise(view.copy(), want, "strided " + msg)
+            _assert_bitwise(base[1::2], odd, "interleaved half " + msg)
+
+            engaged = n >= lane_mod._PAIR_MIN_ELEMENTS
+            assert (n in pair_calls) == engaged, msg
+            pair_calls.clear()
+
+
+def test_pair_path_gate(pair_calls):
+    rng = np.random.default_rng(43)
+    n = 3 * lane_mod._PAIR_TILE_BYTES // 8 + 1
+    ints = rng.integers(-50, 50, n).astype(np.int64)
+    custom_add = AssociativeOp(
+        "custom-add", fn=np.add, identity_fn=lambda dt: 0, ufunc=np.add,
+    )
+    declined = [
+        (get_op("add"), rng.standard_normal(n)),
+        (get_op("max"), rng.standard_normal(n).astype(np.float32)),
+        (get_op("mul"), rng.integers(-3, 4, n).astype(np.int64)),
+        (custom_add, ints),
+        (_looped_concat_op(), ints[: lane_mod._PAIR_MIN_ELEMENTS] & 3),
+    ]
+    for op, values in declined:
+        want = op.accumulate(values)
+        _assert_bitwise(kernels.lane_scan(values, op, 1), want, op.name)
+    assert pair_calls == []
+    kernels.lane_scan(ints, get_op("add"), 1)
+    assert pair_calls == [n]
+
+
+def test_pair_path_byte_ceiling():
+    # np.empty does not touch its pages, so the ceiling-sized arrays
+    # cost no memory.
+    op = get_op("add")
+    for dtype in PAIR_DTYPES:
+        top = lane_mod._PAIR_MAX_BYTES // np.dtype(dtype).itemsize
+        at = np.empty(top, dtype=dtype)
+        above = np.empty(top + 1, dtype=dtype)
+        assert lane_mod._pair_supported(at, op, at)
+        assert not lane_mod._pair_supported(above, op, above)
+
+
+def test_pair_path_concurrent_callers():
+    # Threaded slabs call lane_scan at once: each call owns its scratch
+    # tile.  A shared buffer would mix tiles between callers.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    op = get_op("add")
+    rng = np.random.default_rng(47)
+    n = 3 * lane_mod._PAIR_TILE_BYTES // 8 + 1
+    inputs = [_full_range(rng, n, "int64") for _ in range(8)]
+    wants = [_accumulate_oracle(op, x, None) for x in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [
+                pool.submit(kernels.lane_scan, x, op, 1) for x in inputs * 4
+            ]
+            outs = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, got in enumerate(outs):
+        _assert_bitwise(got, wants[i % len(inputs)], f"call {i}")

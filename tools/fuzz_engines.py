@@ -28,6 +28,8 @@ from repro.baselines import (
     ThreePhaseScan,
 )
 from repro.core import SamScan
+from repro.kernels import lane as lane_mod
+from repro.ops import get_op
 from repro.reference import prefix_sum_serial
 
 ENGINES = (
@@ -57,6 +59,77 @@ FILE_CHUNKS = ("element", "below", "exact", "above")
 #: decoder's narrow path), a uniform draw in +-2**16 (two- and
 #: three-byte residuals) and the dtype's full range (the widest).
 COMPRESSED_SHAPES = ("walk", "uniform", "full")
+#: One in this many "stream", "file" and "compressed" configurations
+#: redraws its size to span a few scratch tiles of the ``s == 1``
+#: lane-pair scan, which the default sizes never fill.
+TILE_DRAW_ODDS = 4
+
+
+def _tile_elements(dtype) -> int:
+    """Elements in one scratch tile of the ``s == 1`` lane-pair scan."""
+    return lane_mod._PAIR_TILE_BYTES // np.dtype(dtype).itemsize
+
+
+def _maybe_tile_sized(config, rng, dtype) -> bool:
+    """Sometimes redraw an integer configuration's ``n`` to three to six
+    lane-pair tiles of ``dtype``, at tuple size 1 (the only one the
+    lane-pair path serves); returns whether it did.  Three tiles at
+    least, so the "stream" kind's chunks (up to a third of the input)
+    can span a tile too.  Drawn from the data ``rng`` so the
+    configurations of the other kinds do not shift."""
+    if np.dtype(dtype).kind not in "iu" or rng.integers(0, TILE_DRAW_ODDS):
+        return False
+    tile = _tile_elements(dtype)
+    config.update(n=int(rng.integers(3 * tile, 6 * tile)), tuple_size=1,
+                  tile_sized=True)
+    return True
+
+
+def _oracle(config, values, order, tuple_size, op, inclusive):
+    """The serial reference, or for a tile-sized configuration the same
+    scan through numpy's 1-D accumulate: a sequential left fold with the
+    dtype pinned, so integer wraparound matches, and not the lane-pair
+    code under test.  The Python-loop reference would take seconds on
+    each of those."""
+    if not config.get("tile_sized"):
+        return prefix_sum_serial(values, order=order, tuple_size=tuple_size,
+                                 op=op, inclusive=inclusive)
+    op = get_op(op)
+    out = values.copy()
+    for _ in range(order):
+        op.accumulate(out, out=out)
+    if inclusive or not out.size:
+        return out
+    shifted = np.empty_like(out)
+    shifted[0] = op.identity(out.dtype)
+    shifted[1:] = out[:-1]
+    return shifted
+
+
+class TileCrossings:
+    """Counts configurations whose scan ran one ``s == 1`` lane-pair
+    call over more than one scratch tile, by wrapping the kernel's
+    ``_pair_scan`` for the life of the fuzzing run."""
+
+    def __init__(self):
+        self._real = lane_mod._pair_scan
+        self.crossed = False
+        self.configs = 0
+
+        def spy(src, op, out, carry):
+            if src.size > _tile_elements(src.dtype):
+                self.crossed = True
+            return self._real(src, op, out, carry)
+
+        lane_mod._pair_scan = spy
+
+    def tally(self) -> None:
+        """Close one configuration."""
+        self.configs += self.crossed
+        self.crossed = False
+
+    def close(self) -> None:
+        lane_mod._pair_scan = self._real
 
 
 def random_config(rng, engines=ENGINES):
@@ -619,6 +692,10 @@ def run_file(config, rng) -> bool:
     from repro.stream import scan_file
 
     dtype = np.dtype(FILE_DTYPES[int(rng.integers(0, len(FILE_DTYPES)))])
+    chunk = str(rng.choice(FILE_CHUNKS))
+    if chunk != "element":
+        # One-element chunks of a tile-sized file would only be slow.
+        _maybe_tile_sized(config, rng, dtype)
     n = config["n"]
     if dtype.kind == "f":
         op = str(rng.choice(FLOAT_OPERATORS))
@@ -627,7 +704,6 @@ def run_file(config, rng) -> bool:
         op = config["op"]
         values = rng.integers(0, 2**16, n).astype(dtype)
     nbytes = values.nbytes
-    chunk = str(rng.choice(FILE_CHUNKS))
     chunk_bytes = {
         "element": dtype.itemsize,
         "below": int(rng.integers(1, max(2, nbytes))),
@@ -644,7 +720,7 @@ def run_file(config, rng) -> bool:
         scan_file(input_path, output_path, dtype=dtype,
                   chunk_bytes=chunk_bytes, **kwargs)
         out = np.fromfile(output_path, dtype=dtype)
-    expected = prefix_sum_serial(values, **kwargs)
+    expected = _oracle(config, values, **kwargs)
     return out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
 
 
@@ -748,6 +824,17 @@ def run_one(config, rng) -> bool:
     if config["engine"] == "compressed" and dtype.kind == "u":
         dtype = np.dtype(np.int32 if dtype.itemsize == 4 else np.int64)
         config["dtype"] = dtype.type
+    if config["engine"] == "stream":
+        _maybe_tile_sized(config, rng, dtype)
+    elif config["engine"] == "compressed" and not config["compressed_sharded"]:
+        # Sharded jobs keep their sub-KiB chunks, too slow at tile
+        # sizes.  A tile-sized job gets one-tile blocks, so the decoder's
+        # per-block prefix sum takes the lane-pair path too, and
+        # two-tile chunks.
+        if _maybe_tile_sized(config, rng, dtype):
+            tile = _tile_elements(dtype)
+            config.update(compressed_block_elements=tile,
+                          shard_chunk_bytes=2 * tile * dtype.itemsize)
     if config["engine"] == "compressed":
         # Drawn from the data rng, like the "file" kind's draws, so the
         # other kinds' configurations do not shift.
@@ -777,7 +864,8 @@ def run_one(config, rng) -> bool:
         op=config["op"],
         inclusive=config["inclusive"],
     )
-    expected = prefix_sum_serial(
+    expected = _oracle(
+        config,
         values,
         order=config["order"],
         tuple_size=config["tuple_size"],
@@ -801,6 +889,7 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(args.seed)
     failures = 0
     iteration = 0
+    crossings = TileCrossings()
     start = time.time()
     while args.iterations == 0 or iteration < args.iterations:
         iteration += 1
@@ -811,13 +900,17 @@ def main(argv=None) -> int:
             print(f"[CRASH] iteration {iteration}: {config}\n        {exc!r}")
             failures += 1
             continue
+        finally:
+            crossings.tally()
         if not ok:
             print(f"[MISMATCH] iteration {iteration}: {config}")
             failures += 1
         if iteration % 50 == 0:
             rate = iteration / (time.time() - start)
             print(f"... {iteration} configs, {failures} failures, {rate:.1f}/s")
-    print(f"done: {iteration} configurations, {failures} failures")
+    crossings.close()
+    print(f"done: {iteration} configurations, {failures} failures, "
+          f"{crossings.configs} crossed a lane-pair tile")
     return 1 if failures else 0
 
 
