@@ -37,6 +37,7 @@ from repro.kernels.lane import (
     fold_lanes,
     fused_combine,
     fused_deltas,
+    fused_fold,
     fused_lane_scan,
     fused_supported,
     fused_weights,
@@ -85,6 +86,7 @@ __all__ = [
     "fresh_state",
     "fused_combine",
     "fused_deltas",
+    "fused_fold",
     "fused_lane_scan",
     "fused_supported",
     "fused_weights",

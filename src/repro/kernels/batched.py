@@ -34,9 +34,13 @@ Both properties need ``op(e, x) == x == op(x, e)`` to hold *exactly*,
 which is why the batched path is restricted to the truly associative
 fixed-width integer dtypes (wraparound included) with real-ufunc
 operators: there it is **bit-identical** to feeding each stream's
-:class:`LaneKernel` individually.  Floats are only pseudo-associative
-and keep the per-stream exact prepend path (the streaming session's
-float mode); looped operators have no batched accumulate to win from.
+:class:`LaneKernel` individually — which is what
+:func:`repro.serve.feed_batch` stands in for: it stages every
+session's own kernel state (``ScanSession.kernel``) through these
+primitives and writes it back.  Floats are only pseudo-associative
+and keep the per-stream exact prepend path (compensated float streams
+batch through :class:`repro.kernels.BatchedCompensatedKernel`
+instead); looped operators have no batched accumulate to win from.
 
 :class:`BatchedLaneKernel` owns a grow-only staging buffer (batches
 re-use the allocation) and two occupancy counters, ``dispatches`` and
@@ -50,7 +54,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.kernels.lane import LaneKernel, fused_deltas, fused_supported
+from repro.kernels.lane import fused_deltas, fused_supported
 from repro.ops import AssociativeOp, get_op
 
 
@@ -80,9 +84,10 @@ class BatchedLaneKernel:
         batched path cannot cover floats or looped operators.
 
     :meth:`stage_scan` is the primitive (one inclusive continuation
-    pass over B chunks, carries updated in place); :meth:`feed_many`
-    is the drop-in replacement for ``[k.feed(c) for k, c in ...]``
-    over in-place integer :class:`LaneKernel` instances.
+    pass over B chunks, carries updated in place) and
+    :meth:`stage_scan_fused` its single-pass order-``q`` sibling;
+    :func:`repro.serve.feed_batch` drives them over the sessions'
+    own :class:`~repro.kernels.LaneKernel` state.
     """
 
     def __init__(self, op, dtype, tuple_size: int = 1):
@@ -282,63 +287,4 @@ class BatchedLaneKernel:
         ]
         self.dispatches += 1
         self.streams_fed += B
-        return outs
-
-    # -- LaneKernel batch adapter ----------------------------------------
-
-    def feed_many(
-        self, kernels: Sequence[LaneKernel], chunks: Sequence[np.ndarray]
-    ) -> List[np.ndarray]:
-        """Batched ``[k.feed(c) for k, c in zip(kernels, chunks)]``.
-
-        Every kernel must be a distinct in-place (``exact=False``)
-        integer :class:`LaneKernel` matching this batch key; outputs,
-        carry rows, activity masks, and positions end up bit-identical
-        to the sequential feeds.  Empty chunks are passed through like
-        ``feed`` does (a scan no-op).
-        """
-        if len(kernels) != len(chunks):
-            raise ValueError(
-                f"{len(kernels)} kernels but {len(chunks)} chunks"
-            )
-        if len(set(map(id, kernels))) != len(kernels):
-            raise ValueError("a kernel may appear at most once per batch")
-        for kernel in kernels:
-            if kernel.exact:
-                raise ValueError(
-                    "batched dispatch requires in-place (exact=False) kernels"
-                )
-            if (
-                kernel.op.name != self.op.name
-                or kernel.dtype != self.dtype
-                or kernel.s != self.s
-            ):
-                raise ValueError(
-                    f"kernel (op={kernel.op.name!r}, dtype={kernel.dtype.name}, "
-                    f"s={kernel.s}) does not match batch key "
-                    f"(op={self.op.name!r}, dtype={self.dtype.name}, s={self.s})"
-                )
-        outs: List[Optional[np.ndarray]] = [None] * len(kernels)
-        live = []
-        arrays = []
-        for i, chunk in enumerate(chunks):
-            arr = np.asarray(chunk)
-            if arr.size == 0:
-                outs[i] = kernels[i].feed(arr)
-            else:
-                live.append(i)
-                arrays.append(arr.astype(self.dtype, copy=False))
-        if live:
-            carries = np.stack([kernels[i].carry for i in live])
-            positions = [kernels[i].pos for i in live]
-            scanned = self.stage_scan(arrays, carries, positions)
-            for j, i in enumerate(live):
-                kernel = kernels[i]
-                kernel.carry[:] = carries[j]
-                n = arrays[j].size
-                t = min(n, kernel.s)
-                lanes = (kernel.pos + np.arange(t)) % kernel.s
-                kernel.active[lanes] = True
-                kernel.pos += n
-                outs[i] = scanned[j]
         return outs

@@ -59,13 +59,13 @@ import numpy as np
 from repro.kernels.compensated import resolve_float_mode
 from repro.kernels.lane import (
     LaneKernel,
-    _fused_block_bytes,
+    _fused_tail,
     exclusive_shift,
     fold_lanes,
     fused_combine,
+    fused_fold,
     fused_lane_scan,
     fused_supported,
-    fused_weights,
     lane_scan,
     phase_perm,
 )
@@ -243,21 +243,6 @@ def threaded_lane_scan(
     return out
 
 
-def _fused_fold_rows(out2, lo: int, hi: int, order: int, T, tile_rows: int):
-    """Fold an incoming ``(q, s)`` carry matrix into locally order-q
-    scanned rows ``out2[lo:hi]`` (local depth 0 at row ``lo``): row
-    ``d`` gains ``sum_j C(d + q - j, q - j) * T_j``, applied tile by
-    tile through the binomial weight columns."""
-    q = int(order)
-    dtype = out2.dtype
-    with np.errstate(over="ignore"):
-        for i in range(lo, hi, tile_rows):
-            blk = out2[i : min(i + tile_rows, hi)]
-            W = fused_weights(blk.shape[0], q, dtype, d0=i - lo)
-            for k in range(q):
-                blk += W[:, k : k + 1] * T[q - 1 - k]
-
-
 def threaded_fused_lane_scan(
     buf: np.ndarray,
     op: AssociativeOp,
@@ -302,8 +287,6 @@ def threaded_fused_lane_scan(
     if len(bounds) <= 1:
         return fused_lane_scan(buf, op, s, q, carry)
     pool = get_pool(threads)
-    body = m * s
-    out2 = buf[:body].reshape(m, s)
     dtype = buf.dtype
     locals_ = [None] * len(bounds)
 
@@ -327,27 +310,16 @@ def threaded_fused_lane_scan(
         running = fused_combine(running, local, hi - lo)
     carry[...] = running
 
-    tile_rows = max(q, _fused_block_bytes() // (s * dtype.itemsize))
-
-    def _fold_slab(lo, hi, T):
-        _fused_fold_rows(out2, lo, hi, q, T, tile_rows)
-
     for f in [
-        pool.submit(_fold_slab, lo, hi, T)
+        pool.submit(fused_fold, buf[lo * s : hi * s], T)
         for (lo, hi), T in zip(bounds, incoming)
         if T.any()
     ]:
         f.result()
 
-    r = n - body
-    if r:
+    if n > m * s:
         # Tail: one-row partial tile continuing from the spliced matrix.
-        tail = buf[body:]
-        raw = tail.copy()
-        with np.errstate(over="ignore"):
-            part = np.add.accumulate(carry[:, :r], axis=0)
-            tail[...] = raw + part[q - 1]
-            carry[:, :r] = raw + part
+        _fused_tail(buf[m * s :], carry)
     return buf
 
 
@@ -477,7 +449,8 @@ class ThreadedLaneKernel(LaneKernel):
     """:class:`~repro.kernels.LaneKernel` with slab-parallel hot paths.
 
     Same carry-continuation ``feed(chunk)`` contract and state machine
-    (inherited — only the three scan/fold hooks are overridden), plus:
+    (inherited — only the three scan hooks are overridden, each counted
+    in ``counters.threaded_scans``), plus two keyword arguments:
 
     ``threads``
         Worker count for the slab partition; ``None``/``"auto"``
@@ -488,78 +461,50 @@ class ThreadedLaneKernel(LaneKernel):
         Serial/parallel crossover; ``None`` uses the tuned per-dtype
         value, ``0`` forces threading for any chunk with ≥ 2 full rows.
 
-    Exactness matches the base class: ``exact=None`` picks the in-place
-    threaded path for integers (bit-identical — integer regrouping is
-    exact) and the bit-exact serial prepend mode for floats.  Float
-    ``float_mode="compensated"`` runs the segment-parallel error-free
-    path (bit-identical for any thread count);
-    ``float_mode="regrouped"`` opts into the threaded regrouped fold.
+    Exactness matches the base class: integers take the threaded
+    in-place path (bit-identical — integer regrouping is exact), exact
+    floats the serial prepend pass (a slab chain is sequential in the
+    carry, so threads would add dispatch cost with nothing to overlap),
+    ``float_mode="compensated"`` the segment-parallel error-free path
+    (bit-identical for any thread count) and ``float_mode="regrouped"``
+    the threaded regrouped fold.
     """
 
-    def __init__(
-        self,
-        op,
-        dtype,
-        tuple_size=1,
-        start=0,
-        prime=None,
-        exact=None,
-        threads=None,
-        cutover_bytes=None,
-        float_mode=None,
-        order=1,
-    ):
-        super().__init__(
-            op, dtype, tuple_size, start=start, prime=prime, exact=exact,
-            float_mode=float_mode, order=order,
-        )
+    def __init__(self, *args, threads=None, cutover_bytes=None, **kwargs):
+        super().__init__(*args, **kwargs)
         self.threads = None if threads in (None, 0, "auto") else int(threads)
         self.cutover_bytes = cutover_bytes
 
-    def _scan(self, chunk, carry_row=None):
+    def _scan(self, src, out, carry_row=None):
+        self.counters.threaded_scans += 1
         return threaded_lane_scan(
-            chunk,
+            src,
             self.op,
             self.s,
-            out=chunk,
+            out=out,
             carry=carry_row,
             threads=self.threads,
             cutover_bytes=self.cutover_bytes,
         )
 
-    # _scan_exact stays the serial prepend-carry kernel (inherited):
-    # bit-exactness forbids regrouping the float fold, and a slab chain
-    # is sequential in the carry, so threads would add dispatch cost
-    # with nothing to overlap.
-
-    def _scan_compensated(self, chunk):
+    def _scan_compensated(self, src, state):
         from repro.kernels.compensated import lane_scan_compensated
 
+        self.counters.threaded_scans += 1
         return lane_scan_compensated(
-            chunk,
+            src,
             self.op,
             self.s,
-            self._comp,
+            state,
             self.pos,
             threads=self.threads or "auto",
             cutover_bytes=self.cutover_bytes,
         )
 
-    def _fold(self, out):
-        threaded_fold_lanes(
-            out,
-            self.op,
-            self.carry,
-            self.pos,
-            self.s,
-            seen=self.active,
-            threads=self.threads,
-            cutover_bytes=self.cutover_bytes,
-        )
-
-    def _fused_scan(self, chunk, carry):
+    def _fused_scan(self, buf, carry):
+        self.counters.threaded_scans += 1
         return threaded_fused_lane_scan(
-            chunk,
+            buf,
             self.op,
             self.s,
             self.order,

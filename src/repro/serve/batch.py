@@ -10,11 +10,13 @@ instead of ``B * order``.  For the serving workload — thousands of
 small concurrent streams — this converts per-feed Python dispatch
 overhead into one amortized batch dispatch.
 
-The pass structure mirrors :meth:`repro.stream.ScanSession.feed`
-exactly: ``order`` inclusive continuation passes, each updating that
-pass's carry row, with the exclusive lane-shift (heads = the pre-chunk
-running totals) applied per session on the final pass only.  Empty
-chunks stay scan no-ops but count as feed calls, like ``feed``.
+The batch drives each session's own carry state machine
+(``session.kernel``, a :class:`repro.kernels.LaneKernel`) exactly as
+``feed`` does: ``order`` inclusive continuation passes (or one fused
+pass), each updating its carry row, then the exclusive lane-shift from
+the kernel's pre-chunk ``heads()`` and one ``advance`` for the
+position and seen-lane bookkeeping.  Empty chunks stay scan no-ops but
+count as feed calls, like ``feed``.
 
 Batch eligibility is the same rule as every other fast path in the
 repo: fixed-width integers under a real-ufunc operator (exact
@@ -74,7 +76,7 @@ def batch_key(session: ScanSession):
     cached = getattr(session, "_batch_key_cache", False)
     if cached is not False:
         return cached
-    if session._engine is not None or session.threads not in (None, "auto"):
+    if session.engine is not None or session.threads not in (None, "auto"):
         key = None
     elif session.dtype is None:
         return None
@@ -197,22 +199,22 @@ def feed_batch(
         # batched kernel cannot stage.  Feed those streams individually
         # (bit-identical: the session takes the same compensated
         # kernel); the rest still share the dispatch.
-        kept_live: List[int] = []
-        kept_arrays: List[np.ndarray] = []
-        for j, i in enumerate(live):
-            if kernel.crosses_segment(sessions[i]._offset, arrays[j].size):
-                outs[i] = sessions[i].feed(arrays[j])
-            else:
-                kept_live.append(i)
-                kept_arrays.append(arrays[j])
-        live, arrays = kept_live, kept_arrays
+        for i, array in zip(live, arrays):
+            if kernel.crosses_segment(sessions[i].offset, array.size):
+                outs[i] = sessions[i].feed(array)
+        arrays = [a for i, a in zip(live, arrays) if outs[i] is None]
+        live = [i for i in live if outs[i] is None]
     if not live:
         return outs
 
     t0 = time.perf_counter()
-    positions = [sessions[i]._offset for i in live]
-    identity = op.identity(dtype)
-    any_exclusive = any(not sessions[i].inclusive for i in live)
+    lanes = [sessions[i].kernel for i in live]
+    positions = [k.pos for k in lanes]
+    # The exclusive epilogue's heads, taken before the carries move.
+    heads = [
+        None if sessions[i].inclusive else k.heads()
+        for i, k in zip(live, lanes)
+    ]
     current = arrays
 
     # Fused order-q batch: ONE staged dispatch produces all q orders
@@ -226,79 +228,37 @@ def feed_batch(
         and kernels.fused_supported(op, dtype, order, s)
         and all(a.size >= order * s for a in arrays)
     ):
-        prev = (
-            np.stack([sessions[i]._carry[order - 1] for i in live]).copy()
-            if any_exclusive
-            else None
-        )
-        carries = np.stack([sessions[i]._carry for i in live])
-        scanned = kernel.stage_scan_fused(current, carries, positions, order)
-        for j, i in enumerate(live):
-            session = sessions[i]
-            session._carry[...] = carries[j]
-            session.counters.fused_order_scans += 1
-            if not session.inclusive:
-                perm = kernels.phase_perm(session._offset, s)
-                heads = prev[j][perm]
-                heads[perm >= session._offset] = identity
-                scanned[j] = kernels.exclusive_shift(scanned[j], heads)
-        share = (time.perf_counter() - t0) / len(live)
-        for j, i in enumerate(live):
-            session = sessions[i]
-            n = arrays[j].size
-            session._offset += n
-            session.counters.chunks += 1
-            session.counters.elements += n
-            session.counters.bytes_in += arrays[j].nbytes
-            session.counters.seconds_scan += share
-            session.counters.batched_feeds += 1
-            outs[i] = scanned[j]
-        return outs
-
-    for iteration in range(order):
-        last = iteration == order - 1
-        prev = (
-            np.stack([sessions[i]._carry[iteration] for i in live]).copy()
-            if (last and any_exclusive)
-            else None
-        )
-        if compensated:
-            states = [sessions[i]._comp[iteration] for i in live]
-            scanned = kernel.stage_scan(current, states, positions)
-            # The error carry advanced in place; refresh the rendered
-            # running totals (the exclusive heads of later feeds).
-            for j, i in enumerate(live):
-                totals = kernels.phase_totals(scanned[j], s)
-                lanes = (positions[j] + np.arange(totals.size)) % s
-                sessions[i]._carry[iteration][lanes] = totals
-        else:
-            carries = np.stack([sessions[i]._carry[iteration] for i in live])
-            scanned = kernel.stage_scan(current, carries, positions)
-            for j, i in enumerate(live):
-                sessions[i]._carry[iteration][:] = carries[j]
-        if last and any_exclusive:
-            # Exclusive = the lane-shifted inclusive continuation; the
-            # shifted-in heads are the lanes' pre-chunk running totals
-            # (identity at the very start of the stream) — the same
-            # epilogue as ScanSession._stage_pass.
-            for j, i in enumerate(live):
-                session = sessions[i]
-                if session.inclusive:
-                    continue
-                perm = kernels.phase_perm(session._offset, s)
-                heads = prev[j][perm]
-                heads[perm >= session._offset] = identity
-                scanned[j] = kernels.exclusive_shift(scanned[j], heads)
-        current = scanned
+        carries = np.stack([k.carry for k in lanes])
+        current = kernel.stage_scan_fused(current, carries, positions, order)
+        for j, k in enumerate(lanes):
+            k.carry[...] = carries[j]
+            k.counters.fused_order_scans += 1
+    else:
+        for iteration in range(order):
+            if compensated:
+                states = [k.comp[iteration] for k in lanes]
+                current = kernel.stage_scan(current, states, positions)
+                # The error carry advanced in place; refresh the
+                # rendered running totals (the exclusive heads of later
+                # feeds).
+                for k, out in zip(lanes, current):
+                    k.record_totals(k.carry[iteration], out)
+            else:
+                carries = np.stack([k.carry[iteration] for k in lanes])
+                current = kernel.stage_scan(current, carries, positions)
+                for j, k in enumerate(lanes):
+                    k.carry[iteration] = carries[j]
+    for j, k in enumerate(lanes):
+        if heads[j] is not None:
+            current[j] = kernels.exclusive_shift(current[j], heads[j])
+        k.advance(arrays[j].size)
     share = (time.perf_counter() - t0) / len(live)
     for j, i in enumerate(live):
-        session = sessions[i]
-        n = arrays[j].size
-        session._offset += n
-        session.counters.chunks += 1
-        session.counters.elements += n
-        session.counters.bytes_in += arrays[j].nbytes
-        session.counters.seconds_scan += share
-        session.counters.batched_feeds += 1
+        counters = sessions[i].counters
+        counters.chunks += 1
+        counters.elements += arrays[j].size
+        counters.bytes_in += arrays[j].nbytes
+        counters.seconds_scan += share
+        counters.batched_feeds += 1
         outs[i] = current[j]
     return outs

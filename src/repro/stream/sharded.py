@@ -100,7 +100,6 @@ from repro.stream.errors import (
     InjectedFailureError,
     StreamError,
 )
-from repro.stream.session import ScanSession
 
 #: Delegated inner engines (e.g. a simulated ``SamScan``) are one
 #: resource: concurrent shard threads take turns using them.
@@ -161,44 +160,6 @@ def _seen_before(lo: int, tuple_size: int) -> np.ndarray:
 
 
 # -- per-shard kernels ---------------------------------------------------
-
-
-class _SessionKernel:
-    """Shard kernel delegating chunk scans to an inner one-shot engine.
-
-    Wraps a single-pass :class:`ScanSession` whose offset is preloaded
-    to the shard's global start (so tuple lanes are labelled globally)
-    and whose carry is optionally primed.  Delegated engines are shared
-    resources, so feeds are serialized across shard threads.
-    """
-
-    def __init__(self, op, dtype, tuple_size, lo, prime, engine):
-        self.session = ScanSession(
-            op=op, order=1, tuple_size=tuple_size, inclusive=True,
-            dtype=dtype, engine=engine,
-        )
-        identity = op.identity(dtype)
-        carry = np.full(tuple_size, identity, dtype=dtype)
-        if prime is not None:
-            carry[:] = prime
-        self.session.load_state_dict({
-            "offset": int(lo),
-            "carry": base64.b64encode(carry.tobytes()).decode("ascii"),
-            "config": self.session.config(),
-            "config_hash": self.session.config_hash(),
-        })
-
-    def feed(self, chunk: np.ndarray) -> np.ndarray:
-        with _DELEGATE_LOCK:
-            return self.session.feed(chunk)
-
-    @property
-    def carry(self) -> np.ndarray:
-        return self.session._carry[0]
-
-    @property
-    def delegated_stage_scans(self) -> int:
-        return self.session.counters.delegated_stage_scans
 
 
 def _exclusive_shift(chunk, prev, pos, tuple_size) -> np.ndarray:
@@ -712,6 +673,7 @@ def _scan_shard(
     if isinstance(prime, str) and prime == "auto":
         prime = job.try_prime(shard_index)
     baked = prime is not None
+    lock = contextlib.nullcontext()
     if job.float_mode == "compensated":
         # Naive continuation + segment-totals collection; the render
         # happens in the fold pass once the global chain exists.  The
@@ -720,7 +682,15 @@ def _scan_shard(
         # in-memory path).
         kernel = kernels.CompensatedCollectKernel(op, dtype, s, start=lo)
     elif job.engine is not None and dtype.kind in "iu":
-        kernel = _SessionKernel(op, dtype, s, lo, prime, job.engine)
+        # A named engine is built per shard ("host" resolves to the
+        # plain kernel); feeds are serialized across shard threads.
+        from repro.api import resolve_engine
+
+        kernel = LaneKernel(
+            op, dtype, s, start=lo, prime=prime,
+            engine=resolve_engine(job.engine),
+        )
+        lock = _DELEGATE_LOCK
     elif job.shard_threads > 1:
         # Slab-parallel intra-chunk scans under the shard pool.  The
         # per-shard thread budget already divides the caller's total by
@@ -750,7 +720,8 @@ def _scan_shard(
             t_fold = time.perf_counter()
             counters.seconds_fold += t_fold - t0
             t0 = t_fold
-        chunk = kernel.feed(chunk)
+        with lock:
+            chunk = kernel.feed(chunk)
         counters.seconds_scan += time.perf_counter() - t0
         return chunk
 
@@ -793,7 +764,7 @@ def _scan_shard(
     if job.float_mode == "compensated":
         aggregate = kernel.segment_totals()
     else:
-        aggregate = np.asarray(kernel.carry).copy()
+        aggregate = (kernel.carry if job.fused else kernel.carry[0]).copy()
     if publish:
         with job.lock:
             job.done[shard_index] = True
@@ -811,7 +782,7 @@ def _fold_shard(job: _ShardedJob, shard_index, carry, do_fold):
     * a plain ``(s,)`` row folds with :func:`repro.kernels.fold_lanes`;
     * a fused ``(q, s)`` matrix: a carry ``T_j`` entering the shard
       contributes ``C(d + q - j, q - j) * T_j`` to the order-``q`` value
-      at local lane depth ``d`` (:func:`repro.kernels.fused_weights`),
+      at local lane depth ``d`` (:func:`repro.kernels.fused_fold`),
       so the fold is ``q`` weighted rank-1 updates per row-aligned
       chunk, columns in the shard's lane permutation ``phase_perm(lo)``
       — exact mod ``2**w``, since the fused gate admits only integer
@@ -848,20 +819,7 @@ def _fold_shard(job: _ShardedJob, shard_index, carry, do_fold):
         if do_fold and local.any():
 
             def step(chunk, pos):
-                depth = (pos - lo) // s
-                m, r = divmod(chunk.size, s)
-                with np.errstate(over="ignore"):
-                    if m:
-                        blk = chunk[: m * s].reshape(m, s)
-                        W = kernels.fused_weights(m, q, dtype, d0=depth)
-                        for k in range(q):
-                            blk += W[:, k : k + 1] * local[q - 1 - k]
-                    if r:
-                        Wt = kernels.fused_weights(1, q, dtype, d0=depth + m)
-                        tail = chunk[m * s :]
-                        for k in range(q):
-                            tail += Wt[0, k] * local[q - 1 - k, :r]
-                return chunk
+                return kernels.fused_fold(chunk, local, d0=(pos - lo) // s)
     else:
         last_row = carry
         if do_fold:
@@ -1043,7 +1001,7 @@ def scan_file_sharded(
     # Single-pass fused order-q mode: integer ADD at order >= 2 with
     # s >= 2 shards in ONE pass of (q, s) matrix aggregates instead of
     # q ping-pong passes.  Delegated engines keep the classic layout
-    # (their inner sessions are order-1 continuations).
+    # (their shard kernels run order-1 continuations).
     fused = (
         engine is None
         and mode is None

@@ -1,11 +1,14 @@
 """BatchedLaneKernel: coalesced multi-stream dispatch, bit-exact.
 
-The batched kernel must be invisible: feeding B streams through one
-``stage_scan``/``feed_many`` dispatch has to leave every output, carry
-and position bit-identical to B independent ``LaneKernel.feed`` calls.
-These tests sweep op/dtype/tuple-size over ragged chunk mixes
-(including empty chunks and freshly-primed kernels) and pin down the
-eligibility rule and the occupancy counters.
+The batched kernel must be invisible: feeding B sessions through one
+:func:`repro.serve.feed_batch` dispatch (``stage_scan`` over the
+sessions' own ``LaneKernel`` state) has to leave every output, carry,
+live-lane mask and position bit-identical to B independent
+``ScanSession.feed`` calls.  These tests sweep op/dtype/tuple-size over
+ragged chunk mixes (mixed positions, chunks shorter than one stride so
+some lanes are still dead, empty chunks, fresh and restored sessions)
+and pin down the eligibility rule, the staging-buffer reuse and the
+occupancy counters.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import numpy as np
 import pytest
 
 from conftest import make_int_array
-from repro.kernels import BatchedLaneKernel, LaneKernel, batchable_op_dtype
+from repro.kernels import BatchedLaneKernel, batchable_op_dtype
 from repro.ops import get_op
+from repro.serve import feed_batch
+from repro.stream import ScanSession
 
 GRID = [
     ("add", np.int64, 1),
@@ -27,88 +32,92 @@ GRID = [
 ]
 
 
-def _sequential(op_name, dtype, s, streams):
-    op = get_op(op_name)
-    kernels = [LaneKernel(op, dtype, s) for _ in streams]
-    outs = []
-    for kernel, chunks in zip(kernels, streams):
-        # feed() scans integer chunks in place — copy so the shared
-        # stream arrays survive for the batched run.
-        outs.append([kernel.feed(c.copy()) for c in chunks])
-    return kernels, outs
+def _sessions(op_name, dtype, s, count):
+    # Alternate the flavours: the exclusive shift is a per-session
+    # epilogue, so inclusive and exclusive sessions share a batch.
+    return [
+        ScanSession(op=op_name, tuple_size=s, dtype=dtype, inclusive=i % 2 == 0)
+        for i in range(count)
+    ]
 
 
-def _batched(op_name, dtype, s, streams):
-    op = get_op(op_name)
-    kernels = [LaneKernel(op, dtype, s) for _ in streams]
-    batched = BatchedLaneKernel(op, dtype, s)
-    outs = [[] for _ in streams]
-    rounds = max(len(chunks) for chunks in streams)
-    for r in range(rounds):
-        live = [i for i, chunks in enumerate(streams) if r < len(chunks)]
-        produced = batched.feed_many(
-            [kernels[i] for i in live], [streams[i][r].copy() for i in live]
-        )
-        for i, out in zip(live, produced):
-            outs[i].append(out)
-    return kernels, outs, batched
+def _assert_same_state(a: ScanSession, b: ScanSession):
+    assert a.offset == b.offset
+    np.testing.assert_array_equal(a.kernel.carry, b.kernel.carry)
+    np.testing.assert_array_equal(a.kernel.active, b.kernel.active)
+    assert a.counters.chunks == b.counters.chunks
+    assert a.counters.elements == b.counters.elements
+
+
+def _assert_same_outputs(got, want):
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+        assert a.dtype == b.dtype
 
 
 @pytest.mark.parametrize("op_name,dtype,s", GRID)
 def test_feed_many_matches_sequential_feeds(rng, op_name, dtype, s):
     lo, hi = (0, 100) if np.dtype(dtype).kind == "u" else (-50, 50)
     streams = []
-    for i in range(5):
-        lengths = rng.integers(0, 30, size=4) * s
+    for _ in range(5):
+        # Lengths below one stride leave lanes dead for a round.
+        lengths = rng.integers(0, 8 * s, size=4)
         streams.append(
             [make_int_array(rng, n, dtype=dtype, lo=lo, hi=hi) for n in lengths]
         )
-    seq_kernels, seq_outs = _sequential(op_name, dtype, s, streams)
-    bat_kernels, bat_outs, _ = _batched(op_name, dtype, s, streams)
+    sequential = _sessions(op_name, dtype, s, len(streams))
+    seq_outs = [
+        [session.feed(c) for c in chunks]
+        for session, chunks in zip(sequential, streams)
+    ]
+    batched = _sessions(op_name, dtype, s, len(streams))
+    kernel = BatchedLaneKernel(get_op(op_name), dtype, s)
+    bat_outs = [[] for _ in streams]
+    for r in range(4):
+        live = [i for i in range(len(streams)) if (r + i) % 4]  # ragged rounds
+        for i in sorted(set(range(len(streams))) - set(live)):
+            bat_outs[i].append(batched[i].feed(streams[i][r]))
+        produced = feed_batch(
+            [batched[i] for i in live], [streams[i][r] for i in live], kernel
+        )
+        for i, out in zip(live, produced):
+            bat_outs[i].append(out)
     for i in range(len(streams)):
-        assert seq_kernels[i].pos == bat_kernels[i].pos
-        np.testing.assert_array_equal(seq_kernels[i].carry, bat_kernels[i].carry)
-        np.testing.assert_array_equal(seq_kernels[i].active, bat_kernels[i].active)
-        for a, b in zip(seq_outs[i], bat_outs[i]):
-            np.testing.assert_array_equal(a, b)
-            assert a.dtype == b.dtype
+        _assert_same_state(sequential[i], batched[i])
+        _assert_same_outputs(bat_outs[i], seq_outs[i])
 
 
 def test_ragged_batch_with_empty_and_fresh_streams(rng):
-    op = get_op("add")
-    dtype = np.dtype(np.int64)
-    kernels = [LaneKernel(op, dtype, 2) for _ in range(3)]
-    kernels[0].feed(make_int_array(rng, 10, dtype=np.int64))  # mid-stream
-    batched = BatchedLaneKernel(op, dtype, 2)
+    sessions = _sessions("add", np.int64, 2, 3)
+    sessions[0].feed(make_int_array(rng, 11, dtype=np.int64))  # mid-stream
     chunks = [
         make_int_array(rng, 8, dtype=np.int64),
         np.array([], dtype=np.int64),  # empty: no-op but valid
-        make_int_array(rng, 2, dtype=np.int64),  # fresh stream
+        make_int_array(rng, 1, dtype=np.int64),  # fresh, one lane stays dead
     ]
-    # sequential oracle sharing the same pre-state
-    oracle = [LaneKernel(op, dtype, 2) for _ in range(3)]
-    oracle[0].carry = kernels[0].carry.copy()
-    oracle[0].active = kernels[0].active.copy()
-    oracle[0].pos = kernels[0].pos
-    expected = [k.feed(c.copy()) for k, c in zip(oracle, chunks)]
+    # Sequential oracle sharing the same pre-state.
+    oracle = _sessions("add", np.int64, 2, 3)
+    oracle[0].load_state_dict(sessions[0].state_dict())
+    expected = [o.feed(c) for o, c in zip(oracle, chunks)]
 
-    produced = batched.feed_many(kernels, chunks)
-    for got, want, k, ok in zip(produced, expected, kernels, oracle):
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(k.carry, ok.carry)
-        assert k.pos == ok.pos
+    produced = feed_batch(sessions, chunks)
+    _assert_same_outputs(produced, expected)
+    for got, want in zip(sessions[1:], oracle[1:]):
+        _assert_same_state(got, want)
+    assert sessions[0].offset == oracle[0].offset == 19
+    np.testing.assert_array_equal(sessions[0].kernel.carry, oracle[0].kernel.carry)
+    assert not sessions[2].kernel.active[1]
 
 
 def test_occupancy_counters(rng):
-    op = get_op("add")
-    dtype = np.dtype(np.int64)
-    batched = BatchedLaneKernel(op, dtype, 1)
-    kernels = [LaneKernel(op, dtype, 1) for _ in range(4)]
-    batched.feed_many(kernels, [make_int_array(rng, 16, dtype=np.int64)] * 4)
-    batched.feed_many(kernels[:2], [make_int_array(rng, 16, dtype=np.int64)] * 2)
-    assert batched.dispatches == 2
-    assert batched.streams_fed == 6
-    assert batched.occupancy() == pytest.approx(3.0)
+    kernel = BatchedLaneKernel(get_op("add"), np.dtype(np.int64), 1)
+    sessions = _sessions("add", np.int64, 1, 4)
+    feed_batch(sessions, [make_int_array(rng, 16, dtype=np.int64)] * 4, kernel)
+    feed_batch(sessions[:2], [make_int_array(rng, 16, dtype=np.int64)] * 2, kernel)
+    assert kernel.dispatches == 2
+    assert kernel.streams_fed == 6
+    assert kernel.occupancy() == pytest.approx(3.0)
+    assert [s.counters.batched_feeds for s in sessions] == [2, 2, 1, 1]
 
 
 def test_batchable_op_dtype_gates():
@@ -118,29 +127,30 @@ def test_batchable_op_dtype_gates():
 
 
 def test_feed_many_rejects_mismatched_kernels(rng):
-    op = get_op("add")
-    dtype = np.dtype(np.int64)
-    batched = BatchedLaneKernel(op, dtype, 2)
-    wrong_s = LaneKernel(op, dtype, 3)
-    with pytest.raises(ValueError):
-        batched.feed_many([wrong_s], [make_int_array(rng, 3, dtype=np.int64)])
-    wrong_dtype = LaneKernel(op, np.dtype(np.int32), 2)
-    with pytest.raises(ValueError):
-        batched.feed_many([wrong_dtype], [make_int_array(rng, 2, dtype=np.int32)])
+    sessions = _sessions("add", np.int64, 2, 1)
+    chunk = [make_int_array(rng, 4, dtype=np.int64)]
+    wrong_s = BatchedLaneKernel(get_op("add"), np.dtype(np.int64), 3)
+    with pytest.raises(ValueError, match="batch key"):
+        feed_batch(sessions, chunk, wrong_s)
+    wrong_dtype = BatchedLaneKernel(get_op("add"), np.dtype(np.int32), 2)
+    with pytest.raises(ValueError, match="batch key"):
+        feed_batch(sessions, chunk, wrong_dtype)
+    wrong_op = BatchedLaneKernel(get_op("max"), np.dtype(np.int64), 2)
+    with pytest.raises(ValueError, match="batch key"):
+        feed_batch(sessions, chunk, wrong_op)
+    assert sessions[0].offset == 0  # nothing was fed
 
 
 def test_staging_buffer_reuse_does_not_leak_state(rng):
     """A large batch followed by a small one reuses the staging slab;
     stale identity-padding or carries must not bleed through."""
-    op = get_op("add")
-    dtype = np.dtype(np.int64)
-    batched = BatchedLaneKernel(op, dtype, 1)
-    big = [LaneKernel(op, dtype, 1) for _ in range(6)]
-    batched.feed_many(big, [make_int_array(rng, 64, dtype=np.int64) for _ in big])
-    small = [LaneKernel(op, dtype, 1) for _ in range(2)]
+    kernel = BatchedLaneKernel(get_op("add"), np.dtype(np.int64), 1)
+    big = _sessions("add", np.int64, 1, 6)
+    feed_batch(big, [make_int_array(rng, 64, dtype=np.int64) for _ in big], kernel)
+    small = _sessions("add", np.int64, 1, 2)
     chunks = [make_int_array(rng, 5, dtype=np.int64) for _ in small]
-    oracle = [LaneKernel(op, dtype, 1) for _ in small]
-    expected = [k.feed(c.copy()) for k, c in zip(oracle, chunks)]
-    produced = batched.feed_many(small, chunks)
-    for got, want in zip(produced, expected):
-        np.testing.assert_array_equal(got, want)
+    oracle = _sessions("add", np.int64, 1, 2)
+    expected = [o.feed(c) for o, c in zip(oracle, chunks)]
+    _assert_same_outputs(feed_batch(small, chunks, kernel), expected)
+    for got, want in zip(small, oracle):
+        _assert_same_state(got, want)

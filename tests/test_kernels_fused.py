@@ -24,6 +24,7 @@ from repro.kernels import (
     fused_weights,
     lane_scan,
     scan_into,
+    threaded_fused_lane_scan,
 )
 from repro.ops import get_op
 from repro.plan import Workload, plan_scan
@@ -167,13 +168,23 @@ class TestFusedLaneScan:
             assert np.array_equal(carry[j], out[-s:])
             current = out
 
-    def test_env_pinned_tile_bytes(self, rng, monkeypatch):
+    def test_pinned_tile_bytes(self, rng, monkeypatch):
+        # Tiny tiles: every tile of the serial scan and every slab fold
+        # of the threaded one crosses many tile boundaries.
+        import repro.kernels.lane as lane
+
         order, s = 3, 4
-        monkeypatch.setenv("REPRO_FUSED_BLOCK_BYTES", "64")  # tiny tiles
+        monkeypatch.setattr(lane, "FUSED_BLOCK_BYTES", 64)
         values = full_range(rng, np.int64, 457)
+        expected = pass_per_order(values, order, s)
         out = scan_into(values, np.empty_like(values), "add",
                         order=order, tuple_size=s)
-        assert np.array_equal(out, pass_per_order(values, order, s))
+        assert np.array_equal(out, expected)
+        buf = values.copy()
+        carry = np.zeros((order, s), dtype=buf.dtype)
+        threaded_fused_lane_scan(buf, "add", s, order, carry, threads=3,
+                                 cutover_bytes=0)
+        assert np.array_equal(buf, expected)
 
 
 class TestScanInto:
@@ -370,7 +381,7 @@ class TestFusedAcrossStack:
             got = feed_batch(batched, [c.copy() for c in chunks], kernel)
             for i in range(B):
                 assert np.array_equal(got[i], want[i])
-                assert np.array_equal(batched[i]._carry, reference[i]._carry)
+                assert np.array_equal(batched[i].kernel.carry, reference[i].kernel.carry)
         # The two long rounds were fused; the short rounds fell back.
         assert all(b.counters.fused_order_scans == 2 for b in batched)
 

@@ -61,7 +61,7 @@ def test_identical_config_sessions_do_not_share_carry(rng):
     out_a = a.feed(chunk.copy())
     assert b.offset == 0
     np.testing.assert_array_equal(
-        b._carry, np.zeros_like(b._carry)
+        b.kernel.carry, np.zeros_like(b.kernel.carry)
     )  # add identity
     # b's first feed must equal a fresh session's first feed, not a
     # continuation of a's stream.
