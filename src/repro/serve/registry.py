@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 from repro.serve.errors import SessionExistsError, UnknownSessionError
 from repro.stream.checkpoint import write_checkpoint
 from repro.stream.counters import StreamCounters
-from repro.stream.errors import CheckpointError
+from repro.stream.errors import CheckpointError, CheckpointMismatchError
 from repro.stream.session import ScanSession
 
 REGISTRY_KIND = "repro-serve-registry"
@@ -132,15 +132,20 @@ class SessionRegistry:
         config = state.get("config")
         if not isinstance(config, dict):
             raise CheckpointError("session state lacks its config record")
-        session = ScanSession(
-            op=config.get("op", "add"),
-            order=config.get("order", 1),
-            tuple_size=config.get("tuple_size", 1),
-            inclusive=config.get("inclusive", True),
-            dtype=config.get("dtype"),
-            threads=threads,
-            float_mode=config.get("float_mode"),
-        )
+        try:
+            session = ScanSession(
+                op=config.get("op", "add"),
+                order=config.get("order", 1),
+                tuple_size=config.get("tuple_size", 1),
+                inclusive=config.get("inclusive", True),
+                dtype=config.get("dtype"),
+                threads=threads,
+                float_mode=config.get("float_mode"),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointMismatchError(
+                f"session state records an unusable config {config!r}: {exc}"
+            ) from exc
         session.load_state_dict(state)
         if counters:
             session.counters = StreamCounters.from_dict(counters)
