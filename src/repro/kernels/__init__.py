@@ -18,8 +18,6 @@ from repro.kernels.compensated import (
     SEGMENT_ROWS,
     BatchedCompensatedKernel,
     CompensatedCollectKernel,
-    CompensatedFoldKernel,
-    chain_segments,
     compensated_scan_into,
     compensated_supported,
     fresh_state,
@@ -55,7 +53,6 @@ from repro.kernels.threaded import (
     ThreadedScan,
     get_pool,
     resolve_threads,
-    threaded_fold_lanes,
     threaded_fused_lane_scan,
     threaded_lane_scan,
     threaded_scan_into,
@@ -73,12 +70,10 @@ __all__ = [
     "BatchedCompensatedKernel",
     "BatchedLaneKernel",
     "CompensatedCollectKernel",
-    "CompensatedFoldKernel",
     "LaneKernel",
     "ThreadedLaneKernel",
     "ThreadedScan",
     "batchable_op_dtype",
-    "chain_segments",
     "compensated_scan_into",
     "compensated_supported",
     "exclusive_shift",
@@ -100,7 +95,6 @@ __all__ = [
     "resolve_float_mode",
     "resolve_threads",
     "scan_into",
-    "threaded_fold_lanes",
     "threaded_fused_lane_scan",
     "threaded_lane_scan",
     "threaded_scan_into",

@@ -261,98 +261,6 @@ def _scan_serial(chunk, s, state, pos, out):
     return out
 
 
-# -- whole aligned segments, slab-parallel ---------------------------------
-
-
-def _segment_pass1(src, out, err, s, k0, k1, tv, te):
-    """Per-segment local work (thread-safe: segments are disjoint):
-    naive scan into ``out``, exact error recovery + local compensation
-    into ``err``, totals into ``tv``/``te``."""
-    span = SEGMENT_ROWS * s
-    for k in range(k0, k1):
-        sl = slice(k * span, (k + 1) * span)
-        x = src[sl].reshape(SEGMENT_ROWS, s)
-        L = out[sl].reshape(SEGMENT_ROWS, s)
-        # Copy-then-in-place accumulate (numpy's out-of-place axis-0
-        # accumulate takes the slower buffered loop).
-        L[...] = x
-        np.add.accumulate(L, axis=0, out=L)
-        e = err[sl].reshape(SEGMENT_ROWS, s)
-        e[0] = NEG_ZERO  # first add of a fresh segment is exact
-        e[1:] = two_sum_err(L[:-1], x[1:], L[1:])
-        canonicalize_errors(e[1:])
-        np.add.accumulate(e, axis=0, out=e)
-        tv[k] = L[-1]
-        te[k] = e[-1]
-
-
-def _segment_render(out, err, s, k0, k1, chain_hi, chain_lo):
-    """Per-segment render with the spliced chain (in place over
-    ``out``, consuming ``err``)."""
-    span = SEGMENT_ROWS * s
-    for k in range(k0, k1):
-        sl = slice(k * span, (k + 1) * span)
-        L = out[sl].reshape(SEGMENT_ROWS, s)
-        e = err[sl].reshape(SEGMENT_ROWS, s)
-        _dd_render(L, e, chain_hi[k], chain_lo[k], L)
-
-
-def chain_segments(state_hi, state_lo, tv, te):
-    """Replay the double-double chain over ``K`` segment totals.
-
-    Returns ``(chain_hi, chain_lo, hi, lo)``: the per-segment chain
-    state *at each segment's start* plus the final state.  This is the
-    compensated splice — sequential by definition (``dd_add`` is not
-    associative), but only one step per segment.
-    """
-    K = len(tv)
-    s = state_hi.shape[-1]
-    chain_hi = np.empty((K, s), dtype=state_hi.dtype)
-    chain_lo = np.empty((K, s), dtype=state_hi.dtype)
-    hi = state_hi.copy()
-    lo = state_lo.copy()
-    for k in range(K):
-        chain_hi[k] = hi
-        chain_lo[k] = lo
-        hi, lo = dd_add(hi, lo, tv[k], te[k])
-    return chain_hi, chain_lo, hi, lo
-
-
-def _scan_segments_parallel(src, out, s, state, threads):
-    """Scan ``K`` whole aligned segments slab-parallel.
-
-    Precondition: ``src.size`` is a multiple of the segment span and
-    ``state``'s partial rows are canonical zero (the caller is at a
-    segment boundary).  Segments are self-contained, so only the tiny
-    per-segment chain is sequential; results are bit-identical to the
-    serial path for any ``threads``.
-    """
-    from repro.kernels.threaded import _slab_bounds, get_pool
-
-    span = SEGMENT_ROWS * s
-    K = src.size // span
-    dtype = src.dtype
-    err = np.empty(src.size, dtype)
-    tv = np.empty((K, s), dtype)
-    te = np.empty((K, s), dtype)
-    pool = get_pool(threads)
-    bounds = _slab_bounds(K, threads)
-    for f in [
-        pool.submit(_segment_pass1, src, out, err, s, k0, k1, tv, te)
-        for k0, k1 in bounds
-    ]:
-        f.result()
-    chain_hi, chain_lo, hi, lo = chain_segments(state[HI], state[LO], tv, te)
-    state[HI] = hi
-    state[LO] = lo
-    for f in [
-        pool.submit(_segment_render, out, err, s, k0, k1, chain_hi, chain_lo)
-        for k0, k1 in bounds
-    ]:
-        f.result()
-    return out
-
-
 # -- public kernel entry points --------------------------------------------
 
 
@@ -373,9 +281,10 @@ def lane_scan_compensated(
 
     ``pos`` is the global index of ``chunk[0]``; outputs are
     bit-identical to the one-shot compensated scan for *any* chunk
-    split.  ``threads`` routes whole aligned segments through the
-    shared slab pool (:mod:`repro.kernels.threaded`) — bit-identical
-    for any thread count, because the segment grid is fixed.
+    split.  ``threads`` routes whole aligned segments through the slab
+    driver (:func:`repro.kernels.threaded.slab_scan`) with the
+    compensated carry kind — bit-identical for any thread count,
+    because the segment grid is fixed.
     """
     op, _ = check_compensated(op, np.asarray(chunk).dtype)
     chunk = np.asarray(chunk)
@@ -389,27 +298,29 @@ def lane_scan_compensated(
     if threads in (None, 1):
         return _scan_serial(chunk, s, state, pos, out)
 
-    from repro.kernels.threaded import _tuned_cutover, resolve_threads
+    from repro.kernels.splice import CompensatedCarry
+    from repro.kernels.threaded import slab_scan
 
-    n_bytes = n * chunk.dtype.itemsize
-    resolved = resolve_threads(threads, n_bytes)
-    if cutover_bytes is None:
-        cutover_bytes = _tuned_cutover(chunk.dtype)
+    # Whole segments between the partial head and tail go through the
+    # slab driver; the chain state rides its carry.
     span = segment_span(s)
     head = min((span - pos % span) % span, n)
-    K = (n - head) // span
-    if resolved <= 1 or K < 2 or n_bytes < cutover_bytes:
-        return _scan_serial(chunk, s, state, pos, out)
-    if out is chunk:
-        chunk = chunk.copy()  # the parallel path reads src after writing out
+    mid = head + (n - head) // span * span
     if head:
         _scan_serial(chunk[:head], s, state, pos, out[:head])
-        pos += head
-    mid = head + K * span
-    _scan_segments_parallel(chunk[head:mid], out[head:mid], s, state, resolved)
-    pos += K * span
+    kind = CompensatedCarry(chunk.dtype, s)
+    carry = kind.identity()
+    carry[:2] = state[[HI, LO]]
+    buf = (chunk[head:mid], out[head:mid], np.empty(mid - head, chunk.dtype))
+    carry = slab_scan(
+        kind, buf, mid - head, carry, threads=threads, cutover_bytes=cutover_bytes
+    )
+    if carry is None:
+        mid = head  # the gate declined: the rest is scanned serially
+    else:
+        state[[HI, LO]] = carry[:2]
     if mid < n:
-        _scan_serial(chunk[mid:], s, state, pos, out[mid:])
+        _scan_serial(chunk[mid:], s, state, pos + mid, out[mid:])
     return out
 
 
@@ -476,10 +387,6 @@ class CompensatedCollectKernel:
         self.state = fresh_state(self.dtype, self.s)
         self._totals: List[np.ndarray] = []
 
-    @property
-    def delegated_stage_scans(self) -> int:
-        return 0
-
     def feed(self, chunk: np.ndarray) -> np.ndarray:
         chunk = np.asarray(chunk)
         n = chunk.size
@@ -518,108 +425,6 @@ class CompensatedCollectKernel:
         if not totals:
             return np.empty((0, 2, self.s), dtype=self.dtype)
         return np.stack(totals)
-
-
-class CompensatedFoldKernel:
-    """Shard fold-pass kernel: recompute the error chain, render.
-
-    Walks the shard sequentially with the spliced per-segment chain
-    (``chain``: a ``(K, 2, s)`` array of ``(H, G)`` at each of the
-    shard's segment starts).  ``fold(L_chunk, x_chunk)`` re-derives the
-    per-element errors from the naive scan and the raw values (no
-    re-accumulation of ``L`` needed — it is read back from the scan
-    pass's output), rebuilds the local compensation, and renders in
-    place into ``L_chunk``.
-    """
-
-    def __init__(self, dtype, tuple_size: int, start: int, chain: np.ndarray):
-        self.dtype = np.dtype(dtype)
-        self.s = int(tuple_size)
-        self.pos = int(start)
-        if self.pos % segment_span(self.s):
-            raise ValueError(
-                f"compensated shards must start on a segment boundary "
-                f"(multiples of {segment_span(self.s)}), got start={start}"
-            )
-        self.chain = chain
-        self.seg = 0
-        self.state = fresh_state(self.dtype, self.s)
-        if len(chain):
-            self.state[HI] = chain[0, 0]
-            self.state[LO] = chain[0, 1]
-
-    def fold(self, L_chunk: np.ndarray, x_chunk: np.ndarray) -> np.ndarray:
-        """Render ``L_chunk`` in place (returns it)."""
-        n = L_chunk.size
-        if n == 0:
-            return L_chunk
-        s = self.s
-        span = segment_span(s)
-        pos = self.pos
-        state = self.state
-        i = 0
-        while i < n:
-            seg_end = (pos // span + 1) * span
-            take = min(n - i, seg_end - pos)
-            L = L_chunk[i : i + take]
-            x = x_chunk[i : i + take]
-            self._fold_piece(L, x, pos)
-            pos += take
-            i += take
-            if pos == seg_end:
-                self.seg += 1
-                if self.seg < len(self.chain):
-                    state[HI] = self.chain[self.seg, 0]
-                    state[LO] = self.chain[self.seg, 1]
-                state[VPART] = NEG_ZERO
-                state[EPART] = NEG_ZERO
-        self.pos = pos
-        return L_chunk
-
-    def _fold_piece(self, L, x, pos):
-        """One piece: previous-L row from the carried partial, exact
-        error recovery, local compensation continuation, render."""
-        k = L.size
-        s = self.s
-        state = self.state
-        dtype = self.dtype
-        if s == 1:
-            prev = np.empty(k, dtype)
-            prev[0] = state[VPART, 0]
-            prev[1:] = L[:-1]
-            state[VPART, 0] = L[-1]
-            e = two_sum_err(prev, x, L)
-            canonicalize_errors(e)
-            ebuf = np.empty(k + 1, dtype)
-            ebuf[0] = state[EPART, 0]
-            ebuf[1:] = e
-            np.add.accumulate(ebuf, out=ebuf)
-            E = ebuf[1:]
-            state[EPART, 0] = E[-1]
-            _render_piece(L, E, state, pos, 1, L)
-            return
-        perm = phase_perm(pos, s)
-        prev = np.empty(k + s, dtype)
-        prev[:s] = state[VPART][perm]
-        prev[s:] = L
-        tL = phase_totals(L, s)
-        lanes = (pos + np.arange(tL.size)) % s
-        state[VPART][lanes] = tL
-        e = two_sum_err(prev[:k], x, L)
-        canonicalize_errors(e)
-        ebuf = np.empty(k + s, dtype)
-        ebuf[:s] = state[EPART][perm]
-        ebuf[s:] = e
-        m, r = divmod(k, s)
-        body = (m + 1) * s
-        eb2 = ebuf[:body].reshape(m + 1, s)
-        np.add.accumulate(eb2, axis=0, out=eb2)
-        if r:
-            np.add(ebuf[body - s : body - s + r], e[m * s :], out=ebuf[body:])
-        E = ebuf[s:]
-        tE = phase_totals(E, s)
-        state[EPART][lanes] = tE
-        _render_piece(L, E, state, pos, s, L)
 
 
 # -- batched multi-stream compensated dispatch ------------------------------

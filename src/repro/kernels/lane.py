@@ -897,11 +897,6 @@ class LaneKernel:
         if prime is not None:
             self.load_state(self.pos, prime)
 
-    @property
-    def delegated_stage_scans(self) -> int:
-        """Passes scanned by the delegated engine so far."""
-        return self.counters.delegated_stage_scans
-
     def load_state(self, pos: int, carry, comp=None) -> None:
         """Continue at global index ``pos`` from an absolute ``carry``
         (and, in compensated mode, its ``(q, 4, s)`` error state): the

@@ -1,0 +1,284 @@
+"""Carry kinds and the one splice: scan → splice → fold, written once.
+
+A parallel scan cuts its input into regions — slabs of one in-memory
+chunk (:func:`repro.kernels.threaded.slab_scan`) or shards of one file
+(:mod:`repro.stream.sharded`) — scans each region locally from a zero
+carry, splices the region aggregates with a short exclusive scan on the
+host, and folds each region's incoming carry into it: the paper's
+two-level carry propagation (§2.2), as in LightScan and the CPU SIMD
+partition scans.  Only the *carry kind* differs:
+
+* :class:`RowCarry` — one order's ``(s,)`` row of lane totals (any op);
+* :class:`FusedCarry` — the fused ``(q, s)`` order-total matrix
+  (integer ``add``), spliced by the binomial identity;
+* :class:`CompensatedCarry` — the compensated double-double chain
+  (float ``add``).
+
+Each kind supplies the identity, the local step of a region, ``combine``,
+the fold of an incoming carry, and encode/decode of its aggregate;
+:func:`splice` is the one exclusive scan over aggregates.  Carries are
+in the lane order of the frame the regions are cut from: global lanes
+for shards, chunk phases for slabs (slabs start on whole rows).
+In-memory slabs hand a kind its buffers as one tuple ``(src, out)``
+(``(src, out, err)`` for the compensated kind); ``out`` may alias
+``src``.
+"""
+
+from __future__ import annotations
+
+import base64
+
+import numpy as np
+
+from repro.kernels.compensated import (
+    HI,
+    LO,
+    SEGMENT_ROWS,
+    _dd_render,
+    _scan_serial,
+    fresh_state,
+    segment_span,
+)
+from repro.kernels.lane import (
+    _fused_tail,
+    fold_lanes,
+    fused_combine,
+    fused_fold,
+    fused_lane_scan,
+    lane_scan,
+    phase_perm,
+)
+from repro.ops import ADD, get_op
+from repro.ops.eft import NEG_ZERO, canonicalize_errors, dd_add, two_sum_err
+
+
+class RowCarry:
+    """The plain ``(s,)`` carry row of one order's pass (any operator)."""
+
+    def __init__(self, op, dtype, tuple_size: int):
+        self.op = get_op(op)
+        self.dtype = np.dtype(dtype)
+        self.s = int(tuple_size)
+        #: Elements per slab unit: slabs are whole lane rows.
+        self.unit = self.s
+
+    def shape(self, elements: int = 0) -> tuple:
+        """Shape of a region's aggregate (and of the carry)."""
+        return (self.s,)
+
+    def identity(self) -> np.ndarray:
+        """The carry before any region."""
+        return np.full(self.shape(), self.op.identity(self.dtype), dtype=self.dtype)
+
+    def combine(self, running, agg, counts, seen):
+        """The carry after a region with aggregate ``agg``, per-lane
+        element ``counts`` and ``seen`` lanes (an element before it):
+        seen lanes combine, lanes first met take ``agg``, untouched
+        lanes keep ``running``."""
+        combined = np.where(seen, self.op.apply(running, agg), agg)
+        return np.where(counts > 0, combined, running)
+
+    def heads(self, carry) -> np.ndarray:
+        """Each lane's running total under ``carry``: the exclusive-scan
+        heads of the region it enters."""
+        return carry
+
+    def aggregate(self, kernel) -> np.ndarray:
+        """A shard's aggregate, read off the kernel that scanned it."""
+        return kernel.carry[0].copy()
+
+    def local(self, buf, lo, hi):
+        """Scan slab ``[lo, hi)`` from a zero carry; returns its aggregate."""
+        src, out = buf[:2]
+        lane_scan(src[lo:hi], self.op, self.s, out=out[lo:hi])
+        return out[hi - self.s : hi]
+
+    def fold(self, carry, start, seen, raw=None):
+        """Fold ``carry`` into the region starting at ``start``: a
+        ``step(chunk, pos)`` applied in place to each piece of the
+        region's local scan at global index ``pos``, or ``None`` when
+        it would change nothing.  ``raw(lo, hi)`` reads input values."""
+        if not seen.any():
+            return None
+        return lambda chunk, pos: fold_lanes(
+            chunk, self.op, carry, pos, self.s, seen=seen
+        )
+
+    def fold_slab(self, buf, lo, hi, carry, agg, seen) -> None:
+        """Fold ``carry`` into slab ``[lo, hi)`` of ``out`` in place."""
+        step = self.fold(carry, lo, seen)
+        if step is not None:
+            step(buf[1][lo:hi], lo)
+
+    def tail(self, buf, body, carry) -> None:
+        """Continue over the partial row past the last slab."""
+        src, out = buf[:2]
+        last = out[body - self.s : out.size - self.s]
+        self.op.apply_into(last, src[body:], out=out[body:])
+
+    def encode(self, agg) -> str:
+        """An aggregate as manifest text."""
+        return base64.b64encode(np.ascontiguousarray(agg).tobytes()).decode("ascii")
+
+    def decode(self, blob, elements: int) -> np.ndarray:
+        """A region of ``elements``'s aggregate from :meth:`encode` text;
+        ``ValueError`` unless the text is base64 of exactly the kind's
+        shape."""
+        shape = self.shape(elements)
+        raw = base64.b64decode(blob, validate=True)
+        expected = int(np.prod(shape)) * self.dtype.itemsize
+        if len(raw) != expected:
+            raise ValueError(f"{len(raw)} bytes, expected {expected} (shape {shape})")
+        return np.frombuffer(raw, dtype=self.dtype).reshape(shape).copy()
+
+
+class FusedCarry(RowCarry):
+    """The fused ``(q, s)`` order-total matrix (integer ``add``; row
+    ``j - 1`` holds the order-``j`` totals).  It splices by the binomial
+    identity (:func:`repro.kernels.fused_combine`) and folds through
+    binomial weight columns (:func:`repro.kernels.fused_fold`), both
+    exact mod ``2**w``."""
+
+    def __init__(self, op, dtype, tuple_size: int, order: int):
+        super().__init__(op, dtype, tuple_size)
+        self.q = int(order)
+
+    def shape(self, elements: int = 0) -> tuple:
+        return (self.q, self.s)
+
+    def combine(self, running, agg, counts, seen):
+        return fused_combine(running, agg, counts)
+
+    def heads(self, carry) -> np.ndarray:
+        return carry[-1]
+
+    def aggregate(self, kernel) -> np.ndarray:
+        return kernel.carry.copy()
+
+    def local(self, buf, lo, hi):
+        carry = self.identity()
+        fused_lane_scan(buf[1][lo:hi], self.op, self.s, self.q, carry)
+        return carry
+
+    def fold(self, carry, start, seen, raw=None):
+        local = np.ascontiguousarray(carry[:, phase_perm(start, self.s)])
+        if not local.any():
+            return None
+        return lambda chunk, pos: fused_fold(chunk, local, d0=(pos - start) // self.s)
+
+    def tail(self, buf, body, carry) -> None:
+        _fused_tail(buf[1][body:], carry)
+
+
+class CompensatedCarry(RowCarry):
+    """The compensated double-double chain (float ``add`` only).
+
+    Regions are whole segments of the fixed segment grid of
+    :mod:`repro.kernels.compensated`.  A region's aggregate is its
+    ``(K, 2, s)`` per-segment ``(T, F)`` totals; the carry is ``(3, s)``:
+    the chain state ``(H, G)`` and the last row rendered so far.
+    Combine replays the sequential ``dd_add`` chain over the region's
+    segments — the same steps in the same order for any cut into
+    regions, so every layout gives the same bits.  A slab's aggregate
+    has two more rows, which combine fills with the chain state at each
+    segment start, so the slab's render does not replay the chain.
+    """
+
+    def __init__(self, dtype, tuple_size: int):
+        super().__init__(ADD, dtype, tuple_size)
+        self.unit = segment_span(self.s)
+
+    def shape(self, elements: int = 0) -> tuple:
+        return (-(-int(elements) // self.unit), 2, self.s)
+
+    def identity(self) -> np.ndarray:
+        return np.full((3, self.s), NEG_ZERO, dtype=self.dtype)
+
+    def combine(self, running, agg, counts, seen):
+        """Replay ``dd_add`` over the region's segments — sequential by
+        definition (``dd_add`` is not associative), one step each."""
+        if not len(agg):
+            return running
+        hi, lo = running[0], running[1]
+        for k in range(len(agg)):
+            if agg.shape[1] == 4:
+                agg[k, 2], agg[k, 3] = hi, lo
+            before = hi, lo
+            hi, lo = dd_add(hi, lo, agg[k, 0], agg[k, 1])
+        last = np.empty(self.s, dtype=self.dtype)
+        _dd_render(agg[-1, 0], agg[-1, 1], *before, last)
+        return np.stack([hi, lo, last])
+
+    def heads(self, carry) -> np.ndarray:
+        return carry[2]
+
+    def aggregate(self, kernel) -> np.ndarray:
+        return kernel.segment_totals()
+
+    def local(self, buf, lo, hi):
+        """Per segment: the naive scan into ``out``, the running sum of
+        its exact rounding errors into ``err``, and its totals (with
+        room for its chain state)."""
+        src, out, err = buf
+        totals = np.empty(((hi - lo) // self.unit, 4, self.s), dtype=self.dtype)
+        for k, a in enumerate(range(lo, hi, self.unit)):
+            x = src[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
+            L = out[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
+            if np.may_share_memory(x, L):
+                x = x.copy()  # the errors read the values L overwrites
+            # Copy-then-in-place accumulate (numpy's out-of-place axis-0
+            # accumulate takes the slower buffered loop).
+            L[...] = x
+            np.add.accumulate(L, axis=0, out=L)
+            e = err[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
+            e[0] = NEG_ZERO  # first add of a fresh segment is exact
+            e[1:] = two_sum_err(L[:-1], x[1:], L[1:])
+            canonicalize_errors(e[1:])
+            np.add.accumulate(e, axis=0, out=e)
+            totals[k, :2] = L[-1], e[-1]
+        return totals
+
+    def fold(self, carry, start, seen, raw=None):
+        """The render, as the serial compensated scan of the region's
+        raw values from the chain state entering it: at each segment end
+        it crosses into the chain with the same ``dd_add`` on the same
+        totals the splice made, so it renders the same bits."""
+        state = fresh_state(self.dtype, self.s)
+        state[[HI, LO]] = carry[:2]
+        return lambda chunk, pos: _scan_serial(
+            raw(pos, pos + len(chunk)), self.s, state, pos, chunk
+        )
+
+    def fold_slab(self, buf, lo, hi, carry, agg, seen) -> None:
+        """Render the slab's segments: errors from ``err``, chain states
+        from the rows combine filled."""
+        _, out, err = buf
+        for k, a in enumerate(range(lo, hi, self.unit)):
+            L = out[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
+            e = err[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
+            _dd_render(L, e, agg[k, 2], agg[k, 3], L)
+
+
+def splice(kind, running, aggregates, counts, seen, baked=None):
+    """Exclusive scan of region aggregates: the carry entering each region.
+
+    ``running`` enters the first region; ``counts[i]`` and ``seen[i]``
+    are region ``i``'s per-lane element counts and the lanes with an
+    element before it.  Returns ``(incoming, running)``: the carry
+    entering each region and the carry after the last.  A ``None``
+    aggregate (a region not scanned yet) changes nothing.  A region
+    flagged in ``baked`` scanned with its absolute carry already inside
+    (a primed shard), so its aggregate *replaces* the running carry in
+    the lanes it touches.
+    """
+    incoming = []
+    for i, agg in enumerate(aggregates):
+        incoming.append(running)
+        present = counts[i] > 0
+        if agg is None or not present.any():
+            continue
+        if baked is not None and baked[i]:
+            running = np.where(present, agg, running)
+        else:
+            running = kind.combine(running, agg, counts[i], seen[i])
+    return incoming, running

@@ -1,50 +1,37 @@
-"""Threaded in-memory lane kernel: multicore intra-chunk scans.
+"""Threaded in-memory lane kernels: multicore intra-chunk scans.
 
-PR 5 left every engine scanning each chunk on one core.  This module
-applies the sharded driver's phase structure *in memory*: the
-``(m, s)`` lane-block matrix is split into ``P`` contiguous row-slabs,
-each slab is scanned locally by :func:`repro.kernels.lane_scan` on a
-persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker, the
-tiny ``P × s`` matrix of slab totals is exclusive-scanned on the host
-(the carry splice), and the resulting carries are folded into the
-slabs in parallel.  This is the scan→splice→fold decomposition of
-LightScan (Liu & Aluru) and of Zhang, Wang & Ross's SIMD prefix sums:
-once the inner loop is a vectorized accumulate, multicore throughput
-comes from slab-parallelism plus a single splice.
+One slab driver, :func:`slab_scan`, runs every parallel in-memory scan.
+It cuts a chunk into ``P`` contiguous slabs of whole units (lane rows;
+segments for the compensated kind), scans every slab locally on a
+persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker,
+splices the ``P`` slab aggregates on the calling thread
+(:func:`repro.kernels.splice`), and folds each slab's incoming carry in
+parallel — the scan→splice→fold decomposition of LightScan and of
+Zhang, Wang & Ross's SIMD prefix sums.  What differs between the plain
+row, the fused ``(q, s)`` matrix and the compensated chain is the carry
+kind (:mod:`repro.kernels.splice`): :func:`threaded_lane_scan`,
+:func:`threaded_fused_lane_scan` and the compensated kernel's whole
+segments are each one kind plus one driver call.
 
 Threads — not processes — give real parallelism here because numpy's
-ufunc inner loops release the GIL: slab scans and carry folds run
-concurrently over the caller's buffers with zero serialization, IPC
-or copy cost.  Looped (non-ufunc) operators hold the GIL, so they
-always take the serial kernel.
+ufunc inner loops release the GIL.  Looped (non-ufunc) operators hold
+it, so they always take the serial kernel.
 
-Determinism and exactness
--------------------------
+**Determinism and exactness.**  The slab partition is a pure function
+of ``(n, unit, threads)`` — never of pool scheduling — so results are
+identical under oversubscription.  Integer regrouping is exact, so
+integer results are **bit-identical** to the serial kernel.  Floats
+keep bit-exactness by default: :class:`ThreadedLaneKernel` with
+``float_mode="exact"`` scans through the serial prepend-carry kernel (a
+slab chain would be sequential in the carry).  ``"compensated"`` runs
+the error-free-carry segments of :mod:`repro.kernels.compensated`,
+bit-identical for *any* thread count; ``"regrouped"`` opts into the
+regrouped fold (deterministic for a fixed thread count only).
 
-The slab partition is a pure function of ``(n, s, threads)`` — never of
-pool scheduling — so results are identical under oversubscription (more
-slabs than cores, or a smaller pool than requested).  For fixed-width
-integers the splice regroups a truly associative reduction and the
-result is **bit-identical** to the serial kernel.  For floats,
-regrouping changes rounding, so float inputs keep bit-exactness by
-default: :class:`ThreadedLaneKernel` with ``float_mode="exact"`` (the
-float default) scans through the serial prepend-carry kernel — a slab
-chain would be sequential in the carry anyway, so there is nothing to
-overlap.  ``float_mode="compensated"`` runs the error-free-carry
-segment decomposition of :mod:`repro.kernels.compensated` — fully
-parallel, bit-identical for *any* thread count, and more accurate than
-the naive fold.  ``float_mode="regrouped"`` opts into the fast
-regrouped fold (deterministic for a fixed thread count, but not
-bit-identical to serial).
-
-Cutover
--------
-
-Thread dispatch costs microseconds; accumulating a small chunk costs
-less.  Chunks below the tuned per-dtype parallel cutover
+**Cutover.**  Chunks below the tuned per-dtype parallel cutover
 (:func:`repro.core.tuning.kernel_tuning`, override with
-``REPRO_PARALLEL_CUTOVER_BYTES``) run on the serial kernel.  Callers
-that must force threading (tests, the fuzzer) pass ``cutover_bytes=0``.
+``REPRO_PARALLEL_CUTOVER_BYTES``) run on the serial kernel; tests and
+the fuzzer force threading with ``cutover_bytes=0``.
 """
 
 from __future__ import annotations
@@ -59,16 +46,12 @@ import numpy as np
 from repro.kernels.compensated import resolve_float_mode
 from repro.kernels.lane import (
     LaneKernel,
-    _fused_tail,
     exclusive_shift,
-    fold_lanes,
-    fused_combine,
-    fused_fold,
     fused_lane_scan,
     fused_supported,
     lane_scan,
-    phase_perm,
 )
+from repro.kernels.splice import FusedCarry, RowCarry, splice
 from repro.ops import ADD, AssociativeOp, get_op
 
 #: Fallback parallel cutover (bytes) when the tuner is unavailable:
@@ -152,6 +135,54 @@ def _slab_bounds(m: int, parts: int):
     return bounds
 
 
+def _gather(pool, calls):
+    """Run ``calls`` (``(fn, *args)`` tuples) on ``pool``; their results
+    in order."""
+    return [f.result() for f in [pool.submit(*call) for call in calls]]
+
+
+def slab_scan(kind, buf, n, carry, seen=None, *, threads=None, cutover_bytes=None):
+    """The one slab driver: scan → splice → fold over row-slabs of a chunk.
+
+    ``kind`` is a carry kind of :mod:`repro.kernels.splice` and ``buf``
+    its in-memory buffers, holding ``n`` elements.  ``carry`` is the
+    carry entering the chunk (in chunk-phase lane order) and ``seen``
+    the lanes it covers (all of them by default).  Below the cutover,
+    with one thread or fewer than two whole units (rows; segments for
+    the compensated kind) the driver declines and returns ``None``:
+    the caller scans serially.  Otherwise every slab of whole units
+    runs the kind's local step on the pool, :func:`splice` chains the
+    slab aggregates on the calling thread, every slab folds its
+    incoming carry on the pool, and the kind continues over the
+    partial row past the last slab.  Returns the carry after the
+    chunk.
+    """
+    n_bytes = n * kind.dtype.itemsize
+    threads = resolve_threads(threads, n_bytes)
+    if cutover_bytes is None:
+        cutover_bytes = _tuned_cutover(kind.dtype)
+    units = n // kind.unit
+    if threads <= 1 or units < 2 or n_bytes < cutover_bytes:
+        return None
+    bounds = [
+        (lo * kind.unit, hi * kind.unit) for lo, hi in _slab_bounds(units, threads)
+    ]
+    pool = get_pool(threads)
+    aggregates = _gather(pool, [(kind.local, buf, lo, hi) for lo, hi in bounds])
+    everywhere = np.ones(kind.s, dtype=bool)
+    seen = [everywhere if seen is None else seen] + [everywhere] * (len(bounds) - 1)
+    counts = [np.full(kind.s, (hi - lo) // kind.s) for lo, hi in bounds]
+    incoming, carry = splice(kind, carry, aggregates, counts, seen)
+    _gather(pool, [
+        (kind.fold_slab, buf, lo, hi, c, agg, lanes)
+        for (lo, hi), c, agg, lanes in zip(bounds, incoming, aggregates, seen)
+    ])
+    body = units * kind.unit
+    if n > body:
+        kind.tail(buf, body, carry)
+    return carry
+
+
 def threaded_lane_scan(
     src: np.ndarray,
     op: AssociativeOp,
@@ -180,67 +211,18 @@ def threaded_lane_scan(
     s = int(tuple_size)
     if out is None:
         out = np.empty_like(src)
-    n = src.size
-    if n == 0:
-        return out
-    n_bytes = n * src.dtype.itemsize
-    threads = resolve_threads(threads, n_bytes)
-    if cutover_bytes is None:
-        cutover_bytes = _tuned_cutover(src.dtype)
-    m = n // s
-    if (
-        threads <= 1
-        or op.ufunc is None
-        or m < 2
-        or n_bytes < cutover_bytes
-        or not (src.flags.c_contiguous and out.flags.c_contiguous)
+    if src.size and op.ufunc is not None and (
+        src.flags.c_contiguous and out.flags.c_contiguous
     ):
-        return lane_scan(src, op, s, out=out, carry=carry)
-    if out is not src:
-        # One streaming copy up front; slabs then scan in place (the
-        # same copy-then-in-place trick as the serial kernel).
-        out[...] = src
-    bounds = _slab_bounds(m, threads)
-    if len(bounds) <= 1:
-        return lane_scan(out, op, s, out=out, carry=carry)
-    pool = get_pool(threads)
-    body = m * s
-    out2 = out[:body].reshape(m, s)
-
-    def _scan_slab(lo, hi):
-        blk = out[lo * s : hi * s]
-        lane_scan(blk, op, s, out=blk)
-
-    for f in [pool.submit(_scan_slab, lo, hi) for lo, hi in bounds]:
-        f.result()
-
-    # Host splice: exclusive scan of the P×s slab-total matrix.  Each
-    # slab's local total is its (already scanned) last full row; the
-    # running fold of those rows is the carry the next slab still owes.
-    carries = []
-    running = None if carry is None else np.asarray(carry)
-    for lo, hi in bounds:
-        carries.append(running)
-        total = out2[hi - 1]
-        running = total.copy() if running is None else op.apply(running, total)
-
-    def _fold_slab(lo, hi, row):
-        blk = out2[lo:hi]
-        op.apply_into(row, blk, out=blk)
-
-    for f in [
-        pool.submit(_fold_slab, lo, hi, row)
-        for (lo, hi), row in zip(bounds, carries)
-        if row is not None
-    ]:
-        f.result()
-
-    r = n - body
-    if r:
-        # Tail phases continue from the last full row (already spliced);
-        # out[body:] still holds the raw source values.
-        op.apply_into(out[body - s : body - s + r], out[body:], out=out[body:])
-    return out
+        kind = RowCarry(op, src.dtype, s)
+        start = kind.identity() if carry is None else np.asarray(carry)
+        seen = np.full(s, carry is not None)
+        if slab_scan(
+            kind, (src, out), src.size, start, seen,
+            threads=threads, cutover_bytes=cutover_bytes,
+        ) is not None:
+            return out
+    return lane_scan(src, op, s, out=out, carry=carry)
 
 
 def threaded_fused_lane_scan(
@@ -257,122 +239,24 @@ def threaded_fused_lane_scan(
 
     Same contract as :func:`repro.kernels.lane.fused_lane_scan`
     (``carry`` is the phase-order ``(q, s)`` running-total matrix,
-    updated in place) with the threaded scan→splice→fold decomposition:
-    every slab fused-scans its rows locally from a zero carry, the host
-    splices the per-slab ``(q, s)`` aggregate matrices with one
-    :func:`fused_combine` chain, and slabs with a non-trivial incoming
-    matrix fold it in parallel via the binomial weight columns.  The
-    slab partition is the same pure function as the order-1 path, and
-    integer regrouping is exact, so results are bit-identical to the
-    serial fused kernel for any thread count.
+    updated in place), run through :func:`slab_scan` with the fused
+    carry kind: every slab fused-scans its rows from a zero carry, the
+    ``(q, s)`` slab aggregates splice by the binomial identity, and
+    slabs with a non-zero incoming matrix fold it through the binomial
+    weight columns.  Integer regrouping is exact, so results are
+    bit-identical to the serial fused kernel for any thread count.
     """
     s = int(tuple_size)
     q = int(order)
-    n = buf.size
-    if n == 0:
-        return buf
-    n_bytes = n * buf.dtype.itemsize
-    threads = resolve_threads(threads, n_bytes)
-    if cutover_bytes is None:
-        cutover_bytes = _tuned_cutover(buf.dtype)
-    m = n // s
-    if (
-        threads <= 1
-        or m < 2
-        or n_bytes < cutover_bytes
-        or not buf.flags.c_contiguous
-    ):
-        return fused_lane_scan(buf, op, s, q, carry)
-    bounds = _slab_bounds(m, threads)
-    if len(bounds) <= 1:
-        return fused_lane_scan(buf, op, s, q, carry)
-    pool = get_pool(threads)
-    dtype = buf.dtype
-    locals_ = [None] * len(bounds)
-
-    def _scan_slab(i, lo, hi):
-        local = np.zeros((q, s), dtype=dtype)
-        fused_lane_scan(buf[lo * s : hi * s], op, s, q, local)
-        locals_[i] = local
-
-    for f in [
-        pool.submit(_scan_slab, i, lo, hi)
-        for i, (lo, hi) in enumerate(bounds)
-    ]:
-        f.result()
-
-    # Host splice: chain the (q, s) slab aggregates; incoming[i] is the
-    # absolute order-total matrix slab i still owes.
-    incoming = []
-    running = carry.copy()
-    for (lo, hi), local in zip(bounds, locals_):
-        incoming.append(running)
-        running = fused_combine(running, local, hi - lo)
-    carry[...] = running
-
-    for f in [
-        pool.submit(fused_fold, buf[lo * s : hi * s], T)
-        for (lo, hi), T in zip(bounds, incoming)
-        if T.any()
-    ]:
-        f.result()
-
-    if n > m * s:
-        # Tail: one-row partial tile continuing from the spliced matrix.
-        _fused_tail(buf[m * s :], carry)
-    return buf
-
-
-def threaded_fold_lanes(
-    buf: np.ndarray,
-    op: AssociativeOp,
-    carry: np.ndarray,
-    pos: int = 0,
-    tuple_size: int = 1,
-    seen: Optional[np.ndarray] = None,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
-) -> np.ndarray:
-    """Slab-parallel :func:`repro.kernels.fold_lanes` (same contract).
-
-    The all-lanes-seen broadcast fold is embarrassingly parallel over
-    row slabs; mixed seen/unseen masks (only possible while ``pos < s``)
-    and small buffers take the serial fold.
-    """
-    buf = np.asarray(buf)
-    n = buf.size
-    s = int(tuple_size)
-    if n == 0:
-        return buf
-    n_bytes = n * buf.dtype.itemsize
-    threads = resolve_threads(threads, n_bytes)
-    if cutover_bytes is None:
-        cutover_bytes = _tuned_cutover(buf.dtype)
-    m = n // s
-    if (
-        threads <= 1
-        or op.ufunc is None
-        or m < 2
-        or n_bytes < cutover_bytes
-        or not buf.flags.c_contiguous
-        or (seen is not None and not seen.all())
-    ):
-        return fold_lanes(buf, op, carry, pos, s, seen=seen)
-    row = carry[phase_perm(pos, s)]  # fancy indexing: a contiguous copy
-    body = m * s
-    b2 = buf[:body].reshape(m, s)
-    pool = get_pool(threads)
-
-    def _fold(lo, hi):
-        blk = b2[lo:hi]
-        op.apply_into(row, blk, out=blk)
-
-    for f in [pool.submit(_fold, lo, hi) for lo, hi in _slab_bounds(m, threads)]:
-        f.result()
-    r = n - body
-    if r:
-        op.apply_into(row[:r], buf[body:], out=buf[body:])
-    return buf
+    if buf.size and buf.flags.c_contiguous:
+        running = slab_scan(
+            FusedCarry(op, buf.dtype, s, q), (buf, buf), buf.size, carry,
+            threads=threads, cutover_bytes=cutover_bytes,
+        )
+        if running is not None:
+            carry[...] = running
+            return buf
+    return fused_lane_scan(buf, op, s, q, carry)
 
 
 def threaded_scan_into(
@@ -461,13 +345,9 @@ class ThreadedLaneKernel(LaneKernel):
         Serial/parallel crossover; ``None`` uses the tuned per-dtype
         value, ``0`` forces threading for any chunk with ≥ 2 full rows.
 
-    Exactness matches the base class: integers take the threaded
-    in-place path (bit-identical — integer regrouping is exact), exact
-    floats the serial prepend pass (a slab chain is sequential in the
-    carry, so threads would add dispatch cost with nothing to overlap),
-    ``float_mode="compensated"`` the segment-parallel error-free path
-    (bit-identical for any thread count) and ``float_mode="regrouped"``
-    the threaded regrouped fold.
+    Exactness matches the base class (see the module notes): exact
+    floats take the serial prepend pass, every other mode the slab
+    driver.
     """
 
     def __init__(self, *args, threads=None, cutover_bytes=None, **kwargs):

@@ -1,73 +1,56 @@
 """Sharded out-of-core scans: the carry splice across *space*.
 
 :func:`scan_file_sharded` is the host-scale analogue of SAM's two-level
-carry propagation.  Where :func:`repro.stream.scan_file` proves that
-one pass plus O(1) carry state suffices across *time* (chunks of one
+carry propagation.  Where :func:`repro.stream.scan_file` proves that one
+pass plus O(1) carry state suffices across *time* (chunks of one
 stream), this driver proves it across *space*: the input is cut into
 ``S`` contiguous shards, each shard is scanned independently (phase 1),
-the per-order, per-tuple-lane shard aggregates are spliced by a tiny
-exclusive scan on the host (phase 2 — the same second-level scan
-LightScan and the SIMD partition scans use), and each shard folds its
-spliced carry into its output region (phase 3).  Higher orders iterate
-the three phases exactly as SAM iterates only the computation stage:
-order ``q`` runs ``q`` scan passes with a splice between passes —
-*except* inside the fused gate (:func:`repro.kernels.fused_supported`:
-integer ADD, ``q >= 2``, ``s >= 2``), where each shard runs the
-single-pass fused tile kernel instead, its aggregate grows to the full
-``(q, s)`` order-total matrix, the splice chains those matrices with
-the binomial identity (:func:`repro.kernels.fused_combine`), and the
-fold applies the spliced matrix with binomial weight columns.  One
-pass over the data instead of ``q``, no scratch file, bit-identical
-output.
+the shard aggregates are spliced by a tiny exclusive scan on the host
+(phase 2), and each shard folds its spliced carry into its output
+region (phase 3).  Phases 2 and 3 are written once, against the job's
+carry kind (:mod:`repro.kernels.splice`): :func:`repro.kernels.splice`
+is the splice, and the kind's ``fold`` is each shard's fold step.
 
-Two properties keep the driver fast where plain three-phase scans are
-not:
+* The plain ``(s,)`` row: order ``q`` runs ``q`` scan passes with a
+  splice between them, as SAM iterates its computation stage.
+* The fused ``(q, s)`` matrix, inside the fused gate
+  (:func:`repro.kernels.fused_supported`: integer ADD, ``q >= 2``,
+  ``s >= 2``): one pass of the fused tile kernel, spliced with the
+  binomial identity — no scratch file, the same bits.
+* The compensated chain (``float_mode="compensated"``, float add,
+  order 1): shards sit on the fixed segment grid of
+  :mod:`repro.kernels.compensated`, the scan pass collects per-segment
+  ``(T, F)`` totals, the splice replays the double-double chain, and
+  the fold renders.  Bit-identical for every shard count, and more
+  accurate than the serial naive fold.
 
-* **Carry priming.**  A shard whose predecessors have all finished the
-  current pass learns its spliced carry *before* scanning, bakes it
-  into the scan directly, and skips its fold entirely.  With one
-  worker every shard is primed and the job degenerates to a single
-  pass — the same degeneration decoupled lookback exhibits when blocks
-  run in order.
-* **A lean integer kernel.**  Fixed-width integer arithmetic is truly
-  associative (wraparound included), so shard passes accumulate each
-  lane *in place* and fold the running carry in place — none of the
-  prepend copies the bit-exact float path needs.  The kernel is the
-  shared :class:`repro.kernels.LaneKernel` (born here as a private
-  class, now the layer every engine's host path calls).
+Integer outputs are bit-identical to the one-shot host scan for every
+op / order / tuple size.  Other floats fall back to the sequential
+bit-exact session path (``"exact"``, the default) or shard with
+carry-fold rounding (``"regrouped"``).
 
-Bit-identity: for integer dtypes the output is bit-identical to the
-one-shot host scan for every op / order / tuple size, inclusive and
-exclusive.  Floats are only pseudo-associative, so they pick one of
-three ``float_mode`` contracts: ``"exact"`` (the default — fall back
-to the sequential bit-exact session path), ``"regrouped"`` (shard
-anyway and accept carry-fold rounding), or ``"compensated"`` — shard
-on the fixed segment grid of :mod:`repro.kernels.compensated`, collect
-per-segment ``(T, F)`` totals in the scan pass, replay the global
-double-double chain as the splice, and render in the fold pass.
-Compensated results are bit-identical for every shard count *and*
-more accurate than the serial naive fold (the per-step rounding errors
-are recovered exactly and re-injected).
+**Carry priming.**  A shard whose predecessors have all finished the
+current pass learns its spliced carry *before* scanning, bakes it into
+the scan, and skips its fold.  With one worker every shard is primed
+and the job degenerates to a single pass, as decoupled lookback does
+when blocks run in order.
 
-One shard loop: every pass over a shard — the scan pass and the fold
-pass of every carry kind — is :func:`_shard_pass`, which reads the
-shard's region chunk by chunk, applies the pass's step, and writes the
-result back to the same region.  Raw chunks are read the way
-:func:`repro.stream.scan_file` reads them (a seek and one ``readinto``
-into a fresh array), so a file that is shorter than the job expects
-raises :class:`StreamError` naming it instead of scanning zeros.
+**One shard loop.**  Every pass over a shard is :func:`_shard_pass`:
+it reads the shard's region chunk by chunk the way
+:func:`repro.stream.scan_file` does (a short file raises
+:class:`StreamError`), applies the pass's step, and writes the region
+back.
 
-Durability: progress is tracked in a **per-shard manifest** (see
-:mod:`repro.stream.checkpoint`).  Passes ping-pong between the output
-file and a scratch file so the source of every pass stays intact;
-a killed job re-runs only its unfinished shards under ``resume=True``
-(an interrupted in-place fold is rebuilt by re-scanning that shard
-from the intact pass source, then folding again).
+**Durability.**  Progress is tracked in a per-shard manifest (see
+:mod:`repro.stream.checkpoint`), checked field by field against the job
+on resume.  Passes ping-pong between the output file and a scratch
+file so every pass's source stays intact; a killed job re-runs only
+its unfinished shards under ``resume=True`` (an interrupted in-place
+fold is rebuilt by re-scanning that shard, then folding again).
 """
 
 from __future__ import annotations
 
-import base64
 import contextlib
 import os
 import threading
@@ -81,6 +64,7 @@ import numpy as np
 from repro import kernels
 from repro.compression.stream import BlockedFileReader, BlockedIndex, read_index
 from repro.kernels import LaneKernel, ThreadedLaneKernel, resolve_threads
+from repro.kernels.splice import CompensatedCarry, FusedCarry, RowCarry, splice
 from repro.ops import get_op
 from repro.stream.checkpoint import (
     build_shard_manifest,
@@ -173,110 +157,6 @@ def _exclusive_shift(chunk, prev, pos, tuple_size) -> np.ndarray:
     return out
 
 
-# -- the splice ----------------------------------------------------------
-
-
-def _splice(job, aggregates, baked) -> np.ndarray:
-    """Phase 2: exclusive scan of shard aggregates, per tuple lane.
-
-    Returns ``carries[i]`` — the absolute carry at shard ``i``'s start
-    for the current pass, for ``len(aggregates)`` leading shards.  A
-    carry is a ``(s,)`` row classically and the ``(q, s)`` order-total
-    matrix in fused mode, where the combine is the binomial splice
-    identity (:func:`repro.kernels.fused_combine`) with the shard's
-    *per-lane* element counts — shard bounds are arbitrary, so lanes
-    differ by at most one element.  Lanes a shard does not touch keep
-    the running value.  Baked shards report absolute aggregates (their
-    carry is already inside), so they *reset* the running value instead
-    of combining into it.  A trailing ``None`` aggregate is allowed
-    (``try_prime`` only needs the carry *at* that shard).
-    """
-    s = job.tuple_size
-    shape = (job.order, s) if job.fused else (s,)
-    running = np.full(shape, job.op.identity(job.dtype), dtype=job.dtype)
-    carries = np.empty((len(aggregates), *shape), dtype=job.dtype)
-    for i, (lo, hi) in enumerate(job.shards[: len(aggregates)]):
-        carries[i] = running
-        agg = aggregates[i]
-        counts = _lane_counts(lo, hi, s)
-        present = counts > 0
-        if agg is None or not present.any():
-            continue
-        if baked[i]:
-            running = np.where(present, agg, running)
-        elif job.fused:
-            running = kernels.fused_combine(running, agg, counts)
-        else:
-            seen = _seen_before(lo, s)
-            combined = np.where(seen, job.op.apply(running, agg), agg)
-            running = np.where(present, combined, running)
-    return carries
-
-
-def _splice_compensated(job, aggregates) -> list:
-    """Phase 2 in compensated mode: replay the double-double chain.
-
-    Concatenates every shard's ``(K_i, 2, s)`` segment totals in shard
-    order and replays the global ``dd_add`` chain over them — the
-    canonical order, so the result is bit-identical for any shard
-    count.  Returns ``carries[i] = (chain_i, head_i)``: the shard's
-    slice of per-segment ``(H, G)`` chain states (what its fold kernel
-    renders with) and the *rendered* per-lane running totals at its
-    start (the exclusive-shift heads; ``None`` for shard 0).
-    """
-    from repro.kernels.compensated import HI, LO, _dd_render
-
-    s = job.tuple_size
-    dtype = job.dtype
-    span = kernels.segment_span(s)
-    stacks = [np.asarray(agg) for agg in aggregates]
-    totals = (
-        np.concatenate(stacks)
-        if stacks
-        else np.empty((0, 2, s), dtype=dtype)
-    )
-    state = kernels.fresh_state(dtype, s)
-    chain_hi, chain_lo, _, _ = kernels.chain_segments(
-        state[HI], state[LO], totals[:, 0], totals[:, 1]
-    )
-    carries = []
-    head = None  # shard 0 has no seen lanes
-    k = 0
-    for lo, hi in job.shards:
-        segments = -(-(hi - lo) // span)
-        chain = np.stack(
-            [chain_hi[k : k + segments], chain_lo[k : k + segments]], axis=1
-        )
-        carries.append((chain, head))
-        if segments:
-            # The next shard's heads are this shard's rendered last row
-            # per lane: its final segment's totals under that segment's
-            # chain state (shard bounds are segment-aligned, so the
-            # final segment of an interior shard is always complete).
-            last = k + segments - 1
-            head = np.empty(s, dtype=dtype)
-            _dd_render(
-                totals[last, 0], totals[last, 1],
-                chain_hi[last], chain_lo[last], head,
-            )
-        k += segments
-    return carries
-
-
-def _job_splice(job, aggregates, baked):
-    """Dispatch phase 2 on the job's mode."""
-    if job.float_mode == "compensated":
-        return _splice_compensated(job, aggregates)
-    return _splice(job, aggregates, baked)
-
-
-# -- manifest encoding ---------------------------------------------------
-
-
-def _encode_aggregate(aggregate: np.ndarray) -> str:
-    return base64.b64encode(aggregate.tobytes()).decode("ascii")
-
-
 # -- the driver ----------------------------------------------------------
 
 
@@ -306,14 +186,18 @@ class _ShardedJob:
         self.checkpoint = checkpoint
         self.workers = workers
         self.shard_threads = max(1, int(shard_threads))
-        #: ``"compensated"`` routes the scan/splice/fold phases through
-        #: the error-free-carry kernels; ``None`` is the classic
-        #: regrouping driver (integers, and regrouped floats).
+        #: ``"compensated"``, or ``None`` for the regrouping driver.
         self.float_mode = float_mode
-        #: Fused order-q mode: one scan pass with ``(q, s)`` aggregates
-        #: instead of ``order`` passes with one carry row each.
+        #: Fused order-q mode: one scan pass with ``(q, s)`` aggregates.
         self.fused = bool(fused)
         self.passes = 1 if self.fused else order
+        #: The carry kind every pass splices and folds with.
+        if float_mode == "compensated":
+            self.kind = CompensatedCarry(dtype, tuple_size)
+        elif self.fused:
+            self.kind = FusedCarry(op, dtype, tuple_size, order)
+        else:
+            self.kind = RowCarry(op, dtype, tuple_size)
         self.itemsize = dtype.itemsize
         self.total_elements = shards[-1][1] if shards else 0
 
@@ -380,12 +264,12 @@ class _ShardedJob:
             "done": list(self.done),
             "baked": list(self.baked),
             "aggregates": [
-                None if row is None else _encode_aggregate(row)
+                None if row is None else self.kind.encode(row)
                 for row in self.aggregates
             ],
             "completed_passes": [
                 {
-                    "aggregates": [_encode_aggregate(r) for r in rec["aggregates"]],
+                    "aggregates": [self.kind.encode(r) for r in rec["aggregates"]],
                     "baked": list(rec["baked"]),
                 }
                 for rec in self.completed_passes
@@ -440,54 +324,132 @@ class _ShardedJob:
                 f"{saved_format!r} input; this job reads {self.input_format!r}"
             )
         # Resume continues the *stored* plan: shard boundaries are part
-        # of the on-disk layout, unlike chunk size or engine.
-        self.shards = [(int(lo), int(hi)) for lo, hi in payload["shards"]]
+        # of the on-disk layout, unlike chunk size or engine.  The
+        # manifest is a file from outside the program, so every field
+        # is checked against this job before any of it is used.
+        self.shards = self._checked_plan(payload["shards"])
         state = payload["state"]
-        self.phase = dict(state["phase"])
-        self.done = list(state["done"])
-        self.baked = list(state["baked"])
+        phase = state.get("phase") if isinstance(state, dict) else None
+        if phase == {"kind": "fold"}:
+            finished = self.passes
+        elif (
+            isinstance(phase, dict)
+            and sorted(phase) == ["kind", "pass"]
+            and phase["kind"] == "scan"
+            and phase["pass"] in range(1, self.passes + 1)
+        ):
+            finished = phase["pass"] - 1
+        else:
+            raise self._mismatch(f"phase {phase!r} is not a phase of this job")
+        self.phase = dict(phase)
+        self.done = self._per_shard(state, "done", bool)
+        self.baked = self._per_shard(state, "baked", (bool, type(None)))
         self.aggregates = [
-            None if row is None else self._decode_aggregate(row, i)
-            for i, row in enumerate(state["aggregates"])
+            None if blob is None else self._decode(blob, i)
+            for i, blob in enumerate(
+                self._per_shard(state, "aggregates", (str, type(None)))
+            )
         ]
+        if phase["kind"] == "scan" and any(
+            done and (agg is None or baked is None)
+            for done, agg, baked in zip(self.done, self.aggregates, self.baked)
+        ):
+            raise self._mismatch("a shard marked done has no aggregate")
+        records = state.get("completed_passes")
+        if not (isinstance(records, list) and len(records) == finished):
+            raise self._mismatch(
+                f"phase {phase!r} needs {finished} completed passes"
+            )
         self.completed_passes = [
             {
                 "aggregates": [
-                    self._decode_aggregate(r, i)
-                    for i, r in enumerate(rec["aggregates"])
+                    self._decode(blob, i)
+                    for i, blob in enumerate(self._per_shard(rec, "aggregates", str))
                 ],
-                "baked": list(rec["baked"]),
+                "baked": self._per_shard(rec, "baked", bool),
             }
-            for rec in state["completed_passes"]
+            for rec in records
         ]
         self.carried = StreamCounters.from_dict(state.get("counters", {}))
         self.carried.engine_used = self._engine_label()
         self.carried.resumes += 1
         self.resumed_shards = sum(bool(flag) for flag in self.done)
 
-    def _decode_aggregate(self, blob: str, shard_index: int) -> np.ndarray:
-        """Decode one manifest aggregate: a ``(tuple_size,)`` carry row
-        classically, an ``(order, tuple_size)`` order-total matrix in
-        fused mode, a ``(K, 2, tuple_size)`` segment-totals stack in
-        compensated mode (``K`` derives from the stored shard bounds,
-        so :meth:`load_manifest` restores ``self.shards`` first)."""
-        s = self.tuple_size
-        if self.fused:
-            shape, what = (self.order, s), f"an ({self.order}, {s}) matrix"
-        elif self.float_mode == "compensated":
-            lo, hi = self.shards[shard_index]
-            segments = -(-(hi - lo) // kernels.segment_span(s))
-            shape, what = (segments, 2, s), f"{segments} segment totals"
-        else:
-            shape, what = (s,), f"a {s}-lane carry row"
-        raw = base64.b64decode(blob)
-        expected = int(np.prod(shape)) * self.itemsize
-        if len(raw) != expected:
-            raise StreamError(
-                f"manifest aggregate for shard {shard_index} is {len(raw)} "
-                f"bytes, expected {expected} ({what})"
+    def _mismatch(self, what: str) -> CheckpointMismatchError:
+        return CheckpointMismatchError(
+            f"shard manifest {self.checkpoint!r} does not fit this job: {what}"
+        )
+
+    def _checked_plan(self, shards) -> List[Tuple[int, int]]:
+        """The stored shard plan, if its shards are non-empty, in order,
+        tile ``[0, input_elements)`` exactly and start on the job's grid
+        (the segment grid of a compensated job, the container blocks of
+        a blocked input)."""
+        grid = 1
+        if self.float_mode == "compensated":
+            grid = self.kind.unit
+        elif self.blocked_index is not None:
+            grid = self.blocked_index.block_elements
+        ok = isinstance(shards, list) and bool(shards) and all(
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(type(v) is int for v in pair)
+            for pair in shards
+        )
+        if ok:
+            ends = [0] + [hi for _, hi in shards]
+            ok = ends[-1] == self.total_elements and all(
+                lo == end and lo < hi and lo % grid == 0
+                for (lo, hi), end in zip(shards, ends)
             )
-        return np.frombuffer(raw, dtype=self.dtype).reshape(shape).copy()
+        if not ok:
+            raise self._mismatch(
+                f"shards {shards!r} do not tile [0, {self.total_elements}) "
+                f"in order with non-empty shards starting on multiples of {grid}"
+            )
+        return [(lo, hi) for lo, hi in shards]
+
+    def _per_shard(self, record, key: str, allowed) -> list:
+        """``record[key]``, if it is a list of one ``allowed`` entry per shard."""
+        value = record.get(key) if isinstance(record, dict) else None
+        if not (
+            isinstance(value, list)
+            and len(value) == len(self.shards)
+            and all(isinstance(v, allowed) for v in value)
+        ):
+            raise self._mismatch(
+                f"{key!r} is not a list of one entry per shard "
+                f"({len(self.shards)} shards)"
+            )
+        return list(value)
+
+    def _decode(self, blob, shard_index: int) -> np.ndarray:
+        """One manifest aggregate, decoded to the carry kind's shape for
+        its shard."""
+        lo, hi = self.shards[shard_index]
+        try:
+            return self.kind.decode(blob, hi - lo)
+        except ValueError as exc:
+            raise CheckpointMismatchError(
+                f"manifest aggregate for shard {shard_index} does not fit "
+                f"this job: {exc}"
+            ) from None
+
+    def splice(self, aggregates, baked) -> list:
+        """Phase 2: the carry entering each of the first
+        ``len(aggregates)`` shards in the current pass
+        (:func:`repro.kernels.splice`).  Shard bounds are arbitrary, so
+        a shard's lanes differ by at most one element; a trailing
+        ``None`` aggregate is allowed (``try_prime`` only needs the
+        carry *at* that shard)."""
+        s = self.tuple_size
+        bounds = self.shards[: len(aggregates)]
+        carries, _ = splice(
+            self.kind, self.kind.identity(), aggregates,
+            [_lane_counts(lo, hi, s) for lo, hi in bounds],
+            [_seen_before(lo, s) for lo, _ in bounds], baked,
+        )
+        return carries
 
     # -- progress --------------------------------------------------------
 
@@ -502,12 +464,10 @@ class _ShardedJob:
         with self.lock:
             if not all(self.done[:shard_index]):
                 return None
-            carries = _splice(
-                self,
+            return self.splice(
                 self.aggregates[:shard_index] + [None],
                 self.baked[:shard_index] + [False],
-            )
-            return carries[shard_index]
+            )[shard_index]
 
     def record_completion(
         self, shard_index, counters, aggregate=None, baked=None
@@ -674,14 +634,12 @@ def _scan_shard(
         prime = job.try_prime(shard_index)
     baked = prime is not None
     lock = contextlib.nullcontext()
+    delegating = job.engine is not None and dtype.kind in "iu"
     if job.float_mode == "compensated":
-        # Naive continuation + segment-totals collection; the render
-        # happens in the fold pass once the global chain exists.  The
-        # kernel is serial per shard (the shard plan itself is the
-        # parallelism; whole-segment slab threading belongs to the
-        # in-memory path).
+        # Segment totals for the splice; the fold pass renders.  Serial
+        # per shard: the shard plan itself is the parallelism.
         kernel = kernels.CompensatedCollectKernel(op, dtype, s, start=lo)
-    elif job.engine is not None and dtype.kind in "iu":
+    elif delegating:
         # A named engine is built per shard ("host" resolves to the
         # plain kernel); feeds are serialized across shard threads.
         from repro.api import resolve_engine
@@ -709,14 +667,15 @@ def _scan_shard(
             op, dtype, s, start=lo, prime=prime, exact=False,
             order=kernel_order,
         )
-    seen = _seen_before(lo, s)
+    # The previous pass's carry (only the row kind runs several passes).
+    fold = None
+    if fold_carry is not None:
+        fold = job.kind.fold(fold_carry, lo, _seen_before(lo, s))
 
     def step(chunk, pos):
         t0 = time.perf_counter()
-        if fold_carry is not None:
-            kernels.fold_lanes(
-                chunk, op, fold_carry, pos=pos, tuple_size=s, seen=seen
-            )
+        if fold is not None:
+            fold(chunk, pos)
             t_fold = time.perf_counter()
             counters.seconds_fold += t_fold - t0
             t0 = t_fold
@@ -758,13 +717,11 @@ def _scan_shard(
         counters.elements += hi - lo
     counters.shards += 1
     counters.primed_shards += int(baked)
-    counters.delegated_stage_scans += kernel.delegated_stage_scans
+    if delegating:
+        counters.delegated_stage_scans += kernel.counters.delegated_stage_scans
     if job.fused:
         counters.fused_order_scans += 1
-    if job.float_mode == "compensated":
-        aggregate = kernel.segment_totals()
-    else:
-        aggregate = (kernel.carry if job.fused else kernel.carry[0]).copy()
+    aggregate = job.kind.aggregate(kernel)
     if publish:
         with job.lock:
             job.done[shard_index] = True
@@ -777,67 +734,33 @@ def _fold_shard(job: _ShardedJob, shard_index, carry, do_fold):
     """Phase 3 for one shard: fold the spliced carry into the output
     region in place (and lane-shift it when the scan is exclusive).
 
-    Each carry kind supplies only its transform:
-
-    * a plain ``(s,)`` row folds with :func:`repro.kernels.fold_lanes`;
-    * a fused ``(q, s)`` matrix: a carry ``T_j`` entering the shard
-      contributes ``C(d + q - j, q - j) * T_j`` to the order-``q`` value
-      at local lane depth ``d`` (:func:`repro.kernels.fused_fold`),
-      so the fold is ``q`` weighted rank-1 updates per row-aligned
-      chunk, columns in the shard's lane permutation ``phase_perm(lo)``
-      — exact mod ``2**w``, since the fused gate admits only integer
-      ADD;
-    * compensated is the render pass: it re-reads the raw values from
-      the input, re-derives the exact per-step errors (``two_sum_err``
-      needs only ``prev + x -> L``, all on disk) and renders with the
-      spliced per-segment chain.  It runs for *every* shard — even
-      shard 0's carry-free region needs its local compensation
-      re-injected — which is why compensated shards never bake or
-      prime.
+    The carry kind supplies the transform (:mod:`repro.kernels.splice`):
+    a plain row folds lane by lane, a fused ``(q, s)`` matrix through
+    the binomial weight columns in the shard's lane permutation, and
+    the compensated chain renders: it re-reads the raw values from the
+    input and rescans them serially from the shard's incoming ``(H, G)``.
+    The render runs for *every* shard — even shard 0's carry-free
+    region needs its local compensation re-injected — which is why
+    compensated shards never bake or prime.
     """
     lo, hi = job.shards[shard_index]
-    op, dtype, s, q = job.op, job.dtype, job.tuple_size, job.order
     counters = StreamCounters(engine_used=job._engine_label())
-    identity = op.identity(dtype)
-    seen = _seen_before(lo, s)
-    step = None
-    raw_fh = None
-    if job.float_mode == "compensated":
-        chain, head = carry  # head is None only for shard 0: no seen lanes
-        last_row = identity if head is None else head
-        kernel = kernels.CompensatedFoldKernel(dtype, s, lo, chain)
-        raw_fh = open(job.input_path, "rb")
+    seen = _seen_before(lo, job.tuple_size)
+    heads = np.where(seen, job.kind.heads(carry), job.op.identity(job.dtype))
+    with contextlib.ExitStack() as stack:
+        raw_fh = None
 
-        def step(chunk, pos):
-            end = pos + len(chunk)
-            return kernel.fold(
-                chunk, _read_raw(raw_fh, job.input_path, dtype, pos, end)
-            )
-    elif job.fused:
-        last_row = carry[q - 1]  # exclusive heads: the order-q totals
-        local = np.ascontiguousarray(carry[:, kernels.phase_perm(lo, s)])
-        if do_fold and local.any():
+        def raw(pos, end):
+            nonlocal raw_fh
+            if raw_fh is None:
+                raw_fh = stack.enter_context(open(job.input_path, "rb"))
+            return _read_raw(raw_fh, job.input_path, job.dtype, pos, end)
 
-            def step(chunk, pos):
-                return kernels.fused_fold(chunk, local, d0=(pos - lo) // s)
-    else:
-        last_row = carry
-        if do_fold:
-
-            def step(chunk, pos):
-                kernels.fold_lanes(
-                    chunk, op, carry, pos=pos, tuple_size=s, seen=seen
-                )
-                return chunk
-    heads = np.where(seen, last_row, identity).astype(dtype)
-    try:
+        step = job.kind.fold(carry, lo, seen, raw) if do_fold else None
         _shard_pass(
             job, shard_index, counters, job.output_path, job.output_path,
-            step, heads=heads, rows=job.fused,
+            step, heads=heads.astype(job.dtype), rows=job.fused,
         )
-    finally:
-        if raw_fh is not None:
-            raw_fh.close()
     counters.folded_shards += 1
     return counters
 
@@ -890,11 +813,7 @@ def scan_file_sharded(
 
     Inside the fused gate (integer ADD, ``order >= 2``,
     ``tuple_size >= 2``, no delegated engine) the job runs a **single**
-    scan pass: each shard's fused tile kernel produces all ``q`` orders
-    in one sweep, aggregates are ``(order, tuple_size)`` matrices
-    spliced with the binomial identity, and the fold applies binomial
-    weight columns — bit-identical to the ``q``-pass layout, with no
-    scratch file and ``ShardedResult.passes == 1``.
+    scan pass with the fused carry kind (``ShardedResult.passes == 1``).
 
     ``input_format`` mirrors :func:`scan_file`: ``"auto"`` (sniff the
     ``SAMB`` magic), ``"raw"``, or ``"blocked"``.  A blocked input's
@@ -1132,7 +1051,7 @@ def _run(job: _ShardedJob, executor, resumed: bool) -> None:
     for pass_index in range(1, job.passes + 1):
         if pass_index < start_pass or resumed_into_fold:
             rec = job.completed_passes[pass_index - 1]
-            carries = _job_splice(job, rec["aggregates"], rec["baked"])
+            carries = job.splice(rec["aggregates"], rec["baked"])
             continue
         if not (
             resumed
@@ -1146,7 +1065,7 @@ def _run(job: _ShardedJob, executor, resumed: bool) -> None:
         }
         _splice_none_guard(rec["aggregates"])
         t0 = time.perf_counter()
-        carries = _job_splice(job, rec["aggregates"], rec["baked"])
+        carries = job.splice(rec["aggregates"], rec["baked"])
         job.carried.seconds_splice += time.perf_counter() - t0
         job.completed_passes.append(rec)
         resumed = False  # later passes always start from a clean phase
@@ -1173,7 +1092,7 @@ def _run(job: _ShardedJob, executor, resumed: bool) -> None:
     prev_carries = None
     if resumed_into_fold and job.passes >= 2:
         prev_rec = job.completed_passes[job.passes - 2]
-        prev_carries = _job_splice(job, prev_rec["aggregates"], prev_rec["baked"])
+        prev_carries = job.splice(prev_rec["aggregates"], prev_rec["baked"])
 
     futures = {}
     for i in range(len(job.shards)):

@@ -28,8 +28,6 @@ import pytest
 from repro import kernels
 from repro.kernels import (
     CompensatedCollectKernel,
-    CompensatedFoldKernel,
-    chain_segments,
     compensated_scan_into,
     compensated_supported,
     fresh_state,
@@ -37,7 +35,8 @@ from repro.kernels import (
     resolve_float_mode,
     segment_span,
 )
-from repro.kernels.compensated import HI, LO, check_compensated
+from repro.kernels.compensated import check_compensated
+from repro.kernels.splice import CompensatedCarry, splice
 from repro.ops import get_op
 
 OP = get_op("add")
@@ -272,23 +271,19 @@ def test_collect_fold_composition_matches_oneshot(rng):
         ]
         locals_.append(np.concatenate(parts))
         aggregates.append(kernel.segment_totals())
-    totals = np.concatenate(aggregates)
-    state = fresh_state(x.dtype, s)
-    chain_hi, chain_lo, _, _ = chain_segments(
-        state[HI], state[LO], totals[:, 0], totals[:, 1]
-    )
-    outs, k = [], 0
-    for (lo, hi), local in zip(zip(bounds[:-1], bounds[1:]), locals_):
-        segments = -(-(hi - lo) // span)
-        chain = np.stack(
-            [chain_hi[k:k + segments], chain_lo[k:k + segments]], axis=1
-        )
-        fold = CompensatedFoldKernel(x.dtype, s, lo, chain)
+    # Each shard renders from the carry the splice hands it, rescanning
+    # its raw values from the incoming (H, G) chain state.
+    kind = CompensatedCarry(x.dtype, s)
+    counts = [np.full(s, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    seen = [np.ones(s, dtype=bool)] * len(counts)
+    carries, _ = splice(kind, kind.identity(), aggregates, counts, seen)
+    outs = []
+    for lo, local, carry in zip(bounds, locals_, carries):
+        fold = kind.fold(carry, lo, None, lambda a, b: x[a:b])
         for c in range(0, local.size, 7001):
             stop = min(c + 7001, local.size)
-            fold.fold(local[c:stop], x[lo + c:lo + stop])
+            fold(local[c:stop], lo + c)
         outs.append(local)
-        k += segments
     _assert_bitwise(np.concatenate(outs), base)
 
 

@@ -19,7 +19,6 @@ from repro.kernels import (
     ThreadedLaneKernel,
     ThreadedScan,
     resolve_threads,
-    threaded_fold_lanes,
     threaded_lane_scan,
     threaded_scan_into,
 )
@@ -183,24 +182,6 @@ def test_threaded_kernel_feed_matches_serial(threads, tuple_size):
     _assert_bitwise(
         threaded.feed(values[prev:].copy()), serial.feed(values[prev:].copy())
     )
-
-
-def test_threaded_fold_lanes_matches_serial():
-    op = get_op("add")
-    rng = np.random.default_rng(2)
-    s = 5
-    carry = rng.integers(-50, 50, s).astype(np.int64)
-    for n in (0, 1, s - 1, s, 4 * s + 3, 1000 * s + 2):
-        for pos in (0, 3):
-            buf = rng.integers(-50, 50, n).astype(np.int64)
-            want = buf.copy()
-            kernels.fold_lanes(want, op, carry, pos=pos, tuple_size=s)
-            got = buf.copy()
-            threaded_fold_lanes(
-                got, op, carry, pos=pos, tuple_size=s, threads=4,
-                cutover_bytes=0,
-            )
-            _assert_bitwise(got, want, f"n={n} pos={pos}")
 
 
 # -- the engine wrapper --------------------------------------------------
