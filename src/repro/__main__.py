@@ -8,8 +8,8 @@ Commands
     ``--op``, ``--order``, ``--tuple-size``, ``--exclusive``,
     ``--threads``).  The default engine ``auto`` is the execution
     planner (:mod:`repro.plan`): it picks the strategy from the data
-    and the machine; ``--explain`` prints its candidate table (sizes,
-    predicted costs, rationale) without running the scan.
+    and the machine; ``--explain`` prints each gate's input and verdict
+    without running the scan.
 ``stream <in> <out>``
     Scan a file out of core: read in chunks through a streaming
     session (``--chunk-bytes``), bit-identical to ``scan``,
@@ -87,7 +87,7 @@ def _resolve_cli_engine(name: str, threads: int = 0, float_mode=None):
 
 
 def _cmd_explain(args) -> int:
-    """``--explain``: print the planner's candidate table, scan nothing.
+    """``--explain``: print the planner's gate table, scan nothing.
 
     Reads only the input's byte size — never its contents — so it is
     safe to run against files too large to load.
@@ -202,13 +202,17 @@ def _cmd_stream_planned(args) -> int:
         return 1
     c = result.counters
     kind = "exclusive" if args.exclusive else "inclusive"
-    strategy = c.planner_strategy or "pinned by checkpoint"
-    priced = "calibrated" if c.planner_cache_hits else "modeled"
+    if c.planner_strategy:
+        from repro.plan import PLANNER_COUNTERS
+
+        strategy = f"{c.planner_strategy} ({PLANNER_COUNTERS.last_reason})"
+    else:
+        strategy = "pinned by checkpoint"
     print(
         f"{args.input}: streamed {kind} {args.op} scan of "
         f"{result.elements:,} x {result.dtype} (order {args.order}, "
         f"tuple size {args.tuple_size}) planned onto {strategy} "
-        f"({priced}) -> {args.output}"
+        f"-> {args.output}"
     )
     print(
         f"  phases: read {c.seconds_read:.3f}s  scan {c.seconds_scan:.3f}s  "
@@ -703,8 +707,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "kernel (engine 'threaded' or chunk scans; "
                             "0 = auto)")
         p.add_argument("--explain", action="store_true",
-                       help="print the planner's candidate table for this "
-                            "input and exit without scanning")
+                       help="print the planner's gates for this input "
+                            "and exit without scanning")
 
     p = sub.add_parser("scan", help="prefix-scan a raw integer file")
     add_scan_options(p)

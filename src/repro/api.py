@@ -24,13 +24,12 @@ When the caller pins nothing — ``repro.scan(x)``,
 strategy is chosen by :mod:`repro.plan` from the workload and the
 machine (``engine="auto"`` names the planner explicitly; every other
 explicit flag always wins).  :func:`explain` prints the planner's
-candidate table without running anything.
+gate table without running anything.
 """
 
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 
@@ -356,12 +355,11 @@ def scan_file(
     ``output_codec_order`` tune the written container.
 
     With *none* of ``engine``/``shards``/``workers``/``chunk_bytes``/
-    ``threads`` pinned (or ``engine="auto"``), the single-session vs
-    sharded choice, the shard/worker counts, and the slab thread count
-    are made by :mod:`repro.plan` from the file size, dtype, and
-    machine; the decision lands in the result's
-    ``counters.planner_*`` fields and the observed throughput is fed
-    back into the planner's calibration store.  A job resumed from an
+    ``threads`` pinned (or ``engine="auto"``), :mod:`repro.plan` picks
+    the driver and its chunk size: the single-session driver, which
+    beat the sharded and slab-threaded arms in a same-run A/B at every
+    size measured.  The decision lands in the result's
+    ``counters.planner_strategy``.  A job resumed from an
     existing checkpoint keeps the driver family the checkpoint was
     written by, whatever the planner would pick today.
     """
@@ -476,13 +474,12 @@ def _scan_file_planned(
     adaptive_chunks=None,
     input_format="auto",
 ):
-    """Flag-less :func:`scan_file`: plan the driver, dispatch, feed back.
+    """Flag-less :func:`scan_file`: plan the driver and dispatch.
 
     Resume pinning: a checkpoint written by a previous run fixes the
     driver *family* (single-session checkpoint vs per-shard manifest),
-    because the planner's answer may legitimately change between runs
-    — feedback arrives, machines differ — while a half-finished job
-    must finish on the structure that started it.
+    because a job started with pinned shards must finish on the
+    structure that started it, whatever the planner picks today.
     """
     from repro import stream
     from repro.plan import plan_file_scan
@@ -518,10 +515,16 @@ def _scan_file_planned(
         input_format=input_format,
         float_mode=float_mode,
     )
-    chosen = plan.chosen
-    common = dict(
-        dtype=dtype, op=op, order=order, tuple_size=tuple_size,
-        inclusive=inclusive, checkpoint=checkpoint, resume=resume,
+    kwargs = {}
+    if checkpoint_every is not None:
+        kwargs["checkpoint_every"] = checkpoint_every
+    if adaptive_chunks is not None:
+        kwargs["adaptive_chunks"] = adaptive_chunks
+    result = stream.scan_file(
+        input_path, output_path, dtype=dtype, op=op, order=order,
+        tuple_size=tuple_size, inclusive=inclusive, checkpoint=checkpoint,
+        resume=resume, float_mode=float_mode,
+        chunk_bytes=plan.chosen.params["chunk_bytes"],
         # The plan already sniffed the input: pass on its answer so the
         # driver does not open and read the header a second time.
         input_format=(
@@ -529,46 +532,9 @@ def _scan_file_planned(
             if plan.workload.source == "compressed-file"
             else "raw"
         ),
+        **kwargs,
     )
-    t0 = time.perf_counter()
-    if chosen.strategy == "sharded":
-        kwargs = dict(common)
-        if adaptive_chunks is not None:
-            kwargs["adaptive_chunks"] = adaptive_chunks
-        result = stream.scan_file_sharded(
-            input_path, output_path,
-            shards=chosen.params.get("shards"),
-            workers=chosen.params.get("workers"),
-            float_mode=float_mode,
-            **kwargs,
-        )
-    else:
-        kwargs = dict(common)
-        if checkpoint_every is not None:
-            kwargs["checkpoint_every"] = checkpoint_every
-        if adaptive_chunks is not None:
-            kwargs["adaptive_chunks"] = adaptive_chunks
-        if chosen.params.get("chunk_bytes"):
-            kwargs["chunk_bytes"] = chosen.params["chunk_bytes"]
-        result = stream.scan_file(
-            input_path, output_path,
-            threads=(
-                chosen.params.get("threads")
-                if chosen.strategy == "stream_threaded"
-                else None
-            ),
-            float_mode=float_mode,
-            **kwargs,
-        )
-    observed = plan.observe(time.perf_counter() - t0)
-    counters = result.counters
-    counters.planner_strategy = chosen.label
-    if plan.cache_hit:
-        counters.planner_cache_hits += 1
-    else:
-        counters.planner_cache_misses += 1
-    if observed:
-        counters.planner_feedback_updates += 1
+    result.counters.planner_strategy = plan.chosen.label
     return result
 
 
@@ -604,14 +570,14 @@ def explain(
     inclusive: bool = True,
     float_mode=None,
 ):
-    """The planner's candidate table for a workload, without running it.
+    """The planner's gate table for a workload, without running it.
 
     Describe the workload by example (``values`` — an array), or by
     file (``input_path`` + ``dtype``).  Returns the
-    :class:`repro.plan.Plan`; printing it shows every candidate
-    strategy, its predicted cost, whether the prediction came from
-    measured calibration or the analytic model, and why the winner won
-    (the CLI form is ``python -m repro scan --explain``).
+    :class:`repro.plan.Plan`; printing it shows every gate the
+    planner walked, the input it read and its verdict, and why the
+    chosen strategy won (the CLI form is
+    ``python -m repro scan --explain``).
 
     >>> import numpy as np
     >>> plan = explain(np.ones(4, dtype=np.int64))

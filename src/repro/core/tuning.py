@@ -200,18 +200,6 @@ def _tuning_cache_path() -> str:
     return os.path.join(base, "repro", "kernel_tuning.json")
 
 
-def tuning_cache_dir() -> str:
-    """The directory holding this machine's measured-tuning artifacts.
-
-    The kernel-tuning cache lives here, and sibling subsystems persist
-    their own measurements alongside it — :mod:`repro.plan` keeps the
-    planner's empirical throughput calibration
-    (``planner_calibration.json``) in the same place, so one directory
-    is the whole "what we have measured about this machine" state.
-    """
-    return os.path.dirname(_tuning_cache_path()) or "."
-
-
 def _dtype_key(dtype: np.dtype) -> str:
     return f"{dtype.kind}{dtype.itemsize}"
 

@@ -2,24 +2,19 @@
 
 The paper's thesis is that the right scan structure is a function of
 *measurable* parameters — element width, tuple size, order, problem
-size, memory hierarchy — not of user folklore.  Six PRs of engines
-gave this repo one knob per structural decision (``engine=``,
-``threads=``, ``shards=``, ``chunk_bytes=``); this module names the
-inputs those decisions actually depend on, so that
-:mod:`repro.plan.planner` can make them from data.
+size, memory hierarchy — not of user folklore.  This module names the
+inputs the planner's gates read, so that :mod:`repro.plan.planner` can
+make each decision from them.
 
-* :class:`Workload` — one scan job, reduced to exactly the fields the
-  cost model reads: payload size, dtype, operator, order, tuple size,
-  inclusive flavor, where the bytes live (in memory vs on disk) and
-  whether they are contiguous.  Frozen and hashable, so it doubles as
-  the calibration-bucket key source.
-* :class:`Machine` — this host, reduced the same way: core count plus
-  the empirically tuned kernel geometry that
-  :func:`repro.core.tuning.kernel_tuning` measures at first use
-  (cache-block bytes, the threaded kernel's parallel cutover).  A
-  snapshot is taken per dtype and memoized; with
-  ``REPRO_TUNE_DISABLE=1`` it degrades to the built-in defaults and
-  says so in ``tuning_source``.
+* :class:`Workload` — one scan job: payload size, dtype, operator,
+  order, tuple size, inclusive flavor, where the bytes live (in memory
+  vs on disk), whether they are contiguous, and the caller's float
+  contract.  :attr:`Workload.kind` names the carry kind a parallel run
+  would use (:mod:`repro.kernels.splice`).
+* :class:`Machine` — this host: core count plus the threaded kernel's
+  tuned parallel cutover (:func:`repro.kernels.threaded._tuned_cutover`,
+  which reads :func:`repro.core.tuning.kernel_tuning`).  A snapshot is
+  taken per dtype and memoized; tests inject their own.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ import numpy as np
 
 from repro.ops import get_op
 
-#: Workload sources the cost model distinguishes.
+#: Where a workload's bytes live.
 SOURCE_MEMORY = "memory"
 SOURCE_FILE = "file"
 SOURCE_COMPRESSED = "compressed-file"
@@ -40,22 +35,19 @@ SOURCE_COMPRESSED = "compressed-file"
 
 @dataclass(frozen=True)
 class Workload:
-    """One scan job, described by the parameters cost depends on.
+    """One scan job, described by the parameters the gates read.
 
     ``nbytes`` is always the *logical* payload (elements × itemsize);
     a :data:`SOURCE_COMPRESSED` workload additionally carries
-    ``compressed_nbytes`` — the container bytes that actually cross the
-    disk — so the cost model can price the decode term separately from
-    the (smaller) IO term.
+    ``compressed_nbytes``, the container bytes on disk.
 
     ``float_mode`` is the caller's float contract and is part of the
-    workload, not a tunable: under ``"compensated"`` every candidate —
+    workload, not a tunable: under ``"compensated"`` every strategy —
     serial included — produces the error-free-carry result, so the
-    planner's bit-identity guarantee holds *within* the mode and
-    parallel candidates open up for float ``add``.  ``None`` (and
-    ``"exact"``) keep the historical promise that a float plan equals
-    the sequential left fold bit for bit, which only the serial path
-    can honor.
+    planner's bit-identity guarantee holds *within* the mode.  ``None``
+    (and ``"exact"``) keep the promise that a float plan equals the
+    sequential left fold bit for bit, which only the serial path can
+    honor.
     """
 
     nbytes: int
@@ -188,9 +180,8 @@ class Workload:
         """Whether this workload runs under the compensated float
         contract: the caller asked for ``float_mode="compensated"`` and
         the kernels support it (float ``add`` with a real ufunc) on a
-        contiguous buffer.  Compensable workloads get parallel
-        candidates — every strategy, serial included, produces the
-        same error-free-carry bits."""
+        contiguous buffer.  Every strategy, serial included, then
+        produces the same error-free-carry bits."""
         if self.float_mode != "compensated" or not self.contiguous:
             return False
         from repro.kernels import compensated_supported
@@ -198,70 +189,43 @@ class Workload:
         return compensated_supported(self.op, self.dtype)
 
     @property
-    def scan_passes(self) -> int:
-        """Memory passes the host kernels make over the payload.
-
-        ``1`` inside the fused order-``q`` gate
-        (:func:`repro.kernels.fused_supported`: integer ADD at
-        ``order >= 2`` with ``tuple_size >= 2`` — the single-pass
-        tile-resident path), ``order`` otherwise (iterated
-        pass-per-order scans, the paper's ``2qn`` traffic).  The cost
-        model divides by this instead of ``order`` wherever a term
-        counts passes, so an order-3 integer scan is priced at its
-        actual single-pass traffic.
-        """
-        if self.order == 1:
-            return 1
-        try:
-            op = get_op(self.op)
-        except (KeyError, TypeError):
-            return self.order
-        from repro.kernels import fused_supported
-
-        if fused_supported(op, self.dtype, self.order, self.tuple_size):
-            return 1
-        return self.order
-
-    @property
     def vectorized(self) -> bool:
         """Whether the operator has a GIL-releasing ufunc inner loop
         (looped operators serialize threads, so slab parallelism cannot
         win on them).  Unregistered custom operators — whose name
         cannot be resolved back to an op — count as looped: the planner
-        then only ever proposes the serial path, which takes the
-        original op object verbatim."""
+        then plans the serial path, which takes the original op object
+        verbatim."""
         try:
             return get_op(self.op).ufunc is not None
         except (KeyError, TypeError):
             return False
 
-    def size_bucket(self) -> int:
-        """Power-of-two size bucket for calibration: observed throughput
-        at 48 MiB should inform a prediction at 60 MiB, not at 6 KiB."""
-        return max(1, int(self.nbytes)).bit_length()
+    @property
+    def kind(self) -> str:
+        """The carry kind a parallel run would use
+        (:mod:`repro.kernels.splice`): ``"compensated"`` for a
+        compensable float, ``"fused"`` inside the fused order-``q`` gate
+        (:func:`repro.kernels.fused_supported`: integer ADD at
+        ``order >= 2`` with ``tuple_size >= 2``), ``"row"`` otherwise."""
+        if self.compensable:
+            return "compensated"
+        from repro.kernels import fused_supported
 
-    def calibration_key(self, strategy: str) -> str:
-        """The calibration-store bucket this workload's observations of
-        ``strategy`` feed (and read).  Parameters that change the
-        bytes-per-second of a strategy are part of the key; ones that do
-        not (inclusive flavor) are left out so buckets warm up faster.
-        The float mode is appended only when set, so integer buckets
-        (and pre-existing float ones) keep their historical keys."""
-        suffix = f"|fm:{self.float_mode}" if self.float_mode else ""
-        return (
-            f"{strategy}|{self.source}|{self.dtype}|{self.op}"
-            f"|q{self.order}|s{self.tuple_size}|b{self.size_bucket()}{suffix}"
-        )
+        try:
+            if fused_supported(self.op, self.dtype, self.order, self.tuple_size):
+                return "fused"
+        except (KeyError, TypeError):
+            pass
+        return "row"
 
 
 @dataclass(frozen=True)
 class Machine:
-    """This host, reduced to the parameters the cost model reads."""
+    """This host, reduced to what the gates read."""
 
     cpu_count: int
-    block_bytes: int
     parallel_cutover_bytes: int
-    tuning_source: str = "default"
 
     @property
     def multicore(self) -> bool:
@@ -271,42 +235,19 @@ class Machine:
 _MACHINE_MEMO: Dict[str, Machine] = {}
 
 
-def machine_snapshot(dtype, *, refresh: bool = False) -> Machine:
-    """The memoized :class:`Machine` for ``dtype``.
-
-    Consults :func:`repro.core.tuning.kernel_tuning` — which measures
-    at first use, caches on disk, and honors ``REPRO_TUNE_DISABLE=1``
-    and the per-value env pins — so the planner sees exactly the
-    geometry the kernels run with.  A tuner failure falls back to the
-    built-in defaults instead of failing the scan.
-    """
+def machine_snapshot(dtype) -> Machine:
+    """The memoized :class:`Machine` for ``dtype``: the core count and
+    the cutover the threaded kernel itself runs with, so the planner and
+    the kernel never disagree about where slab threads start."""
     key = np.dtype(dtype).name
-    if not refresh and key in _MACHINE_MEMO:
-        return _MACHINE_MEMO[key]
-    cpu = os.cpu_count() or 1
-    try:
-        from repro.core.tuning import kernel_tuning
+    machine = _MACHINE_MEMO.get(key)
+    if machine is None:
+        from repro.kernels.threaded import _tuned_cutover
 
-        tuning = kernel_tuning(dtype, refresh=refresh)
-        machine = Machine(
-            cpu_count=cpu,
-            block_bytes=tuning.block_bytes,
-            parallel_cutover_bytes=tuning.parallel_cutover_bytes,
-            tuning_source=tuning.source,
+        machine = _MACHINE_MEMO[key] = Machine(
+            cpu_count=os.cpu_count() or 1,
+            parallel_cutover_bytes=_tuned_cutover(np.dtype(dtype)),
         )
-    except Exception:  # pragma: no cover - defensive: planning must not fail scans
-        from repro.core.tuning import (
-            DEFAULT_BLOCK_BYTES,
-            DEFAULT_PARALLEL_CUTOVER_BYTES,
-        )
-
-        machine = Machine(
-            cpu_count=cpu,
-            block_bytes=DEFAULT_BLOCK_BYTES,
-            parallel_cutover_bytes=DEFAULT_PARALLEL_CUTOVER_BYTES,
-            tuning_source="fallback",
-        )
-    _MACHINE_MEMO[key] = machine
     return machine
 
 

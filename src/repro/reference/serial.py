@@ -51,17 +51,23 @@ def inclusive_scan_serial(values, op: AssociativeOp = ADD, tuple_size: int = 1):
 def exclusive_scan_serial(values, op: AssociativeOp = ADD, tuple_size: int = 1):
     """Exclusive scan: position ``i`` combines inputs strictly before ``i``
     in its tuple lane; the first element of each lane is the identity.
+
+    Each lane's running total starts at its first element, as in
+    :func:`inclusive_scan_serial`, never at ``op(identity, first)``:
+    for floats ``0.0 + -0.0`` is ``0.0``, so seeding with the identity
+    would turn a leading ``-0.0`` into ``0.0`` one stride later.
     """
     op = get_op(op)
     array = _validate(values, 1, tuple_size)
     dtype = op.check_dtype(array.dtype)
-    out = np.empty_like(array, dtype=dtype)
-    identity = op.identity(dtype)
-    running = [identity] * tuple_size
-    for i in range(len(array)):
+    array = array.astype(dtype)
+    out = np.empty_like(array)
+    out[:tuple_size] = op.identity(dtype)
+    running = list(array[:tuple_size])
+    for i in range(tuple_size, len(array)):
         lane = i % tuple_size
         out[i] = running[lane]
-        running[lane] = op.apply(np.asarray(running[lane]), array[i])
+        running[lane] = op.apply(running[lane], array[i])
     return out
 
 

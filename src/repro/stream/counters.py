@@ -62,12 +62,12 @@ class StreamCounters:
 
     The ``planner_*`` fields make :mod:`repro.plan` decisions auditable
     wherever counters already flow (benchmarks, the serve STATS verb):
-    ``planner_strategy`` is the chosen candidate's label (e.g.
-    ``"sharded:4"``; empty when the caller pinned the configuration by
-    hand), ``planner_cache_hits`` / ``planner_cache_misses`` say
-    whether the decision was priced from measured calibration or the
-    analytic model alone, and ``planner_feedback_updates`` counts
-    observed runtimes folded back into the calibration store.
+    ``planner_strategy`` is the chosen strategy's label (e.g.
+    ``"stream"``; empty when the caller pinned the configuration by
+    hand).  ``planner_cache_hits``, ``planner_cache_misses`` and
+    ``planner_feedback_updates`` stay 0: the planner keeps no
+    calibration store, and the fields are kept so the frozen
+    checkpoint and manifest formats do not change.
     """
 
     chunks: int = 0

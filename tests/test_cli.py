@@ -87,6 +87,20 @@ class TestStreamCommand:
         ]) == 0
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
+    def test_planned_stream_prints_the_gate_reason(self, tmp_path, rng, capsys):
+        from repro.plan import PLANNER_COUNTERS
+
+        raw = tmp_path / "in.bin"
+        rng.integers(-1000, 1000, 5_000).astype(np.int64).tofile(raw)
+        argv = ["stream", str(raw), str(tmp_path / "out.bin"), "--dtype", "int64"]
+        assert main(argv) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.endswith(
+            f"planned onto stream ({PLANNER_COUNTERS.last_reason}) "
+            f"-> {tmp_path / 'out.bin'}"
+        )
+        assert "same-run A/B" in line
+
     def test_interrupted_stream_resumes(self, tmp_path, rng):
         values = rng.integers(-1000, 1000, 50_000).astype(np.int32)
         raw = tmp_path / "in.bin"

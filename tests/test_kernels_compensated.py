@@ -368,26 +368,31 @@ def test_sharded_compensated_rejects_non_add(rng, tmp_path):
 # -- the planner under the compensated contract -------------------------------
 
 
-def test_planner_offers_parallel_float_candidates():
-    from repro.plan import Machine, Workload, plan_scan
+def test_planner_plans_compensated_serial(rng):
+    from repro.plan import Machine, Workload, auto_scan, plan_scan
 
-    machine = Machine(cpu_count=8, block_bytes=1 << 20,
-                      parallel_cutover_bytes=1 << 20)
+    # The compensated kind re-reads its error buffer in the fold, so
+    # the gates plan it serial; a forced threaded:2 stays bit-identical.
+    machine = Machine(cpu_count=8, parallel_cutover_bytes=1 << 20)
     workload = Workload(nbytes=64 << 20, dtype="float64", op="add",
                         float_mode="compensated", source="memory")
     plan = plan_scan(workload, machine=machine)
-    labels = [c.label for c in plan.candidates]
-    assert any(label.startswith("threaded") for label in labels)
-    assert all(
-        c.params.get("float_mode") == "compensated" for c in plan.candidates
+    assert plan.chosen.label == "serial"
+    assert "compensated" in plan.reason
+    x = _cancellation_corpus(rng, 60_000)
+    _assert_bitwise(
+        auto_scan(x, float_mode="compensated", force="threaded:2"), _oneshot(x)
     )
-    # Exact-mode floats stay serial-only, and the rationale says why.
+    # Exact-mode floats stay serial, the rationale says why, and
+    # forcing slab threads on them is refused.
     exact = plan_scan(
         Workload(nbytes=64 << 20, dtype="float64", op="add", source="memory"),
         machine=machine,
     )
-    assert [c.label for c in exact.candidates] == ["serial"]
+    assert exact.chosen.label == "serial"
     assert "compensated" in exact.reason
+    with pytest.raises(ValueError, match="cannot force"):
+        plan_scan(exact.workload, machine=machine, force="threaded:2")
 
 
 def test_planner_tiny_shortcut_honors_float_mode(rng):

@@ -27,7 +27,7 @@ from repro.kernels import (
     threaded_fused_lane_scan,
 )
 from repro.ops import get_op
-from repro.plan import Workload, plan_scan
+from repro.plan import Machine, Workload, auto_scan, plan_scan
 from repro.reference import prefix_sum_serial
 from repro.stream import ScanSession, scan_file_sharded
 
@@ -82,18 +82,19 @@ class TestGate:
         # tuple_size=None defers the engagement heuristic to the caller.
         assert fused_supported("add", np.int64, 3, None)
 
-    def test_workload_scan_passes_mirrors_gate(self):
+    def test_workload_kind_mirrors_gate(self):
         kw = dict(nbytes=1 << 20, dtype="int64", op="add")
-        assert Workload(order=3, tuple_size=4, **kw).scan_passes == 1
-        assert Workload(order=1, tuple_size=4, **kw).scan_passes == 1
-        assert Workload(order=3, tuple_size=1, **kw).scan_passes == 3
+        assert Workload(order=3, tuple_size=4, **kw).kind == "fused"
+        assert Workload(order=1, tuple_size=4, **kw).kind == "row"
+        assert Workload(order=3, tuple_size=1, **kw).kind == "row"
         assert (
             Workload(nbytes=1 << 20, dtype="int64", op="max",
-                     order=3, tuple_size=4).scan_passes == 3
+                     order=3, tuple_size=4).kind == "row"
         )
         assert (
             Workload(nbytes=1 << 20, dtype="float64", op="add",
-                     order=3, tuple_size=4).scan_passes == 3
+                     order=3, tuple_size=4,
+                     float_mode="compensated").kind == "compensated"
         )
 
 
@@ -385,19 +386,21 @@ class TestFusedAcrossStack:
         # The two long rounds were fused; the short rounds fell back.
         assert all(b.counters.fused_order_scans == 2 for b in batched)
 
-    def test_planner_prices_fused_single_pass(self):
-        fused = Workload(nbytes=96 << 20, dtype="int64", op="add",
-                         order=3, tuple_size=4, source="file")
-        unfused = Workload(nbytes=96 << 20, dtype="int64", op="max",
-                           order=3, tuple_size=4, source="file")
-        plan_f = plan_scan(fused, store=None)
-        plan_u = plan_scan(unfused, store=None)
-        assert "pass structure: fused" in plan_f.explain()
-        assert "pass structure: pass-per-order" in plan_u.explain()
-        # Same geometry, same strategy: the fused workload must be
-        # predicted faster than three iterated passes.
-        f = {c.label: c.predicted_seconds for c in plan_f.candidates}
-        u = {c.label: c.predicted_seconds for c in plan_u.candidates}
-        shared = set(f) & set(u)
-        assert shared
-        assert all(f[label] < u[label] for label in shared)
+    def test_planner_plans_fused_serial(self, rng):
+        # The fused kind's slab fold leaves cache, so the gates plan it
+        # serial at any size; the same shape under max is the row kind
+        # and goes threaded.  A forced threaded:2 stays bit-identical.
+        machine = Machine(cpu_count=8, parallel_cutover_bytes=1 << 20)
+        fused = Workload(nbytes=512 << 20, dtype="int64", op="add",
+                         order=3, tuple_size=4)
+        unfused = Workload(nbytes=512 << 20, dtype="int64", op="max",
+                           order=3, tuple_size=4)
+        plan_f = plan_scan(fused, machine=machine)
+        assert plan_f.chosen.label == "serial"
+        assert "fused" in plan_f.reason
+        assert plan_scan(unfused, machine=machine).chosen.label == "threaded:8"
+        values = full_range(rng, np.int64, 5003 * 4)
+        assert np.array_equal(
+            auto_scan(values, order=3, tuple_size=4, force="threaded:2"),
+            prefix_sum_serial(values, order=3, tuple_size=4),
+        )

@@ -83,6 +83,17 @@ class TestExclusiveScan:
         out = exclusive_scan_serial(values, tuple_size=2)
         assert np.array_equal(out, np.array([0, 0, 1, 10, 3, 30], dtype=np.int32))
 
+    def test_leading_negative_zero_survives(self):
+        # Each lane starts from its first element, not identity + first:
+        # 0.0 + -0.0 is 0.0, which would lose the sign one stride later.
+        from repro.core.host import host_prefix_sum
+
+        values = np.array([-0.0, -0.0, 1.0, 2.0])
+        out = exclusive_scan_serial(values, tuple_size=2)
+        want = host_prefix_sum(values, tuple_size=2, inclusive=False)
+        assert np.array_equal(np.signbit(out), [False, False, True, True])
+        assert out.tobytes() == want.tobytes()
+
 
 class TestTupleScan:
     def test_lanes_are_independent(self):

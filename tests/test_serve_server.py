@@ -206,6 +206,34 @@ def test_auto_threaded_feed_above_cutover_goes_solo(monkeypatch, rng):
         )
 
 
+def test_open_plans_threads_without_the_tuner(serve, rng, monkeypatch):
+    # An unpinned OPEN decides threads= from the core count and the
+    # configuration alone: a first-use tuner measurement must never run
+    # on the serve loop.
+    import repro.core.tuning
+    from repro.plan.workload import _reset_machine_memo
+
+    calls = []
+
+    def no_tuner(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("serve OPEN consulted the kernel tuner")
+
+    monkeypatch.setattr(repro.core.tuning, "kernel_tuning", no_tuner)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _reset_machine_memo()
+    st, address = serve
+    with ScanClient(address) as client:
+        client.open("planned", op="add", dtype="int64", order=2)
+        assert calls == []
+        chunk = make_int_array(rng, 64, dtype=np.int64)
+        got = client.feed("planned", chunk)
+    session = st.server.registry.get("planned")
+    assert session.counters.planner_strategy == "session_threads:auto"
+    oracle = ScanSession(op="add", order=2, dtype="int64")
+    np.testing.assert_array_equal(got, oracle.feed(chunk.copy()))
+
+
 def test_open_errors_and_unknown_session(serve, rng):
     _, address = serve
     with ScanClient(address) as client:

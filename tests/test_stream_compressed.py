@@ -5,8 +5,7 @@ Covers the acceptance criteria end to end: a blocked ``.samb``
 container scans bit-identically to the same values fed raw — through
 the single-session driver, the sharded driver, injected-crash resume,
 and a real SIGKILL of the CLI process — plus the planner's
-compressed-file workload source, the CLI surface, the counters, and
-the calibration store's concurrent-writer merge.
+compressed-file workload source, the CLI surface and the counters.
 """
 
 import os
@@ -25,7 +24,6 @@ from repro.compression import BlockedDeltaCodec
 from repro.compression.stream import BlockedFileReader, read_index
 from repro.core.host import host_prefix_sum
 from repro.plan import plan_file_scan
-from repro.plan.calibration import CalibrationStore
 from repro.stream import (
     CheckpointMismatchError,
     InjectedFailureError,
@@ -295,17 +293,10 @@ class TestPlannerIntegration:
         assert plan.workload.source == "compressed-file"
         assert plan.workload.dtype == np.dtype(np.int64)
         assert 0 < plan.workload.compressed_nbytes < plan.workload.nbytes
-        # Block decode is serial: the slab-threaded single-session
-        # candidate must not be offered for compressed inputs.
-        assert all(
-            c.strategy != "stream_threaded" for c in plan.candidates
-        )
+        assert plan.chosen.label == "stream"
+        assert f"{plan.workload.compressed_nbytes:,} B on disk" in plan.explain()
 
-    def test_planned_api_scan_over_blocked_input(self, tmp_path, rng,
-                                                 monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_PLAN_CACHE", str(tmp_path / "cal.json")
-        )
+    def test_planned_api_scan_over_blocked_input(self, tmp_path, rng):
         values = make_values(rng, 12_000)
         samb = write_blocked(tmp_path, values)
         out = tmp_path / "out.bin"
@@ -332,10 +323,7 @@ class TestCompressedCLI:
         assert main(["decompress", str(samb), str(back)]) == 0
         assert raw.read_bytes() == back.read_bytes()
 
-    def test_stream_sniffs_blocked_input(self, tmp_path, rng, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_PLAN_CACHE", str(tmp_path / "cal.json")
-        )
+    def test_stream_sniffs_blocked_input(self, tmp_path, rng):
         values = make_values(rng, 10_000)
         samb = write_blocked(tmp_path, values)
         ref, out = tmp_path / "ref.bin", tmp_path / "out.bin"
@@ -418,40 +406,4 @@ class TestResumeAfterKill:
         assert np.array_equal(
             np.fromfile(out, dtype=np.int64),
             host_prefix_sum(values, order=2),
-        )
-
-
-class TestCalibrationConcurrentWriters:
-    """Satellite regression: persists merge across store instances
-    instead of the last writer erasing everyone else's buckets."""
-
-    def test_two_stores_compose(self, tmp_path):
-        path = str(tmp_path / "cal.json")
-        a, b = CalibrationStore(path), CalibrationStore(path)
-        # Both stores load (empty) before either persists — the classic
-        # read-modify-write race.
-        assert a.throughput("bucket-a") is None
-        assert b.throughput("bucket-b") is None
-        a.observe("bucket-a", 1e9)
-        b.observe("bucket-b", 2e9)
-        fresh = CalibrationStore(path)
-        assert fresh.throughput("bucket-a") == pytest.approx(1e9)
-        assert fresh.throughput("bucket-b") == pytest.approx(2e9)
-
-    def test_better_warmed_bucket_survives(self, tmp_path):
-        path = str(tmp_path / "cal.json")
-        a = CalibrationStore(path)
-        # Values that keep moving so every observation actually writes
-        # (a converged EWMA skips the disk write by design).
-        for rate in (1e9, 2e9, 1e9, 2e9, 1e9):
-            a.observe("bucket", rate)
-        b = CalibrationStore(path)
-        # b has never read the file; its single sample must not clobber
-        # a's five-sample EWMA.
-        b._entries = {"bucket": {"bytes_per_second": 7e9, "samples": 1}}
-        b._persist()
-        fresh = CalibrationStore(path)
-        assert fresh.samples("bucket") == 5
-        assert fresh.throughput("bucket") == pytest.approx(
-            a.throughput("bucket")
         )

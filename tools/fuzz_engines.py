@@ -168,7 +168,7 @@ def random_config(rng, engines=ENGINES):
         # deliberately including heavy oversubscription (determinism is
         # part of the contract, not just agreement).
         "slab_threads": int(rng.choice([1, 2, 3, 4, 8])),
-        # Only the "plan" kind reads these: which candidate to force
+        # Only the "plan" kind reads these: which strategy to force
         # through the planner's dispatcher (None = the planner's own
         # pick), so every execute_plan arm gets differential coverage;
         # plan_float flips the workload to a compensated float64 one
@@ -419,8 +419,8 @@ class PlannedScan:
     (:func:`repro.plan.auto_scan`) — flag-less, letting the planner
     choose, or with a forced candidate label so every dispatch arm
     (serial kernel, threaded slabs) is differentially
-    checked against the oracle regardless of what this machine's cost
-    model would pick on its own.  ``float_mode`` puts the plan under
+    checked against the oracle regardless of what this machine's gates
+    would pick on their own.  ``float_mode`` puts the plan under
     the compensated contract (the float arms; the oracle is then the
     serial compensated kernel, not the naive serial fold)."""
 
@@ -842,11 +842,10 @@ def run_stream(config, rng) -> bool:
     ``ScanSession`` (:class:`SessionSplitScan`, state round-trip
     included) opened with ``threads`` drawn from
     :data:`STREAM_THREADS`, over the integer draw or a float64 arm
-    with signed zeros — exact (against the one-shot host scan) or
+    with signed zeros — exact (against the serial reference) or
     compensated (against the serial compensated kernel) — at orders
     1–3.  The arm is drawn from
     the data ``rng``, like the "file" kind's draws."""
-    from repro.core.host import host_prefix_sum
     from repro.kernels import compensated_scan_into
 
     config["stream_threads"] = STREAM_THREADS[int(rng.integers(0, 3))]
@@ -882,11 +881,6 @@ def run_stream(config, rng) -> bool:
         expected = compensated_scan_into(
             values, np.empty_like(values), **args
         )
-    elif mode == "exact":
-        # The session's float contract is the one-shot host scan: the
-        # serial reference's exclusive pass folds the identity into a
-        # lane's first value, so it turns a leading -0.0 into 0.0.
-        expected = host_prefix_sum(values, **args)
     else:
         expected = _oracle(config, values, **args)
     out = np.asarray(result.values)
