@@ -84,9 +84,12 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
                         repeats,
                     )
                     for threads in threads_list:
+                        # cutover_bytes=0: 64 MiB is below the kernel's
+                        # parallel cutover, which would scan serially.
                         got = kernels.threaded_scan_into(
                             values, np.empty_like(values), op,
                             order=order, tuple_size=s, threads=threads,
+                            cutover_bytes=0,
                         )
                         if got.tobytes() != want.tobytes():
                             raise SystemExit(
@@ -98,6 +101,7 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
                             lambda: kernels.threaded_scan_into(
                                 values, scratch, op, order=order,
                                 tuple_size=s, threads=threads,
+                                cutover_bytes=0,
                             ),
                             repeats,
                         )

@@ -30,10 +30,12 @@ new cache line and the naive call becomes memory-bound.  For the truly
 associative dtypes (fixed-width integers, wraparound included) the
 kernel therefore processes *row blocks* that fit in cache
 (:data:`BLOCK_BYTES`) and splices them with an in-cache carry fold —
-measurably faster at large ``s`` and bit-identical, because integer
-regrouping is exact.  Floats keep the plain single-call form: it
-performs the exact per-lane left fold, so results stay bit-identical
-to the serial reference.
+measurably faster at lane strides of :data:`BLOCKED_MIN_STRIDE_BYTES`
+and wider, and bit-identical, because integer regrouping is exact.
+Both numbers are committed constants sized from measured crossover
+tables, the same for every dtype, never tuned per run.  Floats keep
+the plain single-call form: it performs the exact per-lane left fold,
+so results stay bit-identical to the serial reference.
 
 The trick pays even at ``s == 1``: numpy's ``(m, 2)`` axis-0
 accumulate runs several times faster in cache than the 1-D one, so a
@@ -80,17 +82,18 @@ from repro.ops import BUILTIN_OPS, AssociativeOp, get_op
 #: Row-block byte budget for the cache-blocked wide-stride path.  One
 #: block of ``BLOCK_BYTES // (s * itemsize)`` rows is accumulated while
 #: it is cache-resident, then spliced to the next block with a single
-#: vectorized carry fold.  This constant is the *fallback*: the actual
-#: budget is measured per dtype at first use by the empirical tuner
-#: (:func:`repro.core.tuning.kernel_tuning`) and can be pinned with
-#: ``REPRO_BLOCK_BYTES``.
-BLOCK_BYTES = 128 << 10
+#: vectorized carry fold.  Sized from a measured crossover table
+#: (CHANGES.md): 256 KiB, 512 KiB and 1 MiB sit on one plateau, and
+#: 512 KiB lost at most 4% to the best budget at any int32/int64 shape
+#: measured, against 10% for 256 KiB and 12% for 1 MiB.
+BLOCK_BYTES = 512 << 10
 
 #: Lane strides at least this wide (bytes) take the cache-blocked path.
 #: Below it, the plain single-call accumulate already enjoys cache-line
-#: reuse across columns and the per-block Python overhead would lose.
-#: Fallback like :data:`BLOCK_BYTES`; tuned per dtype, pinned with
-#: ``REPRO_BLOCKED_MIN_STRIDE_BYTES``.
+#: reuse across columns and the per-block Python overhead would lose:
+#: in the measured crossover table (CHANGES.md) int64 ``s == 4`` (32 B)
+#: ran 0.62-0.84x blocked against plain at every size, while at 64 B
+#: both int32 and int64 ran 1.5-2.0x faster blocked at 64 MiB.
 BLOCKED_MIN_STRIDE_BYTES = 64
 
 #: Tile byte budget for the fused single-pass order-q path.  Fused
@@ -129,28 +132,6 @@ _PAIR_DTYPES = tuple(
 _PAIR_OPS = tuple(
     BUILTIN_OPS[name] for name in ("add", "max", "min", "xor", "and", "or")
 )
-
-#: Memoized per-dtype geometry from the empirical tuner, keyed by
-#: (dtype.kind, itemsize).  Lazily filled: importing the tuner at
-#: module load would cycle (`repro.core` imports this module).
-_GEOMETRY_MEMO: dict = {}
-
-
-def _blocked_geometry(dtype: np.dtype):
-    """``(block_bytes, min_stride_bytes)`` for ``dtype``, tuned."""
-    key = (dtype.kind, dtype.itemsize)
-    geometry = _GEOMETRY_MEMO.get(key)
-    if geometry is None:
-        geometry = (BLOCK_BYTES, BLOCKED_MIN_STRIDE_BYTES)
-        try:
-            from repro.core.tuning import kernel_tuning
-
-            tuned = kernel_tuning(dtype)
-            geometry = (tuned.block_bytes, tuned.min_stride_bytes)
-        except Exception:  # pragma: no cover - tuner must never break scans
-            pass
-        _GEOMETRY_MEMO[key] = geometry
-    return geometry
 
 
 def phase_perm(pos: int, tuple_size: int) -> np.ndarray:
@@ -338,9 +319,8 @@ def lane_scan(
     src2 = src[:body].reshape(m, s)
     out2 = out[:body].reshape(m, s)
     stride_bytes = s * src.dtype.itemsize
-    block_bytes, min_stride_bytes = _blocked_geometry(src.dtype)
-    if _is_blocked_dtype(src.dtype) and stride_bytes >= min_stride_bytes:
-        rows = max(1, block_bytes // stride_bytes)
+    if _is_blocked_dtype(src.dtype) and stride_bytes >= BLOCKED_MIN_STRIDE_BYTES:
+        rows = max(1, BLOCK_BYTES // stride_bytes)
         prev = carry
         for i in range(0, m, rows):
             blk = out2[i : i + rows]

@@ -28,10 +28,11 @@ the error-free-carry segments of :mod:`repro.kernels.compensated`,
 bit-identical for *any* thread count; ``"regrouped"`` opts into the
 regrouped fold (deterministic for a fixed thread count only).
 
-**Cutover.**  Chunks below the tuned per-dtype parallel cutover
-(:func:`repro.core.tuning.kernel_tuning`, override with
-``REPRO_PARALLEL_CUTOVER_BYTES``) run on the serial kernel; tests and
-the fuzzer force threading with ``cutover_bytes=0``.
+**Cutover.**  Chunks below :data:`PARALLEL_CUTOVER_BYTES` run on the
+serial kernel, whether the thread count was pinned or ``"auto"``; the
+planner's cutover gate and the serve batcher's solo rule read the same
+constant.  Tests and the fuzzer force threading with
+``cutover_bytes=0``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,13 @@ from repro.kernels.lane import (
 from repro.kernels.splice import FusedCarry, RowCarry, splice
 from repro.ops import ADD, AssociativeOp, get_op
 
-#: Fallback parallel cutover (bytes) when the tuner is unavailable:
-#: chunks smaller than this are scanned serially.
-PARALLEL_CUTOVER_BYTES = 4 << 20
+#: The parallel cutover (bytes): chunks smaller than this are scanned
+#: serially.  It is the measured row-kind crossover of two slab threads
+#: against one (CHANGES.md): forced ``threaded:2`` lost to serial at
+#: 32 MiB on int32 and int64 and at 64 MiB on int64, and won from
+#: 128 MiB on both.  Read at call time by :func:`slab_scan`, the
+#: planner's cutover gate and :func:`repro.serve.batch.feeds_solo`.
+PARALLEL_CUTOVER_BYTES = 128 << 20
 
 #: Auto thread resolution gives each worker at least this many bytes of
 #: slab — below it, another thread adds dispatch cost, not bandwidth.
@@ -109,15 +114,6 @@ def resolve_threads(threads=None, n_bytes: Optional[int] = None) -> int:
     return t
 
 
-def _tuned_cutover(dtype: np.dtype) -> int:
-    try:
-        from repro.core.tuning import kernel_tuning
-
-        return kernel_tuning(dtype).parallel_cutover_bytes
-    except Exception:  # pragma: no cover - tuner must never break scans
-        return PARALLEL_CUTOVER_BYTES
-
-
 def _slab_bounds(m: int, parts: int):
     """Split ``m`` full rows into ``parts`` balanced row ranges.
 
@@ -160,7 +156,7 @@ def slab_scan(kind, buf, n, carry, seen=None, *, threads=None, cutover_bytes=Non
     n_bytes = n * kind.dtype.itemsize
     threads = resolve_threads(threads, n_bytes)
     if cutover_bytes is None:
-        cutover_bytes = _tuned_cutover(kind.dtype)
+        cutover_bytes = PARALLEL_CUTOVER_BYTES
     units = n // kind.unit
     if threads <= 1 or units < 2 or n_bytes < cutover_bytes:
         return None
@@ -342,8 +338,9 @@ class ThreadedLaneKernel(LaneKernel):
         depends only on this number, so results are deterministic under
         any pool size.
     ``cutover_bytes``
-        Serial/parallel crossover; ``None`` uses the tuned per-dtype
-        value, ``0`` forces threading for any chunk with ≥ 2 full rows.
+        Serial/parallel crossover; ``None`` uses
+        :data:`PARALLEL_CUTOVER_BYTES`, ``0`` forces threading for any
+        chunk with ≥ 2 full rows.
 
     Exactness matches the base class (see the module notes): exact
     floats take the serial prepend pass, every other mode the slab

@@ -5,10 +5,10 @@ kernel, the slab-parallel threaded kernel, the single-session
 out-of-core driver, the sharded driver, and the serving layer's
 batched sessions.  This package chooses among them *from the data*: a
 :class:`Workload` (size, dtype, op, order, tuple size, where the bytes
-live) and a :class:`Machine` (core count plus the threaded kernel's
-tuned parallel cutover) pass through a few gates, each reading one
-measured or observed input, and the resulting :class:`Plan` dispatches
-through the existing engines and records its decision in counters.
+live) and a :class:`Machine` (the core count) pass through a few
+gates, each reading one measured or observed input, and the resulting
+:class:`Plan` dispatches through the existing engines and records its
+decision in counters.
 
 ``repro.scan(x)``, ``repro.prefix_sum(x)``, flag-less
 ``repro.scan_file`` and the serving layer all route through here;
@@ -19,7 +19,6 @@ prints every gate's input and verdict without running anything.
 
 from repro.plan.planner import (
     PLANNER_COUNTERS,
-    ROW_THREADS_MIN_BYTES,
     TINY_BYTES,
     Choice,
     Plan,
@@ -35,7 +34,6 @@ from repro.plan.workload import Machine, Workload, machine_snapshot
 
 __all__ = [
     "PLANNER_COUNTERS",
-    "ROW_THREADS_MIN_BYTES",
     "TINY_BYTES",
     "Choice",
     "Machine",

@@ -3,10 +3,9 @@
 ``plan_scan`` walks a short list of gates.  Each reads one thing the
 code already sees or measures — the workload's dtype, operator and
 layout, its carry kind, the core count, its size against the threaded
-kernel's tuned cutover and a measured floor — and either passes the
-workload on or decides.  The returned :class:`Plan` keeps every
-gate's input and verdict, so ``repro.explain`` can say why a strategy
-was chosen.
+kernel's measured parallel cutover — and either passes the workload on
+or decides.  The returned :class:`Plan` keeps every gate's input and
+verdict, so ``repro.explain`` can say why a strategy was chosen.
 
 In memory (``repro.scan(x)`` / ``repro.prefix_sum(x)``):
 
@@ -28,11 +27,10 @@ In memory (``repro.scan(x)`` / ``repro.prefix_sum(x)``):
    40 MiB, against 1.26x / 1.61x for the row kind (int64 order 1).
    Fused and compensated plan ``serial``.
 4. **cores** — one core plans ``serial``.
-5. **cutover** — below the threaded kernel's own tuned cutover
-   (:func:`repro.kernels.threaded._tuned_cutover`) the kernel would
-   scan serially anyway, and below :data:`ROW_THREADS_MIN_BYTES` two
-   threads measured slower than one: ``serial``.  At or above both:
-   ``threaded:<cpu>``.
+5. **cutover** — below :data:`repro.kernels.threaded.PARALLEL_CUTOVER_BYTES`
+   (128 MiB) two slab threads measured slower than one, and the
+   threaded kernel itself would scan serially: ``serial``.  At or
+   above it: ``threaded:<cpu>``.
 
 On files (``repro.scan_file``) every job plans ``stream``, the
 single-session driver.  A same-run A/B of the pinned arms on a 2-vCPU
@@ -70,17 +68,6 @@ from repro.plan.workload import (
 #: reading the machine: planning must cost nothing where there is
 #: nothing to win.
 TINY_BYTES = 256 << 10
-
-#: Smallest in-memory row-kind scan planned onto slab threads, whatever
-#: the tuned cutover says.  The cutover is a dispatch-cost heuristic
-#: (1.3-3.3 MB for int64 on a 2-vCPU VM, varying between tunings) and
-#: sits far below the size where two threads beat one.  Forced
-#: ``threaded:2`` against serial, same-run A/Bs on that VM (medians of
-#: 7-9 alternating runs, CHANGES.md): 0.29-0.96x at 4-32 MiB, 0.75-1.26x
-#: at 64 MiB for order 1 and 0.84x for order 2, and 1.17-1.42x at
-#: 128 MiB for orders 1 and 2 on int32 and int64.
-ROW_THREADS_MIN_BYTES = 128 << 20
-
 
 @dataclass(frozen=True)
 class Choice:
@@ -253,17 +240,19 @@ def _memory_gates(
         gates.append(("cores", f"{m.cpu_count} core", "serial"))
         return serial, "one core: slab threads cannot overlap"
     gates.append(("cores", f"{m.cpu_count} cores", "pass"))
-    floor = f"max({m.parallel_cutover_bytes:,} B, {ROW_THREADS_MIN_BYTES >> 20} MiB)"
-    sizes = f"{w.nbytes:,} B vs {floor}"
-    if w.nbytes < max(m.parallel_cutover_bytes, ROW_THREADS_MIN_BYTES):
+    from repro.kernels import threaded
+
+    cutover = threaded.PARALLEL_CUTOVER_BYTES
+    sizes = f"{w.nbytes:,} B vs {cutover:,} B"
+    if w.nbytes < cutover:
         gates.append(("cutover", sizes, "serial"))
         return serial, (
-            "below the tuned parallel cutover or the size where two "
-            "threads measured faster than one"
+            "below the parallel cutover, where two threads measured "
+            "slower than one"
         )
     chosen = Choice("threaded", {"threads": m.cpu_count})
     gates.append(("cutover", sizes, chosen.label))
-    return chosen, "row kind at or above the tuned cutover and the threads floor"
+    return chosen, "row kind at or above the parallel cutover"
 
 
 def _forced(
@@ -295,14 +284,14 @@ def plan_scan(
 ) -> Plan:
     """Walk the gates for ``workload`` and return the :class:`Plan`.
 
-    ``machine`` injects the core count and cutover (tests); by default
-    the snapshot is read only when a gate needs it.  ``force`` names a
-    strategy label to choose regardless of the gates.
+    ``machine`` injects the core count (tests); by default the snapshot
+    is read only when a gate needs it.  ``force`` names a strategy label
+    to choose regardless of the gates.
     """
     gates: List[Gate] = []
 
     def resolve() -> Machine:
-        return machine if machine is not None else machine_snapshot(workload.dtype)
+        return machine if machine is not None else machine_snapshot()
 
     if force is not None:
         chosen = _forced(workload, force, resolve)
@@ -494,10 +483,9 @@ def session_threads(dtype, op="add", float_mode: Optional[str] = None) -> Option
     """Planned ``threads=`` for a streaming/served session whose chunk
     sizes are unknown up front: ``"auto"`` on a multicore machine for an
     integer ufunc or a compensated float configuration (the threaded
-    kernel's own tuned cutover then decides per chunk), ``None`` where
+    kernel's parallel cutover then decides per chunk), ``None`` where
     slab threads could only add dispatch overhead.  Reads the core count
-    and the configuration only, never the tuner, so a serve OPEN cannot
-    trigger a first-use measurement."""
+    and the configuration only."""
     if (os.cpu_count() or 1) <= 1:
         return None
     try:

@@ -11,17 +11,15 @@ make each decision from them.
   vs on disk), whether they are contiguous, and the caller's float
   contract.  :attr:`Workload.kind` names the carry kind a parallel run
   would use (:mod:`repro.kernels.splice`).
-* :class:`Machine` — this host: core count plus the threaded kernel's
-  tuned parallel cutover (:func:`repro.kernels.threaded._tuned_cutover`,
-  which reads :func:`repro.core.tuning.kernel_tuning`).  A snapshot is
-  taken per dtype and memoized; tests inject their own.
+* :class:`Machine` — this host: its core count.  A snapshot is taken
+  once per process; tests inject their own.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -225,32 +223,24 @@ class Machine:
     """This host, reduced to what the gates read."""
 
     cpu_count: int
-    parallel_cutover_bytes: int
 
     @property
     def multicore(self) -> bool:
         return self.cpu_count > 1
 
 
-_MACHINE_MEMO: Dict[str, Machine] = {}
+_MACHINE: Optional[Machine] = None
 
 
-def machine_snapshot(dtype) -> Machine:
-    """The memoized :class:`Machine` for ``dtype``: the core count and
-    the cutover the threaded kernel itself runs with, so the planner and
-    the kernel never disagree about where slab threads start."""
-    key = np.dtype(dtype).name
-    machine = _MACHINE_MEMO.get(key)
-    if machine is None:
-        from repro.kernels.threaded import _tuned_cutover
-
-        machine = _MACHINE_MEMO[key] = Machine(
-            cpu_count=os.cpu_count() or 1,
-            parallel_cutover_bytes=_tuned_cutover(np.dtype(dtype)),
-        )
-    return machine
+def machine_snapshot() -> Machine:
+    """The memoized :class:`Machine`: this host's core count."""
+    global _MACHINE
+    if _MACHINE is None:
+        _MACHINE = Machine(cpu_count=os.cpu_count() or 1)
+    return _MACHINE
 
 
 def _reset_machine_memo() -> None:
-    """Test hook: forget memoized snapshots (env/tuning changed)."""
-    _MACHINE_MEMO.clear()
+    """Test hook: forget the memoized snapshot."""
+    global _MACHINE
+    _MACHINE = None

@@ -32,11 +32,13 @@ their bit-exact per-session prepend path; the caller simply feeds
 those sessions individually.
 
 Sessions the planner opened with ``threads="auto"`` batch too: below
-the threaded kernel's tuned parallel cutover their chunks would take
-the serial kernel anyway, and at or above it :func:`feeds_solo` sends
-the feed to its own slab-parallel ``feed`` — the same per-chunk rule
-the threaded kernel applies.  Either layout is bit-identical (integer
-regrouping is exact; compensated carries are layout-invariant).
+the threaded kernel's parallel cutover
+(:data:`repro.kernels.threaded.PARALLEL_CUTOVER_BYTES`) their chunks
+would take the serial kernel anyway, and at or above it
+:func:`feeds_solo` sends the feed to its own slab-parallel ``feed`` —
+the same per-chunk rule the threaded kernel applies.  Either layout
+is bit-identical (integer regrouping is exact; compensated carries
+are layout-invariant).
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.kernels import (
     BatchedLaneKernel,
     batchable_op_dtype,
 )
-from repro.kernels.threaded import _tuned_cutover
 from repro.stream.errors import SessionStateError
 from repro.stream.session import ScanSession
 
@@ -104,14 +105,10 @@ def batch_key(session: ScanSession):
 def feeds_solo(session: ScanSession, nbytes: int) -> bool:
     """Whether a feed of ``nbytes`` from a batchable session should be
     dispatched alone: a ``threads="auto"`` session's chunk at or above
-    the tuned parallel cutover, where the slab-parallel kernel wins.
-    The cutover is cached on the session, like :func:`batch_key`."""
+    the parallel cutover, where the slab-parallel kernel wins."""
     if session.threads != "auto":
         return False
-    cutover = getattr(session, "_solo_cutover", None)
-    if cutover is None:
-        cutover = session._solo_cutover = _tuned_cutover(session.dtype)
-    return nbytes >= cutover
+    return nbytes >= kernels.threaded.PARALLEL_CUTOVER_BYTES
 
 
 def batch_kernel_for(session: ScanSession):

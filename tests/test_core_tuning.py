@@ -1,131 +1,26 @@
-"""The install-time kernel-geometry tuner (`repro.core.tuning`).
+"""The host kernels' geometry accessor (`repro.core.tuning.kernel_tuning`).
 
-The tuner feeds the lane kernel its cache-block geometry and the
-threaded kernel its parallel cutover, so its contract matters: env
-overrides always win, ``REPRO_TUNE_DISABLE`` falls back to the PR 5
-constants, measurements round-trip through the disk cache, and a
-broken cache (or an unwritable one) degrades to re-measuring — never
-to an exception reaching a scan.
+The block budget, the minimum blocked stride and the parallel cutover
+are committed constants measured ahead of use, so the accessor must
+return exactly them — for every dtype, whatever the environment says —
+and must never measure anything or touch the disk.
 """
 
-import json
-
-import numpy as np
-import pytest
-
-from repro.core.tuning import (
-    DEFAULT_BLOCK_BYTES,
-    DEFAULT_BLOCKED_MIN_STRIDE_BYTES,
-    DEFAULT_PARALLEL_CUTOVER_BYTES,
-    _KERNEL_TUNING_MEMO,
-    KernelTuning,
-    kernel_tuning,
-    measure_kernel_tuning,
-)
+from repro.core.tuning import KernelTuning, kernel_tuning
+from repro.kernels import lane, threaded
 
 
-@pytest.fixture(autouse=True)
-def isolated_tuner(tmp_path, monkeypatch):
-    """Every test gets a private cache file and a clean memo."""
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tuning.json"))
-    monkeypatch.delenv("REPRO_TUNE_DISABLE", raising=False)
-    for var in ("REPRO_BLOCK_BYTES", "REPRO_BLOCKED_MIN_STRIDE_BYTES",
-                "REPRO_PARALLEL_CUTOVER_BYTES"):
-        monkeypatch.delenv(var, raising=False)
-    _KERNEL_TUNING_MEMO.clear()
-    yield
-    _KERNEL_TUNING_MEMO.clear()
-
-
-def test_disable_returns_defaults(monkeypatch):
-    monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
-    tuning = kernel_tuning(np.int64)
-    assert tuning == KernelTuning()
-    assert tuning.source == "default"
-    assert tuning.block_bytes == DEFAULT_BLOCK_BYTES
-    assert tuning.min_stride_bytes == DEFAULT_BLOCKED_MIN_STRIDE_BYTES
-    assert tuning.parallel_cutover_bytes == DEFAULT_PARALLEL_CUTOVER_BYTES
-
-
-def test_env_overrides_win(monkeypatch):
-    monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
-    monkeypatch.setenv("REPRO_BLOCK_BYTES", str(1 << 16))
-    monkeypatch.setenv("REPRO_PARALLEL_CUTOVER_BYTES", str(123))
-    tuning = kernel_tuning(np.int64)
-    assert tuning.source == "env"
-    assert tuning.block_bytes == 1 << 16
-    assert tuning.parallel_cutover_bytes == 123
-    # Unpinned values keep their resolved setting.
-    assert tuning.min_stride_bytes == DEFAULT_BLOCKED_MIN_STRIDE_BYTES
-
-
-def test_bad_env_value_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
+def test_kernel_tuning_reads_no_environment_and_writes_no_file(
+    tmp_path, monkeypatch
+):
     monkeypatch.setenv("REPRO_BLOCK_BYTES", "not-a-number")
-    with pytest.raises(ValueError, match="REPRO_BLOCK_BYTES"):
-        kernel_tuning(np.int64)
-
-
-def test_measure_is_sane():
-    tuning = measure_kernel_tuning(np.int64)
-    assert tuning.source == "measured"
-    assert tuning.block_bytes >= 1 << 10
-    assert tuning.min_stride_bytes >= 1
-    assert (1 << 20) <= tuning.parallel_cutover_bytes <= (32 << 20)
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch):
-    cache = tmp_path / "tuning.json"
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-    first = kernel_tuning(np.int32)
-    assert first.source == "measured"
-    assert cache.exists()
-    entries = json.loads(cache.read_text())["entries"]
-    assert entries["i4"]["block_bytes"] == first.block_bytes
-
-    # A fresh process (cleared memo) resolves from the cache, not a
-    # re-measurement.
-    _KERNEL_TUNING_MEMO.clear()
-    second = kernel_tuning(np.int32)
-    assert second.source == "cached"
-    assert second.block_bytes == first.block_bytes
-    assert second.parallel_cutover_bytes == first.parallel_cutover_bytes
-
-
-def test_corrupt_cache_re_measures(tmp_path, monkeypatch):
-    cache = tmp_path / "tuning.json"
-    cache.write_text("{not json")
-    monkeypatch.setenv("REPRO_TUNE_CACHE", str(cache))
-    tuning = kernel_tuning(np.int64)
-    assert tuning.source == "measured"
-    # ... and the cache healed.
-    assert json.loads(cache.read_text())["version"] == 1
-
-
-def test_memoized_per_dtype(monkeypatch):
-    monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
-    assert kernel_tuning(np.int64) is kernel_tuning("int64")
-    assert kernel_tuning(np.int64) is not None
-
-
-def test_lane_kernel_geometry_survives_tuner_failure(monkeypatch):
-    """The lane kernel's lazy geometry lookup must never break a scan."""
-    from repro.kernels import lane
-
-    def boom(dtype):
-        raise RuntimeError("tuner exploded")
-
-    monkeypatch.setattr("repro.core.tuning.kernel_tuning", boom)
-    memo_backup = dict(lane._GEOMETRY_MEMO)
-    lane._GEOMETRY_MEMO.clear()
-    try:
-        geometry = lane._blocked_geometry(np.dtype(np.int64))
-        assert geometry == (lane.BLOCK_BYTES, lane.BLOCKED_MIN_STRIDE_BYTES)
-        values = np.arange(100, dtype=np.int64)
-        from repro.ops import ADD
-
-        out = lane.lane_scan(values, ADD, 4, out=np.empty_like(values))
-        assert out[4] == values[0] + values[4]
-    finally:
-        lane._GEOMETRY_MEMO.clear()
-        lane._GEOMETRY_MEMO.update(memo_backup)
+    monkeypatch.setenv("REPRO_TUNE_CACHE", str(tmp_path / "tune.json"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    constants = KernelTuning(
+        block_bytes=lane.BLOCK_BYTES,
+        min_stride_bytes=lane.BLOCKED_MIN_STRIDE_BYTES,
+        parallel_cutover_bytes=threaded.PARALLEL_CUTOVER_BYTES,
+    )
+    assert kernel_tuning("int64", refresh=True) == constants
+    assert kernel_tuning("int32") == constants
+    assert list(tmp_path.iterdir()) == []

@@ -79,16 +79,23 @@ def test_lane_scan_in_place_aliasing():
 
 
 def test_lane_scan_crosses_block_boundaries():
-    # Sizes straddling the cache-block row count exercise the blocked
-    # integer path's carry splice.
+    # Sizes straddling the cache-block row count the kernel runs with
+    # exercise the blocked integer path's carry splice; int64 s=4 sits
+    # just below the blocked stride floor and takes the plain path.  A
+    # prefix of an inclusive scan is the scan of the prefix, so one
+    # serial reference per shape covers every size.
     op = get_op("add")
     rng = np.random.default_rng(4)
-    for s in (8, 64):
-        rows = kernels.BLOCK_BYTES // (s * 8)
-        for n in (rows * s - 1, rows * s, rows * s + 1, 3 * rows * s + 5):
-            a = _data(rng, n, "int64")
-            ref = prefix_sum_serial(a, tuple_size=s, op=op)
-            _assert_bitwise(kernels.lane_scan(a, op, s), ref, f"s={s} n={n}")
+    assert 4 * 8 < kernels.BLOCKED_MIN_STRIDE_BYTES <= 8 * 8
+    for dtype, s in (("int64", 4), ("int64", 8), ("int64", 64), ("int32", 16)):
+        rows = kernels.BLOCK_BYTES // (s * np.dtype(dtype).itemsize)
+        sizes = (rows * s - 1, rows * s, rows * s + 1, 2 * rows * s + 5)
+        a = _data(rng, max(sizes), dtype)
+        ref = prefix_sum_serial(a, tuple_size=s, op=op)
+        for n in sizes:
+            _assert_bitwise(
+                kernels.lane_scan(a[:n], op, s), ref[:n], f"{dtype} s={s} n={n}"
+            )
 
 
 # -- feed(): split-point equivalence -------------------------------------

@@ -373,7 +373,7 @@ def test_planner_plans_compensated_serial(rng):
 
     # The compensated kind re-reads its error buffer in the fold, so
     # the gates plan it serial; a forced threaded:2 stays bit-identical.
-    machine = Machine(cpu_count=8, parallel_cutover_bytes=1 << 20)
+    machine = Machine(cpu_count=8)
     workload = Workload(nbytes=64 << 20, dtype="float64", op="add",
                         float_mode="compensated", source="memory")
     plan = plan_scan(workload, machine=machine)

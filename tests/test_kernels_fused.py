@@ -390,7 +390,7 @@ class TestFusedAcrossStack:
         # The fused kind's slab fold leaves cache, so the gates plan it
         # serial at any size; the same shape under max is the row kind
         # and goes threaded.  A forced threaded:2 stays bit-identical.
-        machine = Machine(cpu_count=8, parallel_cutover_bytes=1 << 20)
+        machine = Machine(cpu_count=8)
         fused = Workload(nbytes=512 << 20, dtype="int64", op="add",
                          order=3, tuple_size=4)
         unfused = Workload(nbytes=512 << 20, dtype="int64", op="max",

@@ -157,6 +157,26 @@ def test_resolve_threads():
         resolve_threads(-1)
 
 
+# -- the parallel cutover ------------------------------------------------
+
+
+def test_pinned_threads_stay_serial_below_the_cutover(monkeypatch):
+    # A pinned thread count does not override the cutover: a 16 MiB
+    # int64 order-1 chunk, below PARALLEL_CUTOVER_BYTES, where two slab
+    # threads measured slower than one, must never reach the pool.
+    from repro.kernels import threaded
+
+    def no_pool(threads):
+        raise AssertionError("slab driver threaded a chunk below the cutover")
+
+    monkeypatch.setattr(threaded, "get_pool", no_pool)
+    add = get_op("add")
+    values = np.arange(2 << 20, dtype=np.int64)
+    assert values.nbytes == 16 << 20
+    got = threaded_lane_scan(values, add, 1, threads=2)
+    _assert_bitwise(got, kernels.lane_scan(values, add, 1))
+
+
 # -- carry continuation (the kernel protocol) ----------------------------
 
 

@@ -19,7 +19,6 @@ import pytest
 import repro
 from repro.plan import (
     PLANNER_COUNTERS,
-    ROW_THREADS_MIN_BYTES,
     TINY_BYTES,
     Machine,
     Workload,
@@ -30,6 +29,7 @@ from repro.plan import (
     plan_scan,
     session_threads,
 )
+from repro.kernels.threaded import PARALLEL_CUTOVER_BYTES
 from repro.plan.workload import _reset_machine_memo
 from repro.reference import prefix_sum_serial
 from repro.stream.counters import StreamCounters
@@ -45,8 +45,8 @@ def isolated_planner():
     _reset_machine_memo()
 
 
-def fake_machine(cpu_count=8, cutover=1 << 20) -> Machine:
-    return Machine(cpu_count=cpu_count, parallel_cutover_bytes=cutover)
+def fake_machine(cpu_count=8) -> Machine:
+    return Machine(cpu_count=cpu_count)
 
 
 # -- Workload / Machine descriptors -----------------------------------------
@@ -84,8 +84,8 @@ class TestWorkload:
             Workload(nbytes=1, dtype="int64", source="tape")
 
     def test_machine_snapshot_is_memoized(self):
-        a = machine_snapshot("int64")
-        b = machine_snapshot("int64")
+        a = machine_snapshot()
+        b = machine_snapshot()
         assert a is b
         assert a.cpu_count >= 1
 
@@ -129,6 +129,8 @@ class TestPlanScan:
         assert plan.chosen.strategy == "stream"
 
     def test_tune_disable_still_plans_on_static_heuristics(self, monkeypatch):
+        # Nothing reads REPRO_TUNE_DISABLE any more: a leftover setting
+        # must change nothing.
         monkeypatch.setenv("REPRO_TUNE_DISABLE", "1")
         _reset_machine_memo()
         w = Workload(nbytes=8 << 20, dtype="int64")
@@ -172,8 +174,8 @@ class TestPlanScan:
 
 # -- the gate table ------------------------------------------------------------
 
-#: Above ROW_THREADS_MIN_BYTES, so the injected cutover decides.
-CUTOVER = 2 * ROW_THREADS_MIN_BYTES
+#: The one parallel cutover the cutover gate reads.
+CUTOVER = PARALLEL_CUTOVER_BYTES
 
 #: Workload fields per carry kind.
 KINDS = {
@@ -182,7 +184,8 @@ KINDS = {
     "compensated": dict(dtype="float64", float_mode="compensated"),
 }
 
-#: Sizes relative to the injected cutover.
+#: Sizes on either side of the cutover (``Workload`` is shape-only:
+#: nothing is allocated).
 SIZES = {"below": CUTOVER - 8, "at": CUTOVER, "above": 64 * CUTOVER}
 
 SERIAL = ("serial",) * 3
@@ -215,28 +218,21 @@ GATE_TABLE = {
 def test_gate_table(kind, source, size, cores):
     w = Workload(nbytes=SIZES[size], source=source, **KINDS[kind])
     assert w.kind == kind
-    plan = plan_scan(w, machine=fake_machine(cpu_count=cores, cutover=CUTOVER))
+    plan = plan_scan(w, machine=fake_machine(cpu_count=cores))
     want = GATE_TABLE[kind, source, size][[1, 2, 8].index(cores)]
     assert plan.chosen.label == want
-    assert plan.gates[-1][2] == want  # the deciding gate's verdict
-
-
-@pytest.mark.parametrize("cutover", [0, 1 << 20])
-def test_row_threads_floor_holds_over_a_low_cutover(cutover):
-    machine = fake_machine(cpu_count=8, cutover=cutover)
-    below = plan_scan(Workload(nbytes=ROW_THREADS_MIN_BYTES - 8, dtype="int64"),
-                      machine=machine)
-    at = plan_scan(Workload(nbytes=ROW_THREADS_MIN_BYTES, dtype="int64"),
-                   machine=machine)
-    assert (below.chosen.label, at.chosen.label) == ("serial", "threaded:8")
+    name, seen, verdict = plan.gates[-1]
+    assert verdict == want  # the deciding gate's verdict
+    if name == "cutover":
+        assert seen == f"{SIZES[size]:,} B vs {CUTOVER:,} B"
 
 
 def test_file_plans_never_read_the_machine(tmp_path, monkeypatch):
     """Flag-less ``scan_file`` plans on every call: planning a file must
-    not take a machine snapshot (and with it the kernel tuner)."""
+    not take a machine snapshot."""
     import repro.plan.planner
 
-    def boom(dtype):
+    def boom():
         raise AssertionError("file planning read the machine")
 
     monkeypatch.setattr(repro.plan.planner, "machine_snapshot", boom)
@@ -327,8 +323,6 @@ class TestExplain:
         import repro.kernels.threaded
 
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        monkeypatch.setattr(repro.kernels.threaded, "_tuned_cutover",
-                            lambda dtype: 4 << 20)
         fused = explain_scan(nbytes=512 << 20, dtype="int64", order=3,
                              tuple_size=4)
         assert fused.chosen.label == "serial"
@@ -343,6 +337,13 @@ class TestExplain:
             "tiny", "correct", "kind", "cores", "cutover",
         ]
         assert all(gate[1] in row.explain() for gate in row.gates)
+        # The cutover gate reads the threaded kernel's one constant.
+        monkeypatch.setattr(repro.kernels.threaded, "PARALLEL_CUTOVER_BYTES",
+                            1 << 30)
+        below = explain_scan(nbytes=512 << 20, dtype="int64")
+        assert below.gates[-1] == (
+            "cutover", f"{512 << 20:,} B vs {1 << 30:,} B", "serial"
+        )
 
     def test_explain_needs_a_workload(self):
         with pytest.raises(ValueError):

@@ -168,10 +168,10 @@ def test_auto_threaded_feed_above_cutover_goes_solo(monkeypatch, rng):
     # Planner-threaded ("auto") sessions batch their small feeds; a feed
     # at or above the threaded cutover is dispatched on its own, and a
     # pinned thread count never batches.
-    import repro.serve.batch
+    import repro.kernels.threaded
     from repro.serve.server import _PendingFeed
 
-    monkeypatch.setattr(repro.serve.batch, "_tuned_cutover", lambda dtype: 1024)
+    monkeypatch.setattr(repro.kernels.threaded, "PARALLEL_CUTOVER_BYTES", 1024)
 
     class Conn:
         inflight_bytes = 0
@@ -204,6 +204,20 @@ def test_auto_threaded_feed_above_cutover_goes_solo(monkeypatch, rng):
         np.testing.assert_array_equal(
             np.frombuffer(payload, dtype=np.int64), oracle.feed(chunk.copy())
         )
+
+
+def test_auto_feed_below_the_cutover_is_batched():
+    # A served threads="auto" feed of 16 MiB stays on the batched path:
+    # only chunks at or above the parallel cutover go solo, and a
+    # pinned thread count never batches, so it is never "solo" either.
+    from repro.kernels.threaded import PARALLEL_CUTOVER_BYTES
+    from repro.serve.batch import feeds_solo
+
+    auto = ScanSession(op="add", order=1, dtype="int64", threads="auto")
+    assert not feeds_solo(auto, 16 << 20)
+    assert feeds_solo(auto, PARALLEL_CUTOVER_BYTES)
+    pinned = ScanSession(op="add", order=1, dtype="int64", threads=2)
+    assert not feeds_solo(pinned, PARALLEL_CUTOVER_BYTES)
 
 
 def test_open_plans_threads_without_the_tuner(serve, rng, monkeypatch):
