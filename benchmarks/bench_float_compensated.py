@@ -2,7 +2,7 @@
 """Benchmark: threaded compensated float scan vs the serial compensated scan.
 
 One JSON (``benchmarks/results/BENCH_floats.json``): ``rows`` sweep
-``repro.kernels.threaded_scan_into(float_mode="compensated")`` against
+``repro.kernels.scan_into(float_mode="compensated")`` against
 the serial ``repro.kernels.compensated_scan_into`` on the same buffers
 in the same run, over threads x tuple_size x order for the float
 headline shape (8M float64 = 64 MiB of add).  ``speedup`` is
@@ -119,7 +119,7 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
                         repeats,
                     )
                     for threads in threads_list:
-                        got = kernels.threaded_scan_into(
+                        got = kernels.scan_into(
                             values, np.empty_like(values), op,
                             order=order, tuple_size=s, threads=threads,
                             float_mode="compensated",
@@ -131,7 +131,7 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
                                 f"s={s} q={order} threads={threads})"
                             )
                         threaded_seconds = _time(
-                            lambda: kernels.threaded_scan_into(
+                            lambda: kernels.scan_into(
                                 values, scratch, op, order=order,
                                 tuple_size=s, threads=threads,
                                 float_mode="compensated",

@@ -156,7 +156,7 @@ def run_session_sweep(n, tuple_sizes, chunk_elements, repeats):
         def run_lane_kernel():
             # The sharded driver's per-chunk scan: an owned copy fed to
             # the in-place kernel (exactly what `_scan_shard` does).
-            kernel = kernels.LaneKernel(op, np.int64, s, exact=False)
+            kernel = kernels.LaneKernel(op, np.int64, s)
             for chunk in chunks:
                 kernel.feed(np.array(chunk, copy=True))
 

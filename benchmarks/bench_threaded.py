@@ -2,7 +2,7 @@
 """Benchmark: the threaded in-memory lane kernel vs the serial kernel.
 
 One JSON (``benchmarks/results/BENCH_threaded.json``): ``rows`` sweep
-``repro.kernels.threaded_scan_into`` against serial
+``repro.kernels.scan_into(threads=...)`` against serial
 ``repro.kernels.scan_into`` on the same buffers in the same run, over
 threads x tuple_size x order for the ISSUE's headline shape (8M int64
 = 64 MiB of add).  ``speedup`` is serial/threaded measured within one
@@ -86,7 +86,7 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
                     for threads in threads_list:
                         # cutover_bytes=0: 64 MiB is below the kernel's
                         # parallel cutover, which would scan serially.
-                        got = kernels.threaded_scan_into(
+                        got = kernels.scan_into(
                             values, np.empty_like(values), op,
                             order=order, tuple_size=s, threads=threads,
                             cutover_bytes=0,
@@ -98,7 +98,7 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
                                 f"q={order} threads={threads})"
                             )
                         threaded_seconds = _time(
-                            lambda: kernels.threaded_scan_into(
+                            lambda: kernels.scan_into(
                                 values, scratch, op, order=order,
                                 tuple_size=s, threads=threads,
                                 cutover_bytes=0,

@@ -140,18 +140,11 @@ def _cmd_scan(args) -> int:
         args.engine, args.threads, float_mode=float_mode
     )
     if engine is None:
-        if float_mode == "compensated" and values.dtype.kind == "f":
-            from repro.api import _host_compensated
-
-            out = _host_compensated(
-                values, op, args.order, args.tuple_size, inclusive
-            )
-        else:
-            out = host_prefix_sum(
-                values, order=args.order, tuple_size=args.tuple_size,
-                op=op, inclusive=inclusive,
-                threads=args.threads or None,
-            )
+        out = host_prefix_sum(
+            values, order=args.order, tuple_size=args.tuple_size,
+            op=op, inclusive=inclusive,
+            threads=args.threads or None, float_mode=float_mode,
+        )
         used = "host"
     else:
         result = engine.run(

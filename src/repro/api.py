@@ -124,26 +124,6 @@ def resolve_engine(engine, float_mode=None):
     )
 
 
-def _host_compensated(values, op, order, tuple_size, inclusive) -> np.ndarray:
-    """The host path's compensated-float branch: the error-free-carry
-    serial scan (:func:`repro.kernels.compensated_scan_into`) — the
-    reference every parallel compensated strategy is bit-identical to."""
-    from repro.kernels import compensated_scan_into
-    from repro.kernels.compensated import check_compensated
-
-    resolved = get_op(op)
-    array = np.ascontiguousarray(values)
-    check_compensated(resolved, array.dtype)
-    return compensated_scan_into(
-        array,
-        np.empty_like(array),
-        resolved,
-        order=order,
-        tuple_size=tuple_size,
-        inclusive=inclusive,
-    )
-
-
 def prefix_sum(
     values,
     order: int = 1,
@@ -185,10 +165,9 @@ def prefix_sum(
         return engine.run(
             values, order=order, tuple_size=tuple_size, op=ADD, inclusive=inclusive
         ).values
-    if float_mode == "compensated" and np.asarray(values).dtype.kind == "f":
-        return _host_compensated(values, ADD, order, tuple_size, inclusive)
     return host_prefix_sum(
-        values, order=order, tuple_size=tuple_size, op=ADD, inclusive=inclusive
+        values, order=order, tuple_size=tuple_size, op=ADD,
+        inclusive=inclusive, float_mode=float_mode,
     )
 
 
@@ -223,9 +202,10 @@ def scan(
         return engine.run(
             values, tuple_size=tuple_size, op=get_op(op), inclusive=inclusive
         ).values
-    if float_mode == "compensated" and np.asarray(values).dtype.kind == "f":
-        return _host_compensated(values, op, 1, tuple_size, inclusive)
-    return host_scan(values, op=op, tuple_size=tuple_size, inclusive=inclusive)
+    return host_scan(
+        values, op=op, tuple_size=tuple_size, inclusive=inclusive,
+        float_mode=float_mode,
+    )
 
 
 def delta_encode(values, order: int = 1, tuple_size: int = 1) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels import scan_into, threaded_scan_into
+from repro.kernels import scan_into
 from repro.ops import ADD, get_op
 
 
@@ -29,41 +29,17 @@ def _validate(values, order: int, tuple_size: int) -> np.ndarray:
 
 
 def host_scan(
-    values, op=ADD, tuple_size: int = 1, inclusive: bool = True, threads=None
+    values,
+    op=ADD,
+    tuple_size: int = 1,
+    inclusive: bool = True,
+    threads=None,
+    float_mode=None,
 ):
-    """One generalized scan pass (all tuple lanes in one kernel call).
-
-    Delegates to :func:`repro.kernels.lane_scan` — the 2-D lane-block
-    kernel every engine shares — and, for exclusive output, applies one
-    vectorized identity-seeded shift over the whole array instead of a
-    per-lane shift loop.  ``threads`` (an int or ``"auto"``) routes the
-    pass through the slab-parallel kernel
-    (:func:`repro.kernels.threaded_scan_into`): bit-identical for every
-    dtype — floats keep the exact serial passes there by default.
-    """
-    op = get_op(op)
-    array = _validate(values, 1, tuple_size)
-    dtype = op.check_dtype(array.dtype)
-    array = array.astype(dtype, copy=False)
-    if array.size == 0:
-        return array.copy()
-    if threads is not None:
-        return threaded_scan_into(
-            array,
-            np.empty_like(array),
-            op,
-            order=1,
-            tuple_size=tuple_size,
-            inclusive=inclusive,
-            threads=None if threads in ("auto", 0) else threads,
-        )
-    return scan_into(
-        array,
-        np.empty_like(array),
-        op,
-        order=1,
-        tuple_size=tuple_size,
-        inclusive=inclusive,
+    """One generalized scan pass: :func:`host_prefix_sum` at order 1."""
+    return host_prefix_sum(
+        values, order=1, tuple_size=tuple_size, op=op, inclusive=inclusive,
+        threads=threads, float_mode=float_mode,
     )
 
 
@@ -74,32 +50,24 @@ def host_prefix_sum(
     op=ADD,
     inclusive: bool = True,
     threads=None,
+    float_mode=None,
 ):
     """Order-``q``, tuple-``s`` prefix scan: ``q`` vectorized passes.
 
-    Matches Section 2.4's iterative formulation.  All ``q`` passes run
+    Matches Section 2.4's iterative formulation, on the one in-memory
+    kernel (:func:`repro.kernels.scan_into`).  All ``q`` passes run
     through one output buffer — pass 1 scans the input into it, later
     passes rescan it in place — and the exclusive shift happens on the
     final pass only (Section 2.4's observation that only the last
-    iteration differs).  ``threads`` works as in :func:`host_scan`:
-    each of the ``q`` passes becomes slab-parallel, still bit-identical.
+    iteration differs).  ``threads`` (``None`` serial, an int, ``0`` or
+    ``"auto"``) makes each pass slab-parallel, bit-identical for every
+    dtype; ``float_mode`` picks the float contract (``"exact"`` by
+    default; ``"compensated"`` is float ``add`` only).
     """
     op = get_op(op)
     array = _validate(values, order, tuple_size)
     dtype = op.check_dtype(array.dtype)
     array = array.astype(dtype, copy=False)
-    if array.size == 0:
-        return array.copy()
-    if threads is not None:
-        return threaded_scan_into(
-            array,
-            np.empty_like(array),
-            op,
-            order=order,
-            tuple_size=tuple_size,
-            inclusive=inclusive,
-            threads=None if threads in ("auto", 0) else threads,
-        )
     return scan_into(
         array,
         np.empty_like(array),
@@ -107,6 +75,8 @@ def host_prefix_sum(
         order=order,
         tuple_size=tuple_size,
         inclusive=inclusive,
+        threads=threads,
+        float_mode=float_mode,
     )
 
 

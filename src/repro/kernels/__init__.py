@@ -2,7 +2,10 @@
 
 One tuned, zero-copy kernel family used by every engine's host-side
 hot path: the fast host functions, the streaming session, the sharded
-out-of-core driver, and the multicore workers.  See
+out-of-core driver, and the multicore workers.  Two entries run it:
+:func:`scan_into`, the one in-memory one-shot scan, and
+:class:`LaneKernel`, the one chunk kernel; both take ``threads=`` and
+``float_mode=`` as parameters.  See
 :mod:`repro.kernels.lane` for the algorithmic notes (the 2-D
 lane-block trick, the cache-blocked integer path, and the exact-float
 prepend mode) and :mod:`repro.kernels.compensated` for the
@@ -49,13 +52,12 @@ from repro.kernels.lane import (
 from repro.kernels.threaded import (
     MIN_SLAB_BYTES,
     PARALLEL_CUTOVER_BYTES,
-    ThreadedLaneKernel,
     ThreadedScan,
+    check_threads,
     get_pool,
     resolve_threads,
     threaded_fused_lane_scan,
     threaded_lane_scan,
-    threaded_scan_into,
 )
 
 __all__ = [
@@ -71,9 +73,9 @@ __all__ = [
     "BatchedLaneKernel",
     "CompensatedCollectKernel",
     "LaneKernel",
-    "ThreadedLaneKernel",
     "ThreadedScan",
     "batchable_op_dtype",
+    "check_threads",
     "compensated_scan_into",
     "compensated_supported",
     "exclusive_shift",
@@ -97,5 +99,4 @@ __all__ = [
     "scan_into",
     "threaded_fused_lane_scan",
     "threaded_lane_scan",
-    "threaded_scan_into",
 ]

@@ -101,25 +101,22 @@ def check_compensated(op, dtype):
     return op, resolved
 
 
-def resolve_float_mode(dtype, float_mode=None, exact=None):
+def resolve_float_mode(dtype, float_mode=None):
     """Resolve a scan surface's float mode.
 
-    Returns one of :data:`FLOAT_MODES` for float dtypes, ``None`` for
-    integers (integer regrouping is exact; the modes do not apply).
-    ``float_mode`` wins when given; otherwise
-    :class:`~repro.kernels.LaneKernel`'s ``exact`` switch maps a false
-    value to ``"regrouped"`` and ``True`` or ``None`` to ``"exact"``,
-    the default.
+    Returns one of :data:`FLOAT_MODES` for float dtypes (``"exact"``
+    when ``float_mode`` is ``None``), ``None`` for integers (integer
+    regrouping is exact; the modes do not apply).
     """
     if np.dtype(dtype).kind in "iu":
         return None
-    if float_mode is not None:
-        if float_mode not in FLOAT_MODES:
-            raise ValueError(
-                f"float_mode must be one of {FLOAT_MODES}, got {float_mode!r}"
-            )
-        return float_mode
-    return "exact" if exact is None or exact else "regrouped"
+    if float_mode is None:
+        return "exact"
+    if float_mode not in FLOAT_MODES:
+        raise ValueError(
+            f"float_mode must be one of {FLOAT_MODES}, got {float_mode!r}"
+        )
+    return float_mode
 
 
 def fresh_state(dtype, tuple_size: int) -> np.ndarray:
@@ -334,28 +331,16 @@ def compensated_scan_into(
     threads=None,
     cutover_bytes: Optional[int] = None,
 ) -> np.ndarray:
-    """Order-``q`` one-shot compensated scan (the compensated sibling
-    of :func:`repro.kernels.scan_into` / ``threaded_scan_into``)."""
-    from repro.kernels.lane import exclusive_shift
+    """Order-``q`` one-shot compensated scan: :func:`repro.kernels.scan_into`
+    under ``float_mode="compensated"``, raising ``TypeError`` for a
+    non-float dtype or an operator other than ``add``."""
+    from repro.kernels.lane import scan_into
 
     op, _ = check_compensated(op, np.asarray(src).dtype)
-    s = int(tuple_size)
-    current = np.asarray(src)
-    for _ in range(int(order)):
-        if current is out:
-            # Later passes rescan the output; the segment-parallel path
-            # reads the source after writing, so give it its own copy.
-            current = out.copy()
-        state = fresh_state(out.dtype, s)
-        lane_scan_compensated(
-            current, op, s, state, 0,
-            out=out, threads=threads, cutover_bytes=cutover_bytes,
-        )
-        current = out
-    if inclusive:
-        return out
-    heads = np.full(s, op.identity(out.dtype), dtype=out.dtype)
-    return exclusive_shift(out, heads)
+    return scan_into(
+        src, out, op, order, tuple_size, inclusive, threads=threads,
+        cutover_bytes=cutover_bytes, float_mode="compensated",
+    )
 
 
 # -- sharded-driver kernels -------------------------------------------------

@@ -64,9 +64,11 @@ Exactness modes
   rounding included.  This is the streaming session's bit-exact float
   path, vectorized across lanes instead of looping per lane.
 
+:func:`scan_into` is the one in-memory one-shot scan and
 :class:`LaneKernel` wraps every mode, at every order, behind the
 carry-continuation ``feed(chunk)`` API: the one state machine the
 streaming session, the sharded driver and the serve batcher all drive.
+Both take ``threads=`` for the slab-parallel passes.
 """
 
 from __future__ import annotations
@@ -750,21 +752,44 @@ def scan_into(
     order: int = 1,
     tuple_size: int = 1,
     inclusive: bool = True,
+    *,
+    threads=None,
+    cutover_bytes: Optional[int] = None,
+    float_mode: Optional[str] = None,
 ) -> np.ndarray:
     """Order-``q`` lane scan of ``src`` using ``out`` as the only buffer.
 
-    Inside the :func:`fused_supported` gate (integer ADD, ``q >= 2``,
-    ``s >= 2``) the scan is single-pass over memory: one streaming copy
-    into ``out``, then :func:`fused_lane_scan` visits each cache-sized
-    tile once for all ``q`` orders.  Outside the gate, pass 1 scans
-    ``src`` into ``out`` and passes 2..q re-scan ``out`` in place (no
-    ping-pong buffer needed — each pass is a left fold).  The exclusive
-    shift, applied on the final pass only, is the one step that cannot
-    alias and allocates the returned array.
+    The one in-memory one-shot scan.  Inside the :func:`fused_supported`
+    gate (integer ADD, ``q >= 2``, ``s >= 2``) the scan is single-pass
+    over memory: one streaming copy into ``out``, then
+    :func:`fused_lane_scan` visits each cache-sized tile once for all
+    ``q`` orders.  Outside the gate, pass 1 scans ``src`` into ``out``
+    and passes 2..q re-scan ``out`` in place (each pass is a left fold).
+    The exclusive shift, on the final pass only, allocates the returned
+    array.  ``threads`` (``None`` serial) makes each pass slab-parallel
+    above ``cutover_bytes``.  ``float_mode`` picks the float passes:
+    ``"exact"`` (default) serial, ``"compensated"`` error-free-carry
+    (float ``add`` only, else ``TypeError``), ``"regrouped"`` the slab
+    splice.  Integers ignore it: their regrouping is exact.
     """
+    from repro.kernels.compensated import (
+        fresh_state,
+        lane_scan_compensated,
+        resolve_float_mode,
+    )
+    from repro.kernels.threaded import (
+        check_threads,
+        threaded_fused_lane_scan,
+        threaded_lane_scan,
+    )
+
     op = get_op(op)
     q = int(order)
     s = int(tuple_size)
+    threads = check_threads(threads)
+    mode = resolve_float_mode(out.dtype, float_mode)
+    if mode == "exact":
+        threads = None
     if (
         q >= 2
         and fused_supported(op, out.dtype, q, s)
@@ -774,11 +799,32 @@ def scan_into(
         if out is not src:
             out[...] = src
         carry = np.zeros((q, s), dtype=out.dtype)
-        fused_lane_scan(out, op, s, q, carry)
+        if threads is None:
+            fused_lane_scan(out, op, s, q, carry)
+        else:
+            threaded_fused_lane_scan(
+                out, op, s, q, carry, threads=threads, cutover_bytes=cutover_bytes
+            )
     else:
         current = src
         for _ in range(q):
-            lane_scan(current, op, tuple_size, out=out)
+            if mode == "compensated":
+                if current is out:
+                    # Later passes rescan the output; the segment-parallel
+                    # path reads the source after writing, so give it its
+                    # own copy.
+                    current = out.copy()
+                lane_scan_compensated(
+                    current, op, s, fresh_state(out.dtype, s), 0, out=out,
+                    threads=threads, cutover_bytes=cutover_bytes,
+                )
+            elif threads is None:
+                lane_scan(current, op, s, out=out)
+            else:
+                threaded_lane_scan(
+                    current, op, s, out=out,
+                    threads=threads, cutover_bytes=cutover_bytes,
+                )
             current = out
     if inclusive:
         return out
@@ -799,12 +845,13 @@ class LaneKernel:
 
     Each order's pass continues in one of four modes:
 
-    * in place (``exact=False``): the chunk is accumulated and the
-      carry row folded in afterwards.  Bit-exact for fixed-width
-      integers; for floats this regroups the fold (the sharded
-      ``exact=False`` semantics).
-    * prepend (``exact=True``): bit-identical to the one-shot scan for
-      every dtype, floats included; a fresh output per pass.
+    * in place (integers, and floats under ``float_mode="regrouped"``):
+      the chunk is accumulated and the carry row folded in afterwards.
+      Bit-exact for fixed-width integers; for floats this regroups the
+      fold (the sharded driver's regrouped contract).
+    * prepend (floats under ``float_mode="exact"``, the default):
+      bit-identical to the one-shot scan, float rounding included; a
+      fresh output per pass.
     * compensated (``float_mode="compensated"``, float ``add`` only,
       :mod:`repro.kernels.compensated`): an error-free ``(q, 4, s)``
       state ``comp`` makes results bit-identical for any chunk split
@@ -814,9 +861,10 @@ class LaneKernel:
       chunk locally and the carry is folded on afterwards, exact
       because integer regrouping is.  Float dtypes ignore the engine.
 
-    ``exact=None`` picks ``False`` for integers, ``True`` otherwise;
-    ``float_mode`` (``"exact"`` | ``"compensated"`` | ``"regrouped"``)
-    wins over ``exact`` when both are given, and integers ignore it.
+    ``threads`` (``None`` serial) runs the in-place, compensated and
+    fused passes on the slab driver (:mod:`repro.kernels.threaded`),
+    above ``cutover_bytes``, each counted in ``counters.threaded_scans``;
+    the prepend pass stays serial, so results do not change.
 
     At ``order >= 2`` inside the :func:`fused_supported` gate (integer
     ADD, ``s >= 2``, no engine) contiguous chunks take the single-pass
@@ -832,22 +880,25 @@ class LaneKernel:
     """
 
     def __init__(
-        self, op, dtype, tuple_size=1, start=0, prime=None, exact=None,
-        float_mode=None, order=1, engine=None,
+        self, op, dtype, tuple_size=1, start=0, prime=None, float_mode=None,
+        order=1, engine=None, threads=None, cutover_bytes=None,
     ):
         from repro.kernels.compensated import (
             check_compensated,
             fresh_state,
             resolve_float_mode,
         )
+        from repro.kernels.threaded import check_threads
 
         self.op = get_op(op)
         self.dtype = self.op.check_dtype(dtype)
         self.s = int(tuple_size)
         self.order = int(order)
         self.pos = int(start)
-        self.float_mode = resolve_float_mode(self.dtype, float_mode, exact)
+        self.float_mode = resolve_float_mode(self.dtype, float_mode)
         self.engine = engine if self.dtype.kind in "iu" else None
+        self.threads = check_threads(threads)
+        self.cutover_bytes = cutover_bytes
         #: Pass counts, under the :class:`repro.stream.StreamCounters`
         #: field names so an owner may hand in its own counters.
         self.counters = SimpleNamespace(
@@ -866,9 +917,7 @@ class LaneKernel:
                     "sharded driver's collect/fold kernels for offsets)"
                 )
             self.comp = np.stack([fresh_state(self.dtype, self.s)] * self.order)
-        self.exact = (
-            self.float_mode == "exact" if self.float_mode else bool(exact)
-        )
+        self.exact = self.float_mode == "exact"
         self._fused = self.engine is None and fused_supported(
             self.op, self.dtype, self.order, self.s
         )
@@ -915,25 +964,45 @@ class LaneKernel:
         t = phase_totals(scanned, self.s)
         row[(self.pos + np.arange(t.size)) % self.s] = t
 
-    # Overridable scan hooks: the threaded kernel replaces these three
-    # with slab-parallel versions while feed()'s state machine stays
-    # single-sourced here.
+    # The three scan hooks: serial kernels at ``threads=None``, the
+    # slab driver otherwise (imported lazily, like the compensated one).
 
     def _scan(self, src, out, carry_row=None):
         """Lane scan of ``src`` into ``out`` (allocated when ``None``)
         with an optional phase-order carry row folded in."""
-        return lane_scan(src, self.op, self.s, out=out, carry=carry_row)
+        if self.threads is None:
+            return lane_scan(src, self.op, self.s, out=out, carry=carry_row)
+        from repro.kernels.threaded import threaded_lane_scan
+
+        self.counters.threaded_scans += 1
+        return threaded_lane_scan(
+            src, self.op, self.s, out=out, carry=carry_row,
+            threads=self.threads, cutover_bytes=self.cutover_bytes,
+        )
 
     def _scan_compensated(self, src, state):
         """Compensated continuation pass (fresh output)."""
         from repro.kernels.compensated import lane_scan_compensated
 
-        return lane_scan_compensated(src, self.op, self.s, state, self.pos)
+        if self.threads is not None:
+            self.counters.threaded_scans += 1
+        return lane_scan_compensated(
+            src, self.op, self.s, state, self.pos,
+            threads=self.threads, cutover_bytes=self.cutover_bytes,
+        )
 
     def _fused_scan(self, buf, carry):
         """In-place fused order-q scan with a phase-order ``(q, s)``
         carry matrix (updated in place)."""
-        return fused_lane_scan(buf, self.op, self.s, self.order, carry)
+        if self.threads is None:
+            return fused_lane_scan(buf, self.op, self.s, self.order, carry)
+        from repro.kernels.threaded import threaded_fused_lane_scan
+
+        self.counters.threaded_scans += 1
+        return threaded_fused_lane_scan(
+            buf, self.op, self.s, self.order, carry,
+            threads=self.threads, cutover_bytes=self.cutover_bytes,
+        )
 
     def _delegate(self, src):
         """Local scan of ``src`` on the delegated engine (fresh output)."""

@@ -11,7 +11,9 @@ Zhang, Wang & Ross's SIMD prefix sums.  What differs between the plain
 row, the fused ``(q, s)`` matrix and the compensated chain is the carry
 kind (:mod:`repro.kernels.splice`): :func:`threaded_lane_scan`,
 :func:`threaded_fused_lane_scan` and the compensated kernel's whole
-segments are each one kind plus one driver call.
+segments are each one kind plus one driver call, which
+:func:`repro.kernels.scan_into` and :class:`repro.kernels.LaneKernel`
+make when given ``threads=``.
 
 Threads — not processes — give real parallelism here because numpy's
 ufunc inner loops release the GIL.  Looped (non-ufunc) operators hold
@@ -21,12 +23,12 @@ it, so they always take the serial kernel.
 of ``(n, unit, threads)`` — never of pool scheduling — so results are
 identical under oversubscription.  Integer regrouping is exact, so
 integer results are **bit-identical** to the serial kernel.  Floats
-keep bit-exactness by default: :class:`ThreadedLaneKernel` with
-``float_mode="exact"`` scans through the serial prepend-carry kernel (a
-slab chain would be sequential in the carry).  ``"compensated"`` runs
-the error-free-carry segments of :mod:`repro.kernels.compensated`,
-bit-identical for *any* thread count; ``"regrouped"`` opts into the
-regrouped fold (deterministic for a fixed thread count only).
+keep bit-exactness by default: under ``float_mode="exact"`` a threaded
+scan runs the serial passes (a slab chain would be sequential in the
+carry).  ``"compensated"`` runs the error-free-carry segments of
+:mod:`repro.kernels.compensated`, bit-identical for *any* thread count;
+``"regrouped"`` opts into the regrouped fold (deterministic for a fixed
+thread count only).
 
 **Cutover.**  Chunks below :data:`PARALLEL_CUTOVER_BYTES` run on the
 serial kernel, whether the thread count was pinned or ``"auto"``; the
@@ -37,6 +39,7 @@ constant.  Tests and the fuzzer force threading with
 
 from __future__ import annotations
 
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -44,14 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.compensated import resolve_float_mode
-from repro.kernels.lane import (
-    LaneKernel,
-    exclusive_shift,
-    fused_lane_scan,
-    fused_supported,
-    lane_scan,
-)
+from repro.kernels.lane import fused_lane_scan, lane_scan, scan_into
 from repro.kernels.splice import FusedCarry, RowCarry, splice
 from repro.ops import ADD, AssociativeOp, get_op
 
@@ -94,6 +90,27 @@ def get_pool(threads: int) -> ThreadPoolExecutor:
         return _POOL
 
 
+def check_threads(threads):
+    """Validate a ``threads=`` value once, for every dtype and float mode.
+
+    ``None`` stays ``None`` (serial wherever a caller gives it that
+    meaning); ``0`` and ``"auto"`` return ``"auto"``; a whole number
+    ``>= 1`` returns that ``int``.  Anything else raises ``ValueError``.
+    """
+    if threads is None or (isinstance(threads, str) and threads == "auto"):
+        return threads
+    try:
+        count = operator.index(threads)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise ValueError(
+            f"threads must be None, 0, 'auto' or a whole number >= 1, "
+            f"got {threads!r}"
+        )
+    return count or "auto"
+
+
 def resolve_threads(threads=None, n_bytes: Optional[int] = None) -> int:
     """Resolve a ``threads=`` parameter to a concrete worker count.
 
@@ -103,15 +120,13 @@ def resolve_threads(threads=None, n_bytes: Optional[int] = None) -> int:
     as given (useful for tests and for the sharded driver's combined
     oversubscription budget).
     """
-    if threads in (None, 0, "auto"):
+    threads = check_threads(threads)
+    if threads in (None, "auto"):
         cpus = os.cpu_count() or 1
         if n_bytes is None:
             return cpus
         return max(1, min(cpus, int(n_bytes) // MIN_SLAB_BYTES))
-    t = int(threads)
-    if t < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    return t
+    return threads
 
 
 def _slab_bounds(m: int, parts: int):
@@ -201,7 +216,7 @@ def threaded_lane_scan(
     (integer regrouping is exact).  For floats the splice regroups the
     per-lane fold — deterministic for a fixed thread count, but not
     bit-identical to serial; exact float continuation lives in
-    :func:`repro.kernels.lane_scan_exact` / :class:`ThreadedLaneKernel`.
+    :func:`repro.kernels.lane_scan_exact`.
     """
     src = np.asarray(src)
     s = int(tuple_size)
@@ -255,142 +270,6 @@ def threaded_fused_lane_scan(
     return fused_lane_scan(buf, op, s, q, carry)
 
 
-def threaded_scan_into(
-    src: np.ndarray,
-    out: np.ndarray,
-    op,
-    order: int = 1,
-    tuple_size: int = 1,
-    inclusive: bool = True,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
-    float_mode: Optional[str] = None,
-) -> np.ndarray:
-    """Order-``q`` threaded lane scan — ``q`` slab-parallel passes.
-
-    The threaded sibling of :func:`repro.kernels.scan_into`: pass 1
-    scans ``src`` into ``out``, later passes rescan ``out`` in place,
-    the exclusive shift happens once at the end.  Float handling
-    follows ``float_mode``: ``"exact"`` (the default) runs the serial
-    passes — a regrouped splice would change rounding;
-    ``"compensated"`` runs the segment-parallel error-free passes
-    (bit-identical for any thread count, more accurate than the naive
-    fold); ``"regrouped"`` lets floats regroup through the slab splice.
-    Integers always get the full slab parallelism.
-    """
-    op = get_op(op)
-    src = np.asarray(src)
-    mode = resolve_float_mode(src.dtype, float_mode)
-    if mode == "exact":
-        from repro.kernels.lane import scan_into
-
-        return scan_into(src, out, op, order, tuple_size, inclusive)
-    if mode == "compensated":
-        from repro.kernels.compensated import compensated_scan_into
-
-        return compensated_scan_into(
-            src, out, op, order, tuple_size, inclusive,
-            threads=threads, cutover_bytes=cutover_bytes,
-        )
-    q = int(order)
-    s = int(tuple_size)
-    if (
-        q >= 2
-        and fused_supported(op, out.dtype, q, s)
-        and out.ndim == 1
-        and out.flags.c_contiguous
-    ):
-        if out is not src:
-            out[...] = src
-        carry = np.zeros((q, s), dtype=out.dtype)
-        threaded_fused_lane_scan(
-            out, op, s, q, carry,
-            threads=threads, cutover_bytes=cutover_bytes,
-        )
-    else:
-        current = src
-        for _ in range(q):
-            threaded_lane_scan(
-                current,
-                op,
-                tuple_size,
-                out=out,
-                threads=threads,
-                cutover_bytes=cutover_bytes,
-            )
-            current = out
-    if inclusive:
-        return out
-    heads = np.full(s, op.identity(out.dtype), dtype=out.dtype)
-    return exclusive_shift(out, heads)
-
-
-class ThreadedLaneKernel(LaneKernel):
-    """:class:`~repro.kernels.LaneKernel` with slab-parallel hot paths.
-
-    Same carry-continuation ``feed(chunk)`` contract and state machine
-    (inherited — only the three scan hooks are overridden, each counted
-    in ``counters.threaded_scans``), plus two keyword arguments:
-
-    ``threads``
-        Worker count for the slab partition; ``None``/``"auto"``
-        resolves per chunk via :func:`resolve_threads`.  The partition
-        depends only on this number, so results are deterministic under
-        any pool size.
-    ``cutover_bytes``
-        Serial/parallel crossover; ``None`` uses
-        :data:`PARALLEL_CUTOVER_BYTES`, ``0`` forces threading for any
-        chunk with ≥ 2 full rows.
-
-    Exactness matches the base class (see the module notes): exact
-    floats take the serial prepend pass, every other mode the slab
-    driver.
-    """
-
-    def __init__(self, *args, threads=None, cutover_bytes=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.threads = None if threads in (None, 0, "auto") else int(threads)
-        self.cutover_bytes = cutover_bytes
-
-    def _scan(self, src, out, carry_row=None):
-        self.counters.threaded_scans += 1
-        return threaded_lane_scan(
-            src,
-            self.op,
-            self.s,
-            out=out,
-            carry=carry_row,
-            threads=self.threads,
-            cutover_bytes=self.cutover_bytes,
-        )
-
-    def _scan_compensated(self, src, state):
-        from repro.kernels.compensated import lane_scan_compensated
-
-        self.counters.threaded_scans += 1
-        return lane_scan_compensated(
-            src,
-            self.op,
-            self.s,
-            state,
-            self.pos,
-            threads=self.threads or "auto",
-            cutover_bytes=self.cutover_bytes,
-        )
-
-    def _fused_scan(self, buf, carry):
-        self.counters.threaded_scans += 1
-        return threaded_fused_lane_scan(
-            buf,
-            self.op,
-            self.s,
-            self.order,
-            carry,
-            threads=self.threads,
-            cutover_bytes=self.cutover_bytes,
-        )
-
-
 class ThreadedResult:
     """Result wrapper for :class:`ThreadedScan` (``.values`` contract)."""
 
@@ -401,7 +280,8 @@ class ThreadedResult:
 
 class ThreadedScan:
     """The ``engine="threaded"`` adapter: one-shot scans through
-    :func:`threaded_scan_into`.
+    :func:`repro.kernels.scan_into` with ``threads`` resolved (``None``
+    means auto here).
 
     Same ``run(values, order=, tuple_size=, op=, inclusive=)`` contract
     as every other engine; bit-identical to the host path for all
@@ -433,7 +313,7 @@ class ThreadedScan:
         if array.size == 0:
             return ThreadedResult(array.copy(), 0)
         threads = resolve_threads(self.threads, array.size * array.dtype.itemsize)
-        out = threaded_scan_into(
+        out = scan_into(
             array,
             np.empty_like(array),
             op,

@@ -327,14 +327,13 @@ def execute_plan(plan: Plan, values, *, op=None, forced: bool = False) -> np.nda
     """
     w = plan.workload
     run_op = op if op is not None else w.op
-    float_mode = "compensated" if w.compensable else None
     if plan.chosen.strategy == "threaded":
         from repro.kernels import ThreadedScan
 
         engine = ThreadedScan(
             threads=plan.chosen.params["threads"],
             cutover_bytes=0 if forced else None,
-            float_mode=float_mode,
+            float_mode=w.float_mode,
         )
         return engine.run(
             values,
@@ -343,20 +342,6 @@ def execute_plan(plan: Plan, values, *, op=None, forced: bool = False) -> np.nda
             op=run_op,
             inclusive=w.inclusive,
         ).values
-    if float_mode == "compensated":
-        # Serial under the compensated contract: the one-thread
-        # compensated kernel, so every strategy of this plan agrees.
-        from repro.kernels import compensated_scan_into
-
-        source = np.ascontiguousarray(values)
-        return compensated_scan_into(
-            source,
-            np.empty_like(source),
-            run_op,
-            order=w.order,
-            tuple_size=w.tuple_size,
-            inclusive=w.inclusive,
-        )
     from repro.core.host import host_prefix_sum
 
     return host_prefix_sum(
@@ -365,6 +350,7 @@ def execute_plan(plan: Plan, values, *, op=None, forced: bool = False) -> np.nda
         tuple_size=w.tuple_size,
         op=run_op,
         inclusive=w.inclusive,
+        float_mode=w.float_mode,
     )
 
 
@@ -385,13 +371,6 @@ def auto_scan(
         values, op=op, order=order, tuple_size=tuple_size,
         inclusive=inclusive, float_mode=float_mode,
     )
-    if float_mode == "compensated" and np.dtype(workload.dtype).kind == "f":
-        # Same contract as the session/sharded surfaces: asking for
-        # compensated carries on an op they cannot recover is an error,
-        # not a silent downgrade to the exact serial plan.
-        from repro.kernels.compensated import check_compensated
-
-        check_compensated(op, workload.dtype)
     plan = plan_scan(workload, force=force)
     return execute_plan(plan, values, op=op, forced=force is not None)
 

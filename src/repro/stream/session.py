@@ -19,11 +19,11 @@ How bit-identity is kept
 ------------------------
 
 The carry continuation itself is :class:`repro.kernels.LaneKernel`,
-the one state machine every stream driver holds (a
-:class:`repro.kernels.ThreadedLaneKernel` when ``threads=`` is set).
-The session adds only what a stream needs around it: the dtype lock,
-the counters, the exclusive epilogue and the serialized state.  Per
-order, the kernel continues each chunk in one of its modes:
+the one state machine every stream driver holds (slab-parallel when
+``threads=`` is set).  The session adds only what a stream needs
+around it: the dtype lock, the counters, the exclusive epilogue and
+the serialized state.  Per order, the kernel continues each chunk in
+one of its modes:
 
 * **Integers (default).**  The lean in-place lane scan: one 2-D
   accumulate over all lanes, carry folded in afterwards — exact
@@ -111,14 +111,14 @@ class ScanSession:
         :func:`repro.api.resolve_engine`, or a constructed engine
         object.  Only consulted for integer dtypes (see module docs).
     threads:
-        ``None`` (default) keeps the serial per-chunk kernel.  An int
-        or ``"auto"`` holds a :class:`repro.kernels.ThreadedLaneKernel`
-        instead, whose host-path passes run slab-parallel —
-        bit-identical for integers; exact-mode float chunks keep the
-        serial prepend path regardless (compensated-mode chunks *do*
-        thread).  Not part of :meth:`config`: like the engine, the
-        thread count never changes results, so checkpoints stay
-        portable across it.
+        ``None`` (default) keeps the serial per-chunk kernel.  An int,
+        ``0`` or ``"auto"`` makes the kernel's host-path passes
+        slab-parallel — bit-identical for integers; exact-mode float
+        chunks keep the serial prepend path regardless
+        (compensated-mode chunks *do* thread).  Invalid values raise
+        ``ValueError`` here, for every dtype.  Not part of
+        :meth:`config`: like the engine, the thread count never
+        changes results, so checkpoints stay portable across it.
     float_mode:
         Float handling: ``"exact"`` (default — bit-identical to the
         one-shot serial scan), ``"compensated"`` (error-free carries:
@@ -164,8 +164,9 @@ class ScanSession:
             if engine is None:  # "host" resolves to the exact path
                 label = "host"
         self.engine = engine
-        # None = serial kernel; "auto"/0/int = threaded slab kernel.
-        self.threads = threads
+        # None = serial passes; "auto" (also given as 0) or an int =
+        # slab-parallel passes.
+        self.threads = kernels.check_threads(threads)
         #: The carry state machine; built when the dtype locks.
         self.kernel: Optional[kernels.LaneKernel] = None
         self.counters = StreamCounters(engine_used=label)
@@ -314,12 +315,10 @@ class ScanSession:
         self.float_mode = kernels.resolve_float_mode(
             self.dtype, self._float_mode_param
         )
-        args = (self.op, self.dtype, self.tuple_size)
-        config = dict(order=self.order, float_mode=self.float_mode, engine=self.engine)
-        if self.threads is None:
-            kernel = kernels.LaneKernel(*args, **config)
-        else:
-            kernel = kernels.ThreadedLaneKernel(*args, threads=self.threads, **config)
+        kernel = kernels.LaneKernel(
+            self.op, self.dtype, self.tuple_size, order=self.order,
+            float_mode=self.float_mode, engine=self.engine, threads=self.threads,
+        )
         kernel.counters = self.counters
         self.kernel = kernel
 

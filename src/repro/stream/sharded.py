@@ -63,7 +63,7 @@ import numpy as np
 
 from repro import kernels
 from repro.compression.stream import BlockedFileReader, BlockedIndex, read_index
-from repro.kernels import LaneKernel, ThreadedLaneKernel, resolve_threads
+from repro.kernels import LaneKernel, resolve_threads
 from repro.kernels.splice import CompensatedCarry, FusedCarry, RowCarry, splice
 from repro.ops import get_op
 from repro.stream.checkpoint import (
@@ -649,24 +649,20 @@ def _scan_shard(
             engine=resolve_engine(job.engine),
         )
         lock = _DELEGATE_LOCK
-    elif job.shard_threads > 1:
-        # Slab-parallel intra-chunk scans under the shard pool.  The
-        # per-shard thread budget already divides the caller's total by
-        # the worker count (the combined-oversubscription guard), so
-        # shards × threads never exceeds what was asked for.
-        kernel = ThreadedLaneKernel(
-            op, dtype, s, start=lo, prime=prime, exact=False,
-            threads=job.shard_threads, order=kernel_order,
-        )
-        counters.threaded_scans += 1
     else:
-        # The shared in-place kernel (repro.kernels); exact=False is the
-        # sharded contract — bit-exact for integers, carry-fold rounding
-        # for floats (which only get here under float_mode="regrouped").
+        # The shared in-place kernel (repro.kernels): bit-exact for
+        # integers, carry-fold rounding for floats (which only get here
+        # under float_mode="regrouped").  Several shard threads make its
+        # intra-chunk scans slab-parallel under the shard pool; the
+        # per-shard budget already divides the caller's total by the
+        # worker count (the combined-oversubscription guard).
+        threads = job.shard_threads if job.shard_threads > 1 else None
         kernel = LaneKernel(
-            op, dtype, s, start=lo, prime=prime, exact=False,
-            order=kernel_order,
+            op, dtype, s, start=lo, prime=prime, float_mode="regrouped",
+            order=kernel_order, threads=threads,
         )
+        if threads is not None:
+            counters.threaded_scans += 1
     # The previous pass's carry (only the row kind runs several passes).
     fold = None
     if fold_carry is not None:

@@ -101,9 +101,8 @@ def test_lane_scan_crosses_block_boundaries():
 # -- feed(): split-point equivalence -------------------------------------
 
 
-@pytest.mark.parametrize("exact", [False, True])
 @pytest.mark.parametrize("tuple_size", [1, 3, 5])
-def test_feed_split_equivalence_int(exact, tuple_size):
+def test_feed_split_equivalence_int(tuple_size):
     op = get_op("add")
     rng = np.random.default_rng(7)
     n = 13
@@ -112,14 +111,14 @@ def test_feed_split_equivalence_int(exact, tuple_size):
     # Every two-cut split, including empty parts and mid-tuple edges.
     for cut1 in range(n + 1):
         for cut2 in range(cut1, n + 1):
-            kernel = LaneKernel(op, np.int64, tuple_size, exact=exact)
+            kernel = LaneKernel(op, np.int64, tuple_size)
             parts = [
                 np.asarray(kernel.feed(part.copy()))
                 for part in (a[:cut1], a[cut1:cut2], a[cut2:])
             ]
             _assert_bitwise(
                 np.concatenate(parts), one_shot,
-                f"exact={exact} s={tuple_size} cuts=({cut1},{cut2})",
+                f"s={tuple_size} cuts=({cut1},{cut2})",
             )
 
 
@@ -134,7 +133,7 @@ def test_feed_split_equivalence_float_bit_exact(tuple_size):
     a[rng.integers(0, n, 4)] = -0.0
     one_shot = kernels.lane_scan(a, op, tuple_size)
     for cut in range(n + 1):
-        kernel = LaneKernel(op, np.float64, tuple_size)  # exact=None -> True
+        kernel = LaneKernel(op, np.float64, tuple_size)  # float_mode "exact"
         assert kernel.exact
         parts = [np.asarray(kernel.feed(p.copy())) for p in (a[:cut], a[cut:])]
         _assert_bitwise(np.concatenate(parts), one_shot, f"cut={cut}")
@@ -146,11 +145,11 @@ def test_feed_primed_continuation():
     a = _data(rng, 37, "int64")
     for s in (1, 4):
         for lo in (0, 1, 3, 10):
-            reference = LaneKernel(op, np.int64, s, exact=False)
+            reference = LaneKernel(op, np.int64, s)
             reference.feed(a[:lo].copy())
             primed = LaneKernel(
                 op, np.int64, s, start=lo,
-                prime=reference.carry.copy(), exact=False,
+                prime=reference.carry.copy(),
             )
             want = reference.feed(a[lo:].copy())
             got = primed.feed(a[lo:].copy())

@@ -337,13 +337,12 @@ def test_exclusive_is_shifted_inclusive(rng):
 
 
 def test_resolve_float_mode_semantics():
-    assert resolve_float_mode(np.int64, "compensated", None) is None
-    assert resolve_float_mode(np.float64, None, None) == "exact"
-    assert resolve_float_mode(np.float64, "compensated", None) == "compensated"
-    assert resolve_float_mode(np.float64, None, False) == "regrouped"
-    assert resolve_float_mode(np.float64, None, True) == "exact"
-    # float_mode wins over the legacy tri-state when both are given
-    assert resolve_float_mode(np.float64, "compensated", True) == "compensated"
+    assert resolve_float_mode(np.int64, "compensated") is None
+    assert resolve_float_mode(np.float64) == "exact"
+    assert resolve_float_mode(np.float64, "compensated") == "compensated"
+    assert resolve_float_mode(np.float64, "regrouped") == "regrouped"
+    with pytest.raises(ValueError, match="float_mode"):
+        resolve_float_mode(np.float64, "fast")
 
 
 def test_check_compensated_rejects_non_add():
@@ -458,9 +457,10 @@ def test_api_scan_file_float_mode(rng, tmp_path):
 
 def test_exact_keyword_is_rejected(tmp_path):
     """The deprecated ``exact=`` alias is gone: ``float_mode`` is the
-    only float switch on the file drivers and the threaded engine."""
+    only float switch on the file drivers, the threaded engine and the
+    in-memory and chunk kernels."""
     import repro
-    from repro.kernels import ThreadedScan, threaded_scan_into
+    from repro.kernels import LaneKernel, ThreadedScan, scan_into
     from repro.stream import scan_file_sharded
 
     x = np.arange(8, dtype=np.float64)
@@ -475,4 +475,6 @@ def test_exact_keyword_is_rejected(tmp_path):
     with pytest.raises(TypeError, match="exact"):
         ThreadedScan(exact=False)
     with pytest.raises(TypeError, match="exact"):
-        threaded_scan_into(x, np.empty_like(x), "add", exact=False)
+        scan_into(x, np.empty_like(x), "add", exact=False)
+    with pytest.raises(TypeError, match="exact"):
+        LaneKernel("add", np.float64, exact=False)

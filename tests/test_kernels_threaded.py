@@ -1,6 +1,7 @@
-"""The threaded in-memory lane kernel against the serial kernel layer.
+"""Threaded scans (``threads=`` on ``scan_into`` and ``LaneKernel``)
+against the serial kernel layer.
 
-The threaded kernel's contract is *bit identity with the serial kernel
+The threaded passes' contract is *bit identity with the serial kernel
 for every dtype at default settings* — integers via the associative
 slab splice, floats via delegation to the exact serial passes — plus
 determinism: the slab partition is a pure function of the requested
@@ -16,11 +17,10 @@ import pytest
 from repro import kernels
 from repro.kernels import (
     LaneKernel,
-    ThreadedLaneKernel,
     ThreadedScan,
     resolve_threads,
+    scan_into,
     threaded_lane_scan,
-    threaded_scan_into,
 )
 from repro.kernels.threaded import _slab_bounds
 from repro.ops import get_op
@@ -70,7 +70,7 @@ def test_threaded_scan_into_bit_identical(opname, dtype, tuple_size, threads):
                     values, np.empty_like(values), op,
                     order=order, tuple_size=tuple_size, inclusive=inclusive,
                 )
-                got = threaded_scan_into(
+                got = scan_into(
                     values, np.empty_like(values), op,
                     order=order, tuple_size=tuple_size, inclusive=inclusive,
                     threads=threads, cutover_bytes=0,
@@ -97,7 +97,7 @@ def test_threaded_float_default_is_exact_serial(threads, tuple_size):
             values, np.empty_like(values), op, order=order,
             tuple_size=tuple_size,
         )
-        got = threaded_scan_into(
+        got = scan_into(
             values, np.empty_like(values), op, order=order,
             tuple_size=tuple_size, threads=threads, cutover_bytes=0,
         )
@@ -111,7 +111,7 @@ def test_threaded_float_inexact_is_deterministic():
     rng = np.random.default_rng(5)
     values = rng.standard_normal(4096)
     runs = [
-        threaded_scan_into(
+        scan_into(
             values, np.empty_like(values), op, threads=4,
             float_mode="regrouped", cutover_bytes=0,
         )
@@ -130,6 +130,77 @@ def test_oversubscription_determinism():
     for _ in range(3):
         got = threaded_lane_scan(values, op, 3, threads=8, cutover_bytes=0)
         _assert_bitwise(got, want)
+
+
+# Order 3, tuple size 4, exclusive: the fused kind for int64; for floats
+# three segments (plus a partial one) per pass, so threaded compensated
+# passes reach the slab driver.
+ENTRY_CASES = [("int64", None), ("float64", "exact"), ("float64", "compensated")]
+
+
+@pytest.mark.parametrize("dtype,float_mode", ENTRY_CASES)
+def test_every_in_memory_entry_matches_scan_into(dtype, float_mode):
+    """Every in-memory entry point gives ``scan_into``'s serial bytes."""
+    from repro import api
+    from repro.core.host import host_prefix_sum
+    from repro.plan import auto_scan
+
+    rng = np.random.default_rng(31)
+    values = _data(rng, 3 * 4 * 4096 + 123, dtype)
+    shape = dict(order=3, tuple_size=4, inclusive=False)
+    want = scan_into(
+        values, np.empty_like(values), "add", **shape, float_mode=float_mode
+    )
+    entries = {
+        "scan_into(threads=2)": scan_into(
+            values, np.empty_like(values), "add", **shape,
+            threads=2, cutover_bytes=0, float_mode=float_mode,
+        ),
+        "prefix_sum(engine='host')": api.prefix_sum(
+            values, **shape, engine="host", float_mode=float_mode
+        ),
+        "host_prefix_sum(threads=2)": host_prefix_sum(
+            values, **shape, threads=2, float_mode=float_mode
+        ),
+        "ThreadedScan(threads=2)": ThreadedScan(
+            threads=2, cutover_bytes=0, float_mode=float_mode
+        ).run(values, **shape).values,
+        "auto_scan(force='serial')": auto_scan(
+            values, **shape, force="serial", float_mode=float_mode
+        ),
+    }
+    if float_mode == "exact":
+        # Only the serial plan reproduces the exact left fold.
+        with pytest.raises(ValueError, match="cannot force"):
+            auto_scan(values, **shape, force="threaded:2", float_mode=float_mode)
+    else:
+        entries["auto_scan(force='threaded:2')"] = auto_scan(
+            values, **shape, force="threaded:2", float_mode=float_mode
+        )
+    for name, got in entries.items():
+        _assert_bitwise(got, want, name)
+
+
+@pytest.mark.parametrize("bad", [-1, "two", 1.5])
+@pytest.mark.parametrize("dtype,float_mode", ENTRY_CASES)
+@pytest.mark.parametrize("entry", ["host_prefix_sum", "scan_into", "ScanSession"])
+def test_threads_validated_for_every_dtype(entry, dtype, float_mode, bad):
+    from repro.core.host import host_prefix_sum
+    from repro.stream import ScanSession
+
+    values = np.arange(10, dtype=dtype)
+    with pytest.raises(ValueError, match="threads must be"):
+        if entry == "host_prefix_sum":
+            host_prefix_sum(values, threads=bad, float_mode=float_mode)
+        elif entry == "scan_into":
+            scan_into(
+                values, np.empty_like(values), "add",
+                threads=bad, float_mode=float_mode,
+            )
+        else:
+            ScanSession(dtype=dtype, threads=bad, float_mode=float_mode).feed(
+                values
+            )
 
 
 # -- slab partition and thread resolution --------------------------------
@@ -153,6 +224,7 @@ def test_resolve_threads():
     auto = resolve_threads(None)
     assert auto >= 1
     assert resolve_threads("auto") == auto
+    assert resolve_threads(0) == auto
     with pytest.raises(ValueError):
         resolve_threads(-1)
 
@@ -187,7 +259,7 @@ def test_threaded_kernel_feed_matches_serial(threads, tuple_size):
     rng = np.random.default_rng(hash((threads, tuple_size)) % 2**32)
     values = rng.integers(-50, 50, 20 * tuple_size * threads + 5).astype(np.int64)
     serial = LaneKernel(op, values.dtype, tuple_size)
-    threaded = ThreadedLaneKernel(
+    threaded = LaneKernel(
         op, values.dtype, tuple_size, threads=threads, cutover_bytes=0
     )
     splits = [0, 7, tuple_size * threads, len(values) // 2, len(values)]
