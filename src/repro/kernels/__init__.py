@@ -19,7 +19,6 @@ from repro.kernels.batched import (
 from repro.kernels.compensated import (
     FLOAT_MODES,
     SEGMENT_ROWS,
-    BatchedCompensatedKernel,
     CompensatedCollectKernel,
     compensated_scan_into,
     compensated_supported,
@@ -69,7 +68,6 @@ __all__ = [
     "MIN_SLAB_BYTES",
     "PARALLEL_CUTOVER_BYTES",
     "SEGMENT_ROWS",
-    "BatchedCompensatedKernel",
     "BatchedLaneKernel",
     "CompensatedCollectKernel",
     "LaneKernel",

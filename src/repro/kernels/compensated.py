@@ -54,7 +54,7 @@ Only ``add`` compensates — two-sum is an additive identity.  Float
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -410,137 +410,3 @@ class CompensatedCollectKernel:
         if not totals:
             return np.empty((0, 2, self.s), dtype=self.dtype)
         return np.stack(totals)
-
-
-# -- batched multi-stream compensated dispatch ------------------------------
-
-
-class BatchedCompensatedKernel:
-    """One dispatch servicing ``B`` compensated float scan streams.
-
-    The float sibling of :class:`repro.kernels.BatchedLaneKernel`:
-    ``B`` compatible streams (same float dtype and tuple size, ``add``)
-    are staged into one ``(B, M+1, s)`` buffer — row 0 the per-stream
-    naive partials, the tail padded with ``-0.0``, the *true* float-add
-    identity — so one 3-D ``accumulate`` continues every stream's naive
-    chain, one vectorized ``two_sum_err`` recovers every error, a
-    second 3-D ``accumulate`` continues every compensation chain, and
-    one broadcast renders with the per-stream ``(H, G)``.  Bit-identical
-    to feeding each stream's compensated kernel individually.
-
-    Constraint: a staged chunk must not cross its stream's segment
-    boundary (the chain step is per-stream sequential); the caller
-    checks :meth:`crosses_segment` and feeds those chunks individually.
-    """
-
-    def __init__(self, op, dtype, tuple_size: int = 1):
-        self.op, self.dtype = check_compensated(op, dtype)
-        self.s = int(tuple_size)
-        if self.s < 1:
-            raise ValueError(f"tuple_size must be >= 1, got {tuple_size}")
-        self.dispatches = 0
-        self.streams_fed = 0
-        self._staged: Optional[np.ndarray] = None
-        self._raw: Optional[np.ndarray] = None
-        self._err: Optional[np.ndarray] = None
-
-    def occupancy(self) -> float:
-        return self.streams_fed / self.dispatches if self.dispatches else 0.0
-
-    def crosses_segment(self, position: int, n: int) -> bool:
-        """Whether a chunk of ``n`` elements at stream offset
-        ``position`` would cross a segment boundary."""
-        span = segment_span(self.s)
-        return position // span != (position + n - 1) // span
-
-    def _buffers(self, B: int, rows: int):
-        span = (rows + 1) * self.s
-        need = B * span
-        if self._staged is None or self._staged.size < need:
-            self._staged = np.empty(need, dtype=self.dtype)
-            self._err = np.empty(need, dtype=self.dtype)
-        raw_need = B * rows * self.s
-        if self._raw is None or self._raw.size < raw_need:
-            self._raw = np.empty(raw_need, dtype=self.dtype)
-        return (
-            self._staged[:need].reshape(B, rows + 1, self.s),
-            self._err[:need].reshape(B, rows + 1, self.s),
-            self._raw[:raw_need].reshape(B, rows, self.s),
-        )
-
-    def stage_scan(
-        self,
-        chunks: Sequence[np.ndarray],
-        states: Sequence[np.ndarray],
-        positions: Sequence[int],
-    ) -> List[np.ndarray]:
-        """One batched compensated continuation pass over ``B`` streams.
-
-        ``states`` are the per-stream ``(4, s)`` compensated carries
-        (updated in place); ``positions`` the stream offsets (not
-        advanced).  Returns the ``B`` rendered chunks as fresh arrays.
-        """
-        B = len(chunks)
-        if B == 0:
-            return []
-        s = self.s
-        ns = [int(c.size) for c in chunks]
-        if min(ns) == 0:
-            raise ValueError("batched chunks must be non-empty")
-        for n, position in zip(ns, positions):
-            if self.crosses_segment(int(position), n):
-                raise ValueError(
-                    "a batched compensated chunk must not cross a segment "
-                    "boundary (feed it individually)"
-                )
-        rows = -(-max(ns) // s)  # ceil
-        span = rows * s
-        staged, ebuf, raw = self._buffers(B, rows)
-        pos = np.asarray(positions, dtype=np.int64).reshape(B, 1)
-        perms = (pos + np.arange(s)) % s
-
-        vparts = np.stack([st[VPART] for st in states])
-        eparts = np.stack([st[EPART] for st in states])
-        staged[:, 0, :] = np.take_along_axis(vparts, perms, axis=1)
-        flat = staged.reshape(B, -1)
-        rflat = raw.reshape(B, -1)
-        uniform = all(n == span for n in ns)
-        for i, chunk in enumerate(chunks):
-            flat[i, s : s + ns[i]] = chunk
-            rflat[i, : ns[i]] = chunk
-            if not uniform and ns[i] < span:
-                flat[i, s + ns[i] :] = NEG_ZERO
-                rflat[i, ns[i] :] = NEG_ZERO
-        np.add.accumulate(staged, axis=1, out=staged)
-        prevL = staged[:, :-1, :]
-        L = staged[:, 1:, :]
-
-        e = ebuf[:, 1:, :]
-        e[...] = two_sum_err(prevL, raw, L)
-        canonicalize_errors(e)
-        ebuf[:, 0, :] = np.take_along_axis(eparts, perms, axis=1)
-        np.add.accumulate(ebuf, axis=1, out=ebuf)
-        E = ebuf[:, 1:, :]
-
-        # Partials advance to the final row (identity padding keeps a
-        # lane constant past its last real element) — only the phases
-        # the chunk touched write back.
-        touched = np.arange(s) < np.minimum(np.asarray(ns), s).reshape(B, 1)
-        tv = L[:, -1, :]
-        tE = E[:, -1, :]
-        for i in range(B):
-            lanes = perms[i][touched[i]]
-            states[i][VPART][lanes] = tv[i][touched[i]]
-            states[i][EPART][lanes] = tE[i][touched[i]]
-
-        his = np.stack([st[HI] for st in states])
-        los = np.stack([st[LO] for st in states])
-        hi_rows = np.take_along_axis(his, perms, axis=1)[:, None, :]
-        lo_rows = np.take_along_axis(los, perms, axis=1)[:, None, :]
-        _dd_render(L, E, hi_rows, lo_rows, E)
-
-        out_flat = ebuf.reshape(B, -1)
-        outs = [out_flat[i, s : s + ns[i]].copy() for i in range(B)]
-        self.dispatches += 1
-        self.streams_fed += B
-        return outs

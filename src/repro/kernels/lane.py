@@ -809,10 +809,11 @@ def scan_into(
         current = src
         for _ in range(q):
             if mode == "compensated":
-                if current is out:
-                    # Later passes rescan the output; the segment-parallel
-                    # path reads the source after writing, so give it its
-                    # own copy.
+                if current is out and threads is not None:
+                    # Later passes rescan the output.  The serial path
+                    # reads each piece before writing it; the
+                    # segment-parallel path reads the source after
+                    # writing, so give it its own copy.
                     current = out.copy()
                 lane_scan_compensated(
                     current, op, s, fresh_state(out.dtype, s), 0, out=out,

@@ -62,6 +62,10 @@ class RowCarry:
         #: Elements per slab unit: slabs are whole lane rows.
         self.unit = self.s
 
+    #: Whether :meth:`fold`'s step takes the region's raw input values
+    #: (and renders them) instead of its local scan.
+    fold_input = False
+
     def shape(self, elements: int = 0) -> tuple:
         """Shape of a region's aggregate (and of the carry)."""
         return (self.s,)
@@ -93,11 +97,11 @@ class RowCarry:
         lane_scan(src[lo:hi], self.op, self.s, out=out[lo:hi])
         return out[hi - self.s : hi]
 
-    def fold(self, carry, start, seen, raw=None):
+    def fold(self, carry, start, seen):
         """Fold ``carry`` into the region starting at ``start``: a
         ``step(chunk, pos)`` applied in place to each piece of the
         region's local scan at global index ``pos``, or ``None`` when
-        it would change nothing.  ``raw(lo, hi)`` reads input values."""
+        it would change nothing."""
         if not seen.any():
             return None
         return lambda chunk, pos: fold_lanes(
@@ -160,7 +164,7 @@ class FusedCarry(RowCarry):
         fused_lane_scan(buf[1][lo:hi], self.op, self.s, self.q, carry)
         return carry
 
-    def fold(self, carry, start, seen, raw=None):
+    def fold(self, carry, start, seen):
         local = np.ascontiguousarray(carry[:, phase_perm(start, self.s)])
         if not local.any():
             return None
@@ -238,16 +242,17 @@ class CompensatedCarry(RowCarry):
             totals[k, :2] = L[-1], e[-1]
         return totals
 
-    def fold(self, carry, start, seen, raw=None):
-        """The render, as the serial compensated scan of the region's
-        raw values from the chain state entering it: at each segment end
-        it crosses into the chain with the same ``dd_add`` on the same
-        totals the splice made, so it renders the same bits."""
+    fold_input = True
+
+    def fold(self, carry, start, seen):
+        """The render, as the serial compensated scan in place of each
+        piece of the region's raw values from the chain state entering
+        it: at each segment end it crosses into the chain with the same
+        ``dd_add`` on the same totals the splice made, so it renders the
+        same bits."""
         state = fresh_state(self.dtype, self.s)
         state[[HI, LO]] = carry[:2]
-        return lambda chunk, pos: _scan_serial(
-            raw(pos, pos + len(chunk)), self.s, state, pos, chunk
-        )
+        return lambda chunk, pos: _scan_serial(chunk, self.s, state, pos, chunk)
 
     def fold_slab(self, buf, lo, hi, carry, agg, seen) -> None:
         """Render the slab's segments: errors from ``err``, chain states

@@ -21,7 +21,7 @@ Layers:
   pipelined ``feed_many``.
 """
 
-from repro.serve.batch import batch_kernel_for, batch_key, feed_batch
+from repro.serve.batch import batch_key, feed_batch
 from repro.serve.client import ScanClient, parse_address
 from repro.serve.errors import (
     FeedRejectedError,
@@ -38,7 +38,6 @@ __all__ = [
     "ScanClient",
     "ScanServer",
     "SessionRegistry",
-    "batch_kernel_for",
     "batch_key",
     "feed_batch",
     "parse_address",

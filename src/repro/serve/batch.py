@@ -1,34 +1,31 @@
-"""Batched session feeds: B ``ScanSession.feed`` calls, ~order dispatches.
+"""Batched session feeds: B ``ScanSession.feed`` calls, one dispatch.
 
 :func:`feed_batch` is the server's throughput core.  Given ``B``
 *distinct*, batch-compatible sessions (same operator, dtype, order and
 tuple size — see :func:`batch_key`) and one pending chunk each, it
 produces outputs **bit-identical** to ``[s.feed(c) for s, c in ...]``
-while issuing only ``order`` kernel dispatches total (one
-:meth:`repro.kernels.BatchedLaneKernel.stage_scan` per scan pass)
-instead of ``B * order``.  For the serving workload — thousands of
-small concurrent streams — this converts per-feed Python dispatch
-overhead into one amortized batch dispatch.
+in one :meth:`repro.kernels.BatchedLaneKernel.scan` dispatch instead of
+``B`` feeds.  For the serving workload — thousands of small concurrent
+streams — this converts per-feed Python dispatch overhead into one
+amortized batch dispatch.
 
-The batch drives each session's own carry state machine
-(``session.kernel``, a :class:`repro.kernels.LaneKernel`) exactly as
-``feed`` does: ``order`` inclusive continuation passes (or one fused
-pass), each updating its carry row, then the exclusive lane-shift from
-the kernel's pre-chunk ``heads()`` and one ``advance`` for the
-position and seen-lane bookkeeping.  Empty chunks stay scan no-ops but
-count as feed calls, like ``feed``.
+The kernel runs every scan pass over each session's own carry state
+machine (``session.kernel``, a :class:`repro.kernels.LaneKernel`);
+:func:`feed_batch` keeps the rest of ``feed``: validation, empty chunks
+(scan no-ops that still count as feed calls), the exclusive lane-shift
+from the kernel's pre-chunk ``heads()``, one ``advance`` for the
+position and seen-lane bookkeeping, and the counters.
 
 Batch eligibility is the same rule as every other fast path in the
 repo: fixed-width integers under a real-ufunc operator (exact
-regrouping), on the plain host path (no delegated engine, no pinned
-slab thread count) — plus, since the compensated float mode landed,
-float ``add`` sessions opened with ``float_mode="compensated"``: their
-error-free carry makes the batched regrouping deterministic, so they
-batch through :class:`repro.kernels.BatchedCompensatedKernel` (chunks
-that would cross a segment boundary fall back to an individual feed
-inside :func:`feed_batch` — the boundary advances the per-stream
-double-double chain, which is sequential).  Exact-mode floats keep
-their bit-exact per-session prepend path; the caller simply feeds
+regrouping), or float ``add`` sessions opened with
+``float_mode="compensated"`` (their error-free carry is defined on a
+fixed segment grid, so the batched regrouping is deterministic), on
+the plain host path (no delegated engine, no pinned slab thread
+count).  A compensated chunk that would cross a segment boundary
+inside it is fed alone: the crossing advances the per-stream
+double-double chain mid-chunk, a sequential step.  Exact-mode floats
+keep their bit-exact per-session prepend path; the caller simply feeds
 those sessions individually.
 
 Sessions the planner opened with ``threads="auto"`` batch too: below
@@ -49,11 +46,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro import kernels
-from repro.kernels import (
-    BatchedCompensatedKernel,
-    BatchedLaneKernel,
-    batchable_op_dtype,
-)
+from repro.kernels import BatchedLaneKernel, batchable_op_dtype, segment_span
 from repro.stream.errors import SessionStateError
 from repro.stream.session import ScanSession
 
@@ -61,7 +54,8 @@ from repro.stream.session import ScanSession
 def batch_key(session: ScanSession):
     """The session's batch-compatibility key, or ``None`` if the
     session cannot take the batched path (engine-delegated, pinned to
-    a thread count, float/unknown dtype, or looped operator).
+    a thread count, a float dtype outside compensated mode, an unknown
+    dtype, or a looped operator).
 
     Two sessions may share a dispatch iff their keys are equal and not
     ``None``.  ``inclusive`` is deliberately *not* part of the key: the
@@ -81,15 +75,9 @@ def batch_key(session: ScanSession):
         key = None
     elif session.dtype is None:
         return None
-    elif session.float_mode == "compensated":
-        key = (
-            session.op.name,
-            session.dtype.name,
-            session.order,
-            session.tuple_size,
-            "compensated",
-        )
-    elif not batchable_op_dtype(session.op, session.dtype):
+    elif session.float_mode != "compensated" and not batchable_op_dtype(
+        session.op, session.dtype
+    ):
         key = None
     else:
         key = (
@@ -111,17 +99,6 @@ def feeds_solo(session: ScanSession, nbytes: int) -> bool:
     return nbytes >= kernels.threaded.PARALLEL_CUTOVER_BYTES
 
 
-def batch_kernel_for(session: ScanSession):
-    """A fresh batched kernel matching the session's batch key
-    (:class:`BatchedCompensatedKernel` for compensated float sessions,
-    :class:`BatchedLaneKernel` otherwise)."""
-    if session.float_mode == "compensated":
-        return BatchedCompensatedKernel(
-            session.op, session.dtype, session.tuple_size
-        )
-    return BatchedLaneKernel(session.op, session.dtype, session.tuple_size)
-
-
 def feed_batch(
     sessions: Sequence[ScanSession],
     chunks: Sequence[np.ndarray],
@@ -130,8 +107,8 @@ def feed_batch(
     """Feed one chunk to each of ``B`` batch-compatible sessions.
 
     Equivalent to ``[s.feed(c) for s, c in zip(sessions, chunks)]`` bit
-    for bit — outputs, carry state, offsets — in ``order`` batched
-    kernel dispatches.  ``kernel`` lets the caller reuse a
+    for bit — outputs, carry state, offsets — in one batched kernel
+    dispatch.  ``kernel`` lets the caller reuse a
     :class:`BatchedLaneKernel` (and its staging buffer / occupancy
     counters) across batches; it must match the sessions' batch key.
 
@@ -152,19 +129,13 @@ def feed_batch(
             "op/dtype/order/tuple_size key on the plain host path)"
         )
     first = sessions[0]
-    op, s, order, dtype = first.op, first.tuple_size, first.order, first.dtype
-    compensated = first.float_mode == "compensated"
-    kernel_type = BatchedCompensatedKernel if compensated else BatchedLaneKernel
+    op, s, dtype = first.op, first.tuple_size, first.dtype
     if kernel is None:
-        kernel = kernel_type(op, dtype, s)
-    elif (
-        not isinstance(kernel, kernel_type)
-        or kernel.op.name != op.name
-        or kernel.dtype != dtype
-        or kernel.s != s
-    ):
+        kernel = BatchedLaneKernel(op, dtype, s)
+    elif kernel.op.name != op.name or kernel.dtype != dtype or kernel.s != s:
         raise ValueError("kernel does not match the sessions' batch key")
 
+    span = segment_span(s)
     outs: List[Optional[np.ndarray]] = [None] * len(sessions)
     live: List[int] = []
     arrays: List[np.ndarray] = []
@@ -187,64 +158,30 @@ def feed_batch(
             session.counters.chunks += 1
             session.counters.bytes_in += array.nbytes
             outs[i] = array.copy()
-        else:
-            live.append(i)
-            arrays.append(array)
-    if compensated and live:
-        # A chunk that crosses its stream's segment boundary advances
-        # the per-stream double-double chain — a sequential step the
-        # batched kernel cannot stage.  Feed those streams individually
-        # (bit-identical: the session takes the same compensated
-        # kernel); the rest still share the dispatch.
-        for i, array in zip(live, arrays):
-            if kernel.crosses_segment(sessions[i].offset, array.size):
-                outs[i] = sessions[i].feed(array)
-        arrays = [a for i, a in zip(live, arrays) if outs[i] is None]
-        live = [i for i in live if outs[i] is None]
+            continue
+        if kernel.compensated:
+            start = session.offset
+            if start // span != (start + array.size - 1) // span:
+                # Crossing a segment boundary inside the chunk advances
+                # the per-stream double-double chain mid-chunk, a
+                # sequential step the staged scan cannot take: feed it
+                # alone (the session takes the same compensated kernel,
+                # bit-identical).
+                outs[i] = session.feed(array)
+                continue
+        live.append(i)
+        arrays.append(array)
     if not live:
         return outs
 
     t0 = time.perf_counter()
     lanes = [sessions[i].kernel for i in live]
-    positions = [k.pos for k in lanes]
     # The exclusive epilogue's heads, taken before the carries move.
     heads = [
         None if sessions[i].inclusive else k.heads()
         for i, k in zip(live, lanes)
     ]
-    current = arrays
-
-    # Fused order-q batch: ONE staged dispatch produces all q orders
-    # (delta injection + q batched accumulates) when every live chunk
-    # has at least order * s elements — the same single-pass kernel the
-    # sessions' own feeds take, so carries stay bit-identical either
-    # way.  Shorter chunks fall back to the pass-per-order loop below.
-    if (
-        not compensated
-        and order > 1
-        and kernels.fused_supported(op, dtype, order, s)
-        and all(a.size >= order * s for a in arrays)
-    ):
-        carries = np.stack([k.carry for k in lanes])
-        current = kernel.stage_scan_fused(current, carries, positions, order)
-        for j, k in enumerate(lanes):
-            k.carry[...] = carries[j]
-            k.counters.fused_order_scans += 1
-    else:
-        for iteration in range(order):
-            if compensated:
-                states = [k.comp[iteration] for k in lanes]
-                current = kernel.stage_scan(current, states, positions)
-                # The error carry advanced in place; refresh the
-                # rendered running totals (the exclusive heads of later
-                # feeds).
-                for k, out in zip(lanes, current):
-                    k.record_totals(k.carry[iteration], out)
-            else:
-                carries = np.stack([k.carry[iteration] for k in lanes])
-                current = kernel.stage_scan(current, carries, positions)
-                for j, k in enumerate(lanes):
-                    k.carry[iteration] = carries[j]
+    current = kernel.scan(lanes, arrays)
     for j, k in enumerate(lanes):
         if heads[j] is not None:
             current[j] = kernels.exclusive_shift(current[j], heads[j])

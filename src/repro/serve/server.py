@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.serve import protocol
-from repro.serve.batch import batch_kernel_for, batch_key, feed_batch, feeds_solo
+from repro.serve.batch import batch_key, feed_batch, feeds_solo
 from repro.serve.errors import ProtocolError, error_to_header
 from repro.serve.registry import SessionRegistry
 from repro.stream.errors import SessionStateError
@@ -437,7 +437,10 @@ class ScanServer:
                 if len(feeds) > 1 and group_key[0] == "batch":
                     kernel = self._kernels.get(group_key)
                     if kernel is None:
-                        kernel = batch_kernel_for(sessions[0])
+                        first = sessions[0]
+                        kernel = BatchedLaneKernel(
+                            first.op, first.dtype, first.tuple_size
+                        )
                         self._kernels[group_key] = kernel
                     outs = feed_batch(sessions, [f.chunk for f in feeds], kernel)
                     self.batch_dispatches += 1

@@ -733,8 +733,9 @@ def _fold_shard(job: _ShardedJob, shard_index, carry, do_fold):
     The carry kind supplies the transform (:mod:`repro.kernels.splice`):
     a plain row folds lane by lane, a fused ``(q, s)`` matrix through
     the binomial weight columns in the shard's lane permutation, and
-    the compensated chain renders: it re-reads the raw values from the
-    input and rescans them serially from the shard's incoming ``(H, G)``.
+    the compensated chain renders: its fold pass reads the raw input
+    instead of the output and rescans it serially in place from the
+    shard's incoming ``(H, G)``.
     The render runs for *every* shard — even shard 0's carry-free
     region needs its local compensation re-injected — which is why
     compensated shards never bake or prime.
@@ -743,20 +744,13 @@ def _fold_shard(job: _ShardedJob, shard_index, carry, do_fold):
     counters = StreamCounters(engine_used=job._engine_label())
     seen = _seen_before(lo, job.tuple_size)
     heads = np.where(seen, job.kind.heads(carry), job.op.identity(job.dtype))
-    with contextlib.ExitStack() as stack:
-        raw_fh = None
-
-        def raw(pos, end):
-            nonlocal raw_fh
-            if raw_fh is None:
-                raw_fh = stack.enter_context(open(job.input_path, "rb"))
-            return _read_raw(raw_fh, job.input_path, job.dtype, pos, end)
-
-        step = job.kind.fold(carry, lo, seen, raw) if do_fold else None
-        _shard_pass(
-            job, shard_index, counters, job.output_path, job.output_path,
-            step, heads=heads.astype(job.dtype), rows=job.fused,
-        )
+    step = job.kind.fold(carry, lo, seen) if do_fold else None
+    renders = step is not None and job.kind.fold_input
+    source = job.input_path if renders else job.output_path
+    _shard_pass(
+        job, shard_index, counters, source, job.output_path, step,
+        heads=heads.astype(job.dtype), rows=job.fused,
+    )
     counters.folded_shards += 1
     return counters
 

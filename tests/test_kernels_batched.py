@@ -1,12 +1,14 @@
 """BatchedLaneKernel: coalesced multi-stream dispatch, bit-exact.
 
 The batched kernel must be invisible: feeding B sessions through one
-:func:`repro.serve.feed_batch` dispatch (``stage_scan`` over the
-sessions' own ``LaneKernel`` state) has to leave every output, carry,
-live-lane mask and position bit-identical to B independent
+:func:`repro.serve.feed_batch` dispatch (``BatchedLaneKernel.scan`` over
+the sessions' own ``LaneKernel`` state) has to leave every output,
+carry, live-lane mask and position bit-identical to B independent
 ``ScanSession.feed`` calls.  These tests sweep op/dtype/tuple-size over
 ragged chunk mixes (mixed positions, chunks shorter than one stride so
-some lanes are still dead, empty chunks, fresh and restored sessions)
+some lanes are still dead, empty chunks, fresh and restored sessions),
+run compensated float sessions over the same kind of mix (segment
+crossings, cuts on the segment grid, signed zeros, infinities, NaN),
 and pin down the eligibility rule, the staging-buffer reuse and the
 occupancy counters.
 """
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import make_int_array
-from repro.kernels import BatchedLaneKernel, batchable_op_dtype
+from repro.kernels import BatchedLaneKernel, batchable_op_dtype, segment_span
 from repro.ops import get_op
 from repro.serve import feed_batch
 from repro.stream import ScanSession
@@ -154,3 +156,103 @@ def test_staging_buffer_reuse_does_not_leak_state(rng):
     _assert_same_outputs(feed_batch(small, chunks, kernel), expected)
     for got, want in zip(small, oracle):
         _assert_same_state(got, want)
+
+
+# -- compensated float sessions ----------------------------------------------
+
+
+def _comp_sessions(s, order, count):
+    return [
+        ScanSession(op="add", order=order, tuple_size=s, dtype=np.float64,
+                    float_mode="compensated", inclusive=i % 2 == 0)
+        for i in range(count)
+    ]
+
+
+def _comp_stream(rng, s, specials, on_grid):
+    """One stream's ragged chunks: empty, shorter than ``s``, crossing a
+    segment boundary, a few elements, and (``on_grid``) ending exactly
+    on a segment boundary."""
+    span = segment_span(s)
+    edge = "boundary" if on_grid else "small"
+    chunks, pos = [], 0
+    for kind in rng.permutation([edge, "small", "empty", "short", "cross", edge]):
+        if kind == "empty":
+            n = 0
+        elif kind == "short":
+            n = int(rng.integers(1, s)) if s > 1 else 1
+        elif kind == "boundary":
+            n = span - pos % span
+        elif kind == "cross":
+            n = span - pos % span + int(rng.integers(1, 3 * s + 2))
+        else:
+            n = int(rng.integers(1, 40))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 16, n)
+        if n and specials:
+            at = rng.integers(0, n, min(n, len(specials)))
+            x[at] = specials[: at.size]
+        chunks.append(x)
+        pos += n
+    return chunks
+
+
+def _assert_same_comp_state(a: ScanSession, b: ScanSession):
+    assert a.offset == b.offset
+    assert a.kernel.comp.tobytes() == b.kernel.comp.tobytes()
+    assert a.kernel.carry.tobytes() == b.kernel.carry.tobytes()
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("on_grid", [False, True])
+def test_compensated_feed_batch_matches_sequential_feeds(rng, s, order, on_grid):
+    # Signed zeros in most streams; one stream each meets +-inf and NaN.
+    specials = [[0.0, -0.0], [-0.0], [], [np.inf, -0.0], [np.nan], [-np.inf]]
+    streams = [_comp_stream(rng, s, sp, on_grid) for sp in specials]
+    sequential = _comp_sessions(s, order, len(streams))
+    seq_outs = [
+        [session.feed(c) for c in chunks]
+        for session, chunks in zip(sequential, streams)
+    ]
+    batched = _comp_sessions(s, order, len(streams))
+    bat_outs = [[] for _ in streams]
+    for r in range(len(streams[0])):
+        live = [i for i in range(len(streams)) if (r + i) % 5]  # ragged rounds
+        for i in sorted(set(range(len(streams))) - set(live)):
+            bat_outs[i].append(batched[i].feed(streams[i][r]))
+        produced = feed_batch(
+            [batched[i] for i in live], [streams[i][r] for i in live]
+        )
+        for i, out in zip(live, produced):
+            bat_outs[i].append(out)
+    for i in range(len(streams)):
+        _assert_same_comp_state(sequential[i], batched[i])
+        for got, want in zip(bat_outs[i], seq_outs[i]):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_compensated_batch_ending_on_segment_boundary_crosses_chain(rng, order):
+    """A batched chunk that ends exactly on a segment boundary must fold
+    the finished segment into the double-double chain, as a solo feed
+    does; otherwise the stream drifts off the fixed segment grid."""
+    from repro import prefix_sum
+
+    s, B = 2, 3
+    span = segment_span(s)
+    xs = [rng.standard_normal(span + 50) * 1e8 for _ in range(B)]
+    batched = _comp_sessions(s, order, B)
+    solo = _comp_sessions(s, order, B)
+    for i, x in enumerate(xs):  # stagger the streams inside segment 0
+        batched[i].feed(x[: 3 * i])
+        solo[i].feed(x[: 3 * i])
+    feed_batch(batched, [x[3 * i : span] for i, x in enumerate(xs)])
+    for i, x in enumerate(xs):
+        solo[i].feed(x[3 * i : span])
+        assert batched[i].state_dict() == solo[i].state_dict()
+    tails = feed_batch(batched, [x[span:] for x in xs])
+    for i, x in enumerate(xs):
+        want = prefix_sum(x, order=order, tuple_size=s, engine="host",
+                          float_mode="compensated", inclusive=i % 2 == 0)
+        assert tails[i].tobytes() == want[span:].tobytes()

@@ -263,27 +263,25 @@ def test_collect_fold_composition_matches_oneshot(rng):
     x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
     base = _oneshot(x, s)
     bounds = [0, 2 * span, 3 * span, n]  # segment-aligned shard cuts
-    aggregates, locals_ = [], []
+    aggregates = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         kernel = CompensatedCollectKernel(OP, x.dtype, s, start=lo)
-        parts = [
-            kernel.feed(x[c:min(c + 4999, hi)]) for c in range(lo, hi, 4999)
-        ]
-        locals_.append(np.concatenate(parts))
+        for c in range(lo, hi, 4999):
+            kernel.feed(x[c:min(c + 4999, hi)])
         aggregates.append(kernel.segment_totals())
     # Each shard renders from the carry the splice hands it, rescanning
-    # its raw values from the incoming (H, G) chain state.
+    # its raw values in place from the incoming (H, G) chain state.
     kind = CompensatedCarry(x.dtype, s)
     counts = [np.full(s, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
     seen = [np.ones(s, dtype=bool)] * len(counts)
     carries, _ = splice(kind, kind.identity(), aggregates, counts, seen)
     outs = []
-    for lo, local, carry in zip(bounds, locals_, carries):
-        fold = kind.fold(carry, lo, None, lambda a, b: x[a:b])
-        for c in range(0, local.size, 7001):
-            stop = min(c + 7001, local.size)
-            fold(local[c:stop], lo + c)
-        outs.append(local)
+    for lo, hi, carry in zip(bounds[:-1], bounds[1:], carries):
+        fold = kind.fold(carry, lo, None)
+        region = x[lo:hi].copy()
+        for c in range(0, region.size, 7001):
+            fold(region[c : c + 7001], lo + c)
+        outs.append(region)
     _assert_bitwise(np.concatenate(outs), base)
 
 

@@ -368,14 +368,15 @@ class TestFusedAcrossStack:
         assert np.array_equal(out, expected)
 
     def test_feed_batch_fused(self, rng):
-        from repro.serve.batch import batch_kernel_for, feed_batch
+        from repro.kernels import BatchedLaneKernel
+        from repro.serve.batch import feed_batch
 
         order, s, B = 3, 4, 4
         batched = [ScanSession(op="add", order=order, tuple_size=s,
                                dtype="int64") for _ in range(B)]
         reference = [ScanSession(op="add", order=order, tuple_size=s,
                                  dtype="int64") for _ in range(B)]
-        kernel = batch_kernel_for(batched[0])
+        kernel = BatchedLaneKernel("add", "int64", s)
         for n in (50, order * s, order * s - 1, 7):  # fused + fallback rounds
             chunks = [full_range(rng, np.int64, n) for _ in range(B)]
             want = [r.feed(c.copy()) for r, c in zip(reference, chunks)]

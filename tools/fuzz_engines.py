@@ -493,16 +493,19 @@ def _float_oracle_cumsum(values, tuple_size):
 def run_float_eft(config, rng) -> bool:
     """The ``float_eft`` differential arm: one compensated float
     workload run through every parallel decomposition — slab threads
-    {1, 2, 3, 8}, shards {1, 2, 4}, and a random session split — all of
-    which must agree *bit for bit* with the serial compensated kernel;
+    {1, 2, 3, 8}, shards {1, 2, 4}, a random session split, and the
+    serve layer's ``feed_batch`` over three staggered streams whose
+    cuts often land on segment boundaries — all of which must agree
+    *bit for bit* with the serial compensated kernel;
     then (order-1, inclusive, aligned lengths) the compensated result's
     worst absolute error against a float128/mpmath oracle must not
     exceed the naive serial fold's."""
     import os
     import tempfile
 
-    from repro.kernels import ThreadedScan, compensated_scan_into
+    from repro.kernels import ThreadedScan, compensated_scan_into, segment_span
     from repro.ops import get_op
+    from repro.serve.batch import feed_batch
     from repro.stream import ScanSession, scan_file_sharded
 
     dtype = np.dtype(config["float_dtype"])
@@ -564,6 +567,40 @@ def run_float_eft(config, rng) -> bool:
     stitched = np.concatenate(parts) if parts else values[:0]
     if not agrees(stitched):
         return False
+
+    # Batched serve dispatch: three streams staggered by a few elements,
+    # then cut either up to their next segment boundary (a batched chunk
+    # ending on the grid) or at random (crossing chunks go solo).
+    span = segment_span(s)
+    sessions = [
+        ScanSession(op="add", order=order, tuple_size=s, inclusive=inclusive,
+                    float_mode="compensated", dtype=dtype)
+        for _ in range(3)
+    ]
+    feeds = [[] for _ in sessions]
+    positions = [min(n, 3 * i) for i in range(3)]
+    cuts = [values[:p] for p in positions]
+    while True:
+        outs = feed_batch(sessions, cuts)
+        for i, out in enumerate(outs):
+            feeds[i].append(out)
+        if min(positions) >= n:
+            break
+        cuts = []
+        for i, pos in enumerate(positions):
+            if split.integers(2):
+                step = span - pos % span
+            else:
+                step = int(split.integers(1, max(2, n // 3 + 1)))
+            cuts.append(values[pos : pos + step])
+            positions[i] = min(n, pos + step)
+    for batched, parts in zip(sessions, feeds):
+        # The carry state is a function of the position alone, so it
+        # must match the split-fed session's too.
+        if batched.state_dict() != session.state_dict():
+            return False
+        if not agrees(np.concatenate(parts)):
+            return False
 
     if order == 1 and inclusive and n:
         oracle = _float_oracle_cumsum(values, s)
