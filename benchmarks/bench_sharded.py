@@ -1,23 +1,19 @@
 #!/usr/bin/env python
 """Benchmark: sharded out-of-core scan vs the single-session driver.
 
-Times ``scan_file_sharded`` (integer add, order 1, inclusive — the
-fully parallel path) against ``scan_file`` over the same file, sweeping
-the shard count.  Writes ``benchmarks/results/BENCH_sharded.json`` with
-raw seconds, relative throughput, and the sharded driver's own
-counters (shards primed vs folded, per-phase seconds), so both of the
-driver's wins are measurable rather than assumed:
+Times ``scan_file_sharded`` (integer add, order 1, inclusive) against
+``scan_file`` over the same file, sweeping the shard count.  Writes
+``benchmarks/results/BENCH_sharded.json`` with raw seconds, relative
+throughput, and the sharded driver's own counters (bytes read and
+written, per-phase seconds).
 
-* **Carry priming + the lean kernel.**  Shards that start after their
-  predecessors finish bake the spliced carry into the scan and skip
-  the fold entirely, and integer shard passes accumulate in place
-  (no prepend copies, no extra output pass) — so even on one core the
-  sharded driver does strictly less memory traffic per element than
-  the session driver.
-* **Parallel shards.**  On a multicore host the phase-1 scans and
-  phase-3 folds of different shards overlap (numpy releases the GIL
-  inside ufunc loops); phase seconds are summed work, so
-  ``seconds_total`` can exceed wall-clock when that happens.
+The sharded driver is reduce-then-scan: a read-only reduce pass over
+all shards but the last, the splice, then a scan pass that rescans
+every shard from its exact carry and writes it once.  It reads
+``2n - n/S`` bytes against the session driver's ``n``, so on one core
+it can only tie or lose; it wins when shards overlap on several cores
+(numpy releases the GIL inside ufunc loops).  Phase seconds are summed
+work, so ``seconds_total`` can exceed wall-clock when that happens.
 
 Usage:
     python benchmarks/bench_sharded.py [--quick]
@@ -98,18 +94,17 @@ def run_sweep(n, shard_counts, repeats, workdir: pathlib.Path) -> dict:
             "speedup_vs_session": session_seconds / sharded_seconds,
             "session_items_per_s": n / session_seconds,
             "sharded_items_per_s": n / sharded_seconds,
-            "primed_shards": c.primed_shards,
-            "folded_shards": c.folded_shards,
+            "bytes_in": c.bytes_in,
+            "bytes_out": c.bytes_out,
             "chunk_resizes": c.chunk_resizes,
             "seconds_read": c.seconds_read,
             "seconds_scan": c.seconds_scan,
             "seconds_write": c.seconds_write,
             "seconds_splice": c.seconds_splice,
-            "seconds_fold": c.seconds_fold,
         })
         print(
-            f"shards {shards:3d} (primed {c.primed_shards}, "
-            f"folded {c.folded_shards}): {sharded_seconds * 1e3:8.2f} ms "
+            f"shards {shards:3d} (read {c.bytes_in / n / 8:.2f}n, "
+            f"wrote {c.bytes_out / n / 8:.2f}n): {sharded_seconds * 1e3:8.2f} ms "
             f"({rows[-1]['speedup_vs_session']:.2f}x single-session)"
         )
     return {
@@ -128,10 +123,9 @@ def run_sweep(n, shard_counts, repeats, workdir: pathlib.Path) -> dict:
             "numpy": np.__version__,
         },
         "note": (
-            "speedup_vs_session > 1 on one core comes from carry priming "
-            "(sequential shards bake their splice carry and skip the fold) "
-            "plus the lean in-place integer kernel; on a multicore host "
-            "the parallel-shards term adds on top of that.  phase seconds "
+            "reduce-then-scan reads 2n - n/S and writes n, so on one core "
+            "speedup_vs_session is at most 1; shards overlapping on "
+            "several cores are the only source of a win.  phase seconds "
             "are summed work across shards, not wall-clock."
         ),
         "rows": rows,

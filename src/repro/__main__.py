@@ -210,7 +210,7 @@ def _cmd_stream_planned(args) -> int:
     print(
         f"  phases: read {c.seconds_read:.3f}s  scan {c.seconds_scan:.3f}s  "
         f"write {c.seconds_write:.3f}s  checkpoint {c.seconds_checkpoint:.3f}s  "
-        f"splice {c.seconds_splice:.3f}s  fold {c.seconds_fold:.3f}s"
+        f"splice {c.seconds_splice:.3f}s"
     )
     _print_compression(c)
     return 0
@@ -243,8 +243,9 @@ def _cmd_stream(args) -> int:
         return _cmd_explain(args)
     if args.output_format == "blocked" and args.shards and args.shards > 1:
         print(
-            "blocked output is single-session only (the sharded fold "
-            "rewrites output in place); drop --shards or --output-format",
+            "blocked output is single-session only (a .samb container is "
+            "written by one sequential writer); drop --shards or "
+            "--output-format",
             file=_sys.stderr,
         )
         return 2
@@ -371,14 +372,15 @@ def _cmd_stream_sharded(args) -> int:
         f"engine {c.engine_used}{resumed} -> {args.output}"
     )
     print(
-        f"  shards: {c.shards} scanned, {c.primed_shards} primed, "
-        f"{c.folded_shards} folded, {c.chunk_resizes} chunk resizes"
+        f"  shards: {c.shards} scanned, {c.chunk_resizes} chunk resizes"
     )
     print(
         f"  phases: read {c.seconds_read:.3f}s  scan {c.seconds_scan:.3f}s  "
         f"write {c.seconds_write:.3f}s  splice {c.seconds_splice:.3f}s  "
-        f"fold {c.seconds_fold:.3f}s  checkpoint {c.seconds_checkpoint:.3f}s"
+        f"checkpoint {c.seconds_checkpoint:.3f}s"
     )
+    if result.fallback_reason:
+        print(f"  single stream: {result.fallback_reason}")
     _print_compression(c)
     return 0
 

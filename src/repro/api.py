@@ -310,9 +310,11 @@ def scan_file(
 
     With ``shards=N`` (N > 1) the job runs on the sharded driver
     instead (:func:`repro.stream.scan_file_sharded`): the input is cut
-    into N contiguous shards scanned concurrently by up to ``workers``
-    threads, spliced, and folded; ``checkpoint`` then names a per-shard
-    manifest and resume re-runs only unfinished shards.  Float inputs
+    into N contiguous shards, reduced and then scanned from their
+    spliced carries by up to ``workers`` threads; ``checkpoint`` then
+    names a per-shard manifest and resume re-runs only unfinished
+    shards.  Order ``q >= 2`` shards integer ``add`` only; other
+    operators run the single-stream driver.  Float inputs
     stay on the sequential exact path unless ``float_mode`` says
     otherwise: ``"compensated"`` shards floats deterministically
     through error-free carries (bit-identical for any shard count),
@@ -329,8 +331,9 @@ def scan_file(
     pipeline: ``input_format="auto"`` (the default) sniffs blocked
     ``.samb`` containers — their dtype and count come from the
     container header — and ``output_format="blocked"`` writes the
-    scanned stream back out compressed (single-session driver only;
-    the sharded fold rewrites output in place, so ``shards > 1`` with
+    scanned stream back out compressed (single-session driver only: a
+    ``.samb`` container is written by one sequential writer, while
+    shards write their regions concurrently, so ``shards > 1`` with
     blocked output is an error).  ``output_block_elements`` /
     ``output_codec_order`` tune the written container.
 
@@ -351,9 +354,9 @@ def scan_file(
         )
     if output_format == "blocked" and shards is not None and shards > 1:
         raise ValueError(
-            "blocked output is a single-session feature: the sharded fold "
-            "rewrites the output in place, which a compressed container "
-            "cannot support (drop shards= or output_format='blocked')"
+            "blocked output is a single-session feature: a .samb container "
+            "is written by one sequential writer, and shards write their "
+            "regions concurrently (drop shards= or output_format='blocked')"
         )
     format_kwargs = {"input_format": input_format}
     out_kwargs = dict(format_kwargs, output_format=output_format)

@@ -343,21 +343,19 @@ def compensated_scan_into(
     )
 
 
-# -- sharded-driver kernels -------------------------------------------------
+# -- the sharded driver's reduce kernel -------------------------------------
 
 
 class CompensatedCollectKernel:
-    """Shard scan-pass kernel: naive continuation plus totals collection.
+    """Shard reduce-pass kernel: per-segment totals, and nothing else.
 
-    The sharded driver cannot render during its scan pass — the render
-    needs the *global* double-double chain, which exists only after
-    every earlier shard reports its segment totals.  So the scan pass
-    writes the naive per-lane continuation ``L`` (bit-identical to the
-    serial naive chain, because shards start on segment boundaries) and
-    collects each finished segment's ``(T, F)`` totals; the splice
-    chains them and the fold pass renders.  ``feed`` returns a fresh
-    buffer per chunk (the raw chunk is re-read by the fold pass, so it
-    is never mutated).
+    The sharded driver's reduce pass needs only each shard's segment
+    totals: the splice chains them into the ``(H, G)`` state entering
+    every shard, and the scan pass then renders from it.  ``feed``
+    continues the naive value and error chains over each chunk (shards
+    start on segment boundaries, so they match the serial chains) and
+    keeps each finished segment's ``(T, F)`` totals; it returns nothing
+    and keeps no output.
     """
 
     def __init__(self, op, dtype, tuple_size: int = 1, start: int = 0):
@@ -372,12 +370,9 @@ class CompensatedCollectKernel:
         self.state = fresh_state(self.dtype, self.s)
         self._totals: List[np.ndarray] = []
 
-    def feed(self, chunk: np.ndarray) -> np.ndarray:
+    def feed(self, chunk: np.ndarray) -> None:
         chunk = np.asarray(chunk)
         n = chunk.size
-        if n == 0:
-            return chunk
-        out = np.empty_like(chunk)
         s = self.s
         span = segment_span(s)
         pos = self.pos
@@ -385,18 +380,14 @@ class CompensatedCollectKernel:
         while i < n:
             seg_end = (pos // span + 1) * span
             take = min(n - i, seg_end - pos)
-            L, _ = _piece_naive(chunk[i : i + take], s, self.state, pos)
-            out[i : i + take] = L
+            _piece_naive(chunk[i : i + take], s, self.state, pos)
             pos += take
             i += take
             if pos == seg_end:
-                self._totals.append(
-                    np.stack([self.state[VPART].copy(), self.state[EPART].copy()])
-                )
+                self._totals.append(self.state[[VPART, EPART]].copy())
                 self.state[VPART] = NEG_ZERO
                 self.state[EPART] = NEG_ZERO
         self.pos = pos
-        return out
 
     def segment_totals(self) -> np.ndarray:
         """The shard's ``(K, 2, s)`` per-segment ``(T, F)`` totals — its
@@ -404,9 +395,7 @@ class CompensatedCollectKernel:
         segment (final shard only) contributes its partials."""
         totals = list(self._totals)
         if self.pos % segment_span(self.s):
-            totals.append(
-                np.stack([self.state[VPART].copy(), self.state[EPART].copy()])
-            )
+            totals.append(self.state[[VPART, EPART]].copy())
         if not totals:
             return np.empty((0, 2, self.s), dtype=self.dtype)
         return np.stack(totals)

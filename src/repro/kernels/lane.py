@@ -914,8 +914,8 @@ class LaneKernel:
             if prime is not None or self.pos != 0:
                 raise ValueError(
                     "compensated LaneKernel streams start at 0, unprimed (an "
-                    "absolute carry has no error decomposition; use the "
-                    "sharded driver's collect/fold kernels for offsets)"
+                    "absolute carry has no error decomposition; continue at "
+                    "an offset with load_state and its error state)"
                 )
             self.comp = np.stack([fresh_state(self.dtype, self.s)] * self.order)
         self.exact = self.float_mode == "exact"

@@ -1,12 +1,14 @@
-"""Carry kinds and the one splice: scan → splice → fold, written once.
+"""Carry kinds and the one splice, written once for every parallel scan.
 
 A parallel scan cuts its input into regions — slabs of one in-memory
 chunk (:func:`repro.kernels.threaded.slab_scan`) or shards of one file
-(:mod:`repro.stream.sharded`) — scans each region locally from a zero
-carry, splices the region aggregates with a short exclusive scan on the
-host, and folds each region's incoming carry into it: the paper's
-two-level carry propagation (§2.2), as in LightScan and the CPU SIMD
-partition scans.  Only the *carry kind* differs:
+(:mod:`repro.stream.sharded`) — reduces each region locally from a
+zero carry, splices the region aggregates with a short exclusive scan
+on the host, and then finishes each region from its incoming carry:
+the paper's two-level carry propagation (§2.2), as in LightScan and the
+CPU SIMD partition scans.  Slabs fold the carry into their local scan;
+shards rescan their input with a kernel started from it (:meth:`kernel`).
+Only the *carry kind* differs:
 
 * :class:`RowCarry` — one order's ``(s,)`` row of lane totals (any op);
 * :class:`FusedCarry` — the fused ``(q, s)`` order-total matrix
@@ -14,8 +16,8 @@ partition scans.  Only the *carry kind* differs:
 * :class:`CompensatedCarry` — the compensated double-double chain
   (float ``add``).
 
-Each kind supplies the identity, the local step of a region, ``combine``,
-the fold of an incoming carry, and encode/decode of its aggregate;
+Each kind supplies the identity, the local step of a slab, ``combine``,
+the slab fold, the shard kernel, and encode/decode of its aggregate;
 :func:`splice` is the one exclusive scan over aggregates.  Carries are
 in the lane order of the frame the regions are cut from: global lanes
 for shards, chunk phases for slabs (slabs start on whole rows).
@@ -34,12 +36,13 @@ from repro.kernels.compensated import (
     HI,
     LO,
     SEGMENT_ROWS,
+    CompensatedCollectKernel,
     _dd_render,
-    _scan_serial,
     fresh_state,
     segment_span,
 )
 from repro.kernels.lane import (
+    LaneKernel,
     _fused_tail,
     fold_lanes,
     fused_combine,
@@ -62,10 +65,6 @@ class RowCarry:
         #: Elements per slab unit: slabs are whole lane rows.
         self.unit = self.s
 
-    #: Whether :meth:`fold`'s step takes the region's raw input values
-    #: (and renders them) instead of its local scan.
-    fold_input = False
-
     def shape(self, elements: int = 0) -> tuple:
         """Shape of a region's aggregate (and of the carry)."""
         return (self.s,)
@@ -82,13 +81,24 @@ class RowCarry:
         combined = np.where(seen, self.op.apply(running, agg), agg)
         return np.where(counts > 0, combined, running)
 
-    def heads(self, carry) -> np.ndarray:
-        """Each lane's running total under ``carry``: the exclusive-scan
-        heads of the region it enters."""
-        return carry
+    def kernel(self, start, carry=None, **options):
+        """A shard's kernel at global index ``start``.  Without
+        ``carry`` it is the reduce pass's: :meth:`aggregate` reads the
+        shard's aggregate off it (per-lane reduces for integers,
+        :class:`LaneReduce`; an unprimed scan for floats, whose reduce
+        would lose a ``-0.0`` total).  With the shard's incoming
+        ``carry`` it is the scan pass's :class:`repro.kernels.LaneKernel`,
+        whose output is final as written.  ``options`` (``engine``,
+        ``threads``) go to the :class:`repro.kernels.LaneKernel`."""
+        if carry is None and self.dtype.kind in "iu":
+            return LaneReduce(self.op, self.dtype, self.s, start)
+        return LaneKernel(
+            self.op, self.dtype, self.s, start=start, prime=carry,
+            float_mode="regrouped", **options,
+        )
 
     def aggregate(self, kernel) -> np.ndarray:
-        """A shard's aggregate, read off the kernel that scanned it."""
+        """A shard's aggregate, read off the kernel that reduced it."""
         return kernel.carry[0].copy()
 
     def local(self, buf, lo, hi):
@@ -98,10 +108,10 @@ class RowCarry:
         return out[hi - self.s : hi]
 
     def fold(self, carry, start, seen):
-        """Fold ``carry`` into the region starting at ``start``: a
+        """Fold ``carry`` into the slab starting at ``start``: a
         ``step(chunk, pos)`` applied in place to each piece of the
-        region's local scan at global index ``pos``, or ``None`` when
-        it would change nothing."""
+        slab's local scan at global index ``pos``, or ``None`` when it
+        would change nothing."""
         if not seen.any():
             return None
         return lambda chunk, pos: fold_lanes(
@@ -153,8 +163,13 @@ class FusedCarry(RowCarry):
     def combine(self, running, agg, counts, seen):
         return fused_combine(running, agg, counts)
 
-    def heads(self, carry) -> np.ndarray:
-        return carry[-1]
+    def kernel(self, start, carry=None, **options):
+        """Both passes scan at order ``q``: a shard's order-``j`` totals
+        need its order-``(j - 1)`` values."""
+        return LaneKernel(
+            self.op, self.dtype, self.s, start=start, prime=carry,
+            order=self.q, **options,
+        )
 
     def aggregate(self, kernel) -> np.ndarray:
         return kernel.carry.copy()
@@ -213,8 +228,23 @@ class CompensatedCarry(RowCarry):
         _dd_render(agg[-1, 0], agg[-1, 1], *before, last)
         return np.stack([hi, lo, last])
 
-    def heads(self, carry) -> np.ndarray:
-        return carry[2]
+    def kernel(self, start, carry=None, **options):
+        """The reduce pass collects segment totals
+        (:class:`repro.kernels.CompensatedCollectKernel`); the scan pass
+        is the serial compensated scan from the chain state ``(H, G)``
+        entering the shard, with fresh in-segment partials (shards start
+        on the segment grid).  At each segment end it crosses into the
+        chain with the same ``dd_add`` on the same totals the splice
+        made, so it renders the same bits."""
+        if carry is None:
+            return CompensatedCollectKernel(self.op, self.dtype, self.s, start=start)
+        kernel = LaneKernel(
+            self.op, self.dtype, self.s, float_mode="compensated", **options
+        )
+        state = fresh_state(self.dtype, self.s)
+        state[[HI, LO]] = carry[:2]
+        kernel.load_state(start, carry[2], state)
+        return kernel
 
     def aggregate(self, kernel) -> np.ndarray:
         return kernel.segment_totals()
@@ -242,18 +272,6 @@ class CompensatedCarry(RowCarry):
             totals[k, :2] = L[-1], e[-1]
         return totals
 
-    fold_input = True
-
-    def fold(self, carry, start, seen):
-        """The render, as the serial compensated scan in place of each
-        piece of the region's raw values from the chain state entering
-        it: at each segment end it crosses into the chain with the same
-        ``dd_add`` on the same totals the splice made, so it renders the
-        same bits."""
-        state = fresh_state(self.dtype, self.s)
-        state[[HI, LO]] = carry[:2]
-        return lambda chunk, pos: _scan_serial(chunk, self.s, state, pos, chunk)
-
     def fold_slab(self, buf, lo, hi, carry, agg, seen) -> None:
         """Render the slab's segments: errors from ``err``, chain states
         from the rows combine filled."""
@@ -264,26 +282,37 @@ class CompensatedCarry(RowCarry):
             _dd_render(L, e, agg[k, 2], agg[k, 3], L)
 
 
-def splice(kind, running, aggregates, counts, seen, baked=None):
+class LaneReduce:
+    """The row kind's integer reduce-pass kernel: each chunk's per-lane
+    ``op`` reduce, combined into the running ``(1, s)`` lane totals a
+    zero-carry scan would end on — exact, and several times cheaper
+    than the scan at ``s == 1``."""
+
+    def __init__(self, op, dtype, tuple_size: int, start: int):
+        self.op = op
+        self.s = tuple_size
+        self.pos = start
+        self.carry = np.full((1, tuple_size), op.identity(dtype), dtype=dtype)
+
+    def feed(self, chunk: np.ndarray) -> None:
+        row = self.carry[0]
+        for p in range(min(self.s, chunk.size)):
+            lane = (self.pos + p) % self.s
+            row[lane] = self.op.apply(row[lane], self.op.reduce(chunk[p :: self.s]))
+        self.pos += chunk.size
+
+
+def splice(kind, running, aggregates, counts, seen):
     """Exclusive scan of region aggregates: the carry entering each region.
 
     ``running`` enters the first region; ``counts[i]`` and ``seen[i]``
     are region ``i``'s per-lane element counts and the lanes with an
     element before it.  Returns ``(incoming, running)``: the carry
-    entering each region and the carry after the last.  A ``None``
-    aggregate (a region not scanned yet) changes nothing.  A region
-    flagged in ``baked`` scanned with its absolute carry already inside
-    (a primed shard), so its aggregate *replaces* the running carry in
-    the lanes it touches.
+    entering each region and the carry after the last.
     """
     incoming = []
     for i, agg in enumerate(aggregates):
         incoming.append(running)
-        present = counts[i] > 0
-        if agg is None or not present.any():
-            continue
-        if baked is not None and baked[i]:
-            running = np.where(present, agg, running)
-        else:
+        if (counts[i] > 0).any():
             running = kind.combine(running, agg, counts[i], seen[i])
     return incoming, running

@@ -13,10 +13,11 @@ The subsystem has three layers:
   engine, chunk i+1 prefetched while chunk i scans (a one-chunk job
   starts no thread), durable checkpoints every k chunks,
   ``resume=True`` continuation after interruption.
-* :func:`scan_file_sharded` (``sharded.py``) — the sharded driver:
-  S contiguous shards scanned concurrently, carry-spliced on the host,
-  and folded in parallel; per-shard manifest checkpoints resume only
-  the unfinished shards.
+* :func:`scan_file_sharded` (``sharded.py``) — the sharded driver as
+  reduce-then-scan: S contiguous shards reduced read-only, their
+  aggregates spliced on the host, then every shard scanned from its
+  exact carry and written once; per-shard manifest checkpoints resume
+  only the unfinished shards.
 
 Quickstart::
 

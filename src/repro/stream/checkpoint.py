@@ -21,10 +21,11 @@ claims more progress than is durably on disk.
 
 The same machinery persists the **per-shard manifest** of the sharded
 driver (:mod:`repro.stream.sharded`): a manifest is a checkpoint-like
-document recording the shard plan, the per-pass per-shard aggregates
-and carry-baking flags, and which shards of the current phase are
-done — enough for a killed sharded job to resume only its unfinished
-shards.
+document recording the shard plan, the current phase (``"reduce"`` or
+``"scan"``), which shards of it are done, and the reduce aggregates —
+enough for a killed sharded job to resume only its unfinished shards.
+Version 2 is the reduce-then-scan layout; a version-1 manifest (the
+scan/fold layout) is rejected.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ CHECKPOINT_KIND = "repro-stream-checkpoint"
 CHECKPOINT_VERSION = 1
 
 MANIFEST_KIND = "repro-stream-shard-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def build_checkpoint(
@@ -151,7 +152,7 @@ def build_shard_manifest(
     """Assemble the sharded driver's manifest document.
 
     ``state`` is the sharded driver's progress record (current phase,
-    per-shard done flags, per-pass aggregates); the manifest wraps it
+    per-shard done flags, reduce aggregates); the manifest wraps it
     with the identity fields every resume must validate first.  ``io``
     (optional) records the input container format for compressed-input
     jobs.

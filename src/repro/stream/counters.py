@@ -39,26 +39,28 @@ class StreamCounters:
     across interruptions; ``resumes`` says how often that happened.
 
     The sharded driver (:mod:`repro.stream.sharded`) adds its own
-    events: ``shards`` (shard scan passes run), ``primed_shards``
-    (shards whose splice carry was already final at scan start, so the
-    carry was baked into the scan and the fold pass skipped),
-    ``folded_shards`` (shards that did need a separate fold pass),
-    ``chunk_resizes`` (adaptive chunk-sizing adjustments), and the
-    ``seconds_splice`` / ``seconds_fold`` phases.  Per-shard counters
-    are combined with :meth:`aggregate`.
+    events: ``shards`` (shard scan passes run, each writing its output
+    region once), ``chunk_resizes`` (adaptive chunk-sizing
+    adjustments), and the ``seconds_splice`` phase.  Its read-only
+    reduce pass adds to ``bytes_in``, ``chunks`` and the read and scan
+    seconds, never to ``bytes_out``.  ``seconds_fold`` stays 0 (no
+    driver has a separate fold pass); it is kept because reports read
+    it.  Per-shard counters are combined with :meth:`aggregate`.
 
     Compressed streaming adds ``compressed_bytes_in`` /
     ``compressed_bytes_out`` (container bytes actually moved when the
     input and/or output is a blocked ``.samb`` container),
     ``decoded_bytes_in`` (the logical bytes those container bytes
     decoded into — distinct from ``bytes_in``, which also counts the
-    sharded driver's raw ping-pong re-reads on later passes, see
-    :meth:`compression_ratio_in`), and the ``seconds_decode`` /
-    ``seconds_encode`` phases of the fused decode-scan-encode loop.
+    sharded driver's reduce-pass reads, see
+    :meth:`compression_ratio_in`; both container counts come from the
+    scan pass, which decodes every block once), and the
+    ``seconds_decode`` / ``seconds_encode`` phases of the fused
+    decode-scan-encode loop.
     ``overlapped_decodes`` counts chunks whose container decode ran
     concurrently with the previous chunk's scan (the sharded driver's
-    pass-1 prefetch; its decode seconds overlap the scan wall-clock
-    instead of adding to it).
+    prefetch; its decode seconds overlap the scan wall-clock instead of
+    adding to it).
 
     The ``planner_*`` fields make :mod:`repro.plan` decisions auditable
     wherever counters already flow (benchmarks, the serve STATS verb):
@@ -85,8 +87,6 @@ class StreamCounters:
     batched_feeds: int = 0
     fused_order_scans: int = 0
     shards: int = 0
-    primed_shards: int = 0
-    folded_shards: int = 0
     chunk_resizes: int = 0
     planner_cache_hits: int = 0
     planner_cache_misses: int = 0
@@ -120,7 +120,7 @@ class StreamCounters:
     def compression_ratio_in(self) -> float:
         """Logical decoded bytes per compressed input byte (0 when the
         input was not compressed).  Uses ``decoded_bytes_in`` so the
-        sharded driver's later raw passes don't inflate the ratio;
+        sharded driver's reduce-pass reads don't inflate the ratio;
         falls back to ``bytes_in`` for counters restored from an older
         checkpoint that predates the field."""
         if not self.compressed_bytes_in:
@@ -193,12 +193,7 @@ class StreamCounters:
         return total
 
     def __str__(self) -> str:
-        sharded = (
-            f"shards={self.shards} (primed {self.primed_shards}, "
-            f"folded {self.folded_shards}), "
-            if self.shards
-            else ""
-        )
+        sharded = f"shards={self.shards}, " if self.shards else ""
         compressed = ""
         if self.compressed_bytes_in or self.compressed_bytes_out:
             compressed = (

@@ -139,10 +139,14 @@ def _aligned_take(elements: int, align: int, stride: int) -> int:
     return max(align, elements - elements % align)
 
 
-def _read_raw(fh, path: str, dtype, lo: int, hi: int) -> np.ndarray:
+def _read_raw(fh, path: str, dtype, lo: int, hi: int, buf=None) -> np.ndarray:
     """Elements ``[lo, hi)`` of the raw file open as ``fh``, read with a
-    seek and one ``readinto`` into a fresh array the caller owns."""
-    chunk = np.empty(hi - lo, dtype=dtype)
+    seek and one ``readinto`` into a fresh array the caller owns, or
+    into the front of ``buf`` (a buffer the caller reuses)."""
+    if buf is None:
+        chunk = np.empty(hi - lo, dtype=dtype)
+    else:
+        chunk = buf[: hi - lo]
     fh.seek(lo * chunk.itemsize)
     got = fh.readinto(memoryview(chunk).cast("B"))
     if got != chunk.nbytes:

@@ -2,7 +2,10 @@
 
 One property per kind, in two checks: the slab driver equals the serial
 kernel bit for bit at any thread count, and splicing random region cuts
-through :func:`repro.kernels.splice` then folding them equals it too.
+through :func:`repro.kernels.splice` then finishing every region from
+its incoming carry equals it too — folded into the slab's local scan,
+and rescanned by the kind's shard kernel (whose reduce form must end on
+the slab's aggregate).
 Each kind is one entry of ``CASES``: how to draw an input and the carry
 entering it, the serial kernel, the kind's threaded entry point and its
 in-memory buffers.  A new carry kind is tested by adding one entry.
@@ -160,27 +163,37 @@ def test_random_cuts_splice_and_fold_match_serial(name, seed):
     bounds = list(zip(edges[:-1], edges[1:]))
     buf = case.buffers(x.copy())
     aggregates = [kind.local(buf, lo, hi) for lo, hi in bounds]
+    # The shard form of the reduce: the kind's unprimed kernel fed the
+    # region in pieces ends on the slab's aggregate (the compensated
+    # slab's has two extra rows for chain states).
+    for (lo, hi), agg in zip(bounds, aggregates):
+        kernel = kind.kernel(lo)
+        for pos in range(lo, hi, 257 * kind.s):
+            kernel.feed(x[pos : min(pos + 257 * kind.s, hi)].copy())
+        reduced = kind.aggregate(kernel)
+        _assert_same(reduced, agg[tuple(slice(0, d) for d in reduced.shape)])
     counts = [np.full(kind.s, (hi - lo) // kind.s) for lo, hi in bounds]
     seen = [np.ones(kind.s, dtype=bool)] * len(bounds)
     incoming, running = splice(kind, carry, aggregates, counts, seen)
-    # The shard form of the fold: a step over pieces of each region,
-    # applied to a second copy of the local scans (of the raw input for
-    # a kind whose fold renders it).
-    shard = case.buffers(x.copy())
-    for lo, hi in bounds:
-        kind.local(shard, lo, hi)
-    folded = x.copy() if kind.fold_input else shard[1]
+    # The shard form: each region rescanned in pieces by the kind's
+    # kernel started from its incoming carry.  Starting one unit late
+    # keeps the lane phases (and the segment grid) and makes every lane
+    # live, as the drawn carry's lanes are.
+    rescanned = np.empty_like(x)
     for (lo, hi), c, agg, lanes in zip(bounds, incoming, aggregates, seen):
         kind.fold_slab(buf, lo, hi, c, agg, lanes)
-        step = kind.fold(c, lo, lanes)
-        for pos in range(lo, hi, 257 * kind.s) if step else ():
-            step(folded[pos : min(pos + 257 * kind.s, hi)], pos)
+        kernel = kind.kernel(lo + kind.unit, c)
+        for pos in range(lo, hi, 257 * kind.s):
+            end = min(pos + 257 * kind.s, hi)
+            rescanned[pos:end] = kernel.feed(x[pos:end].copy())
     if x.size > edges[-1]:
-        kind.tail(shard, edges[-1], running.copy())
+        kernel = kind.kernel(edges[-1] + kind.unit, running.copy())
+        rescanned[edges[-1] :] = kernel.feed(x[edges[-1] :].copy())
         kind.tail(buf, edges[-1], running)
     else:  # the carry's heads are the last value of every lane
-        _assert_same(kind.heads(running), want[-kind.s :])
+        heads = kind.kernel(edges[-1] + kind.unit, running).heads()
+        _assert_same(heads, want[-kind.s :])
     _assert_same(buf[1], want)
-    _assert_same(folded, want)
+    _assert_same(rescanned, want)
     if want_carry is not None:
         _assert_same(running[: len(want_carry)], want_carry)

@@ -253,7 +253,7 @@ def test_sharded_compensated_higher_order_falls_back_compensated(rng, tmp_path):
     _assert_bitwise(np.fromfile(tmp_path / "out.bin", dtype=np.float64), want)
 
 
-# -- collect/fold kernels: the sharded driver's building blocks --------------
+# -- reduce and scan kernels: the sharded driver's building blocks ---------
 
 
 def test_collect_fold_composition_matches_oneshot(rng):
@@ -270,18 +270,16 @@ def test_collect_fold_composition_matches_oneshot(rng):
             kernel.feed(x[c:min(c + 4999, hi)])
         aggregates.append(kernel.segment_totals())
     # Each shard renders from the carry the splice hands it, rescanning
-    # its raw values in place from the incoming (H, G) chain state.
+    # its raw values from the incoming (H, G) chain state.
     kind = CompensatedCarry(x.dtype, s)
     counts = [np.full(s, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
     seen = [np.ones(s, dtype=bool)] * len(counts)
     carries, _ = splice(kind, kind.identity(), aggregates, counts, seen)
     outs = []
     for lo, hi, carry in zip(bounds[:-1], bounds[1:], carries):
-        fold = kind.fold(carry, lo, None)
-        region = x[lo:hi].copy()
-        for c in range(0, region.size, 7001):
-            fold(region[c : c + 7001], lo + c)
-        outs.append(region)
+        kernel = kind.kernel(lo, carry)
+        for c in range(lo, hi, 7001):
+            outs.append(kernel.feed(x[c : min(c + 7001, hi)]))
     _assert_bitwise(np.concatenate(outs), base)
 
 

@@ -228,8 +228,8 @@ class TestShardedBlockedInput:
         )
         assert result.input_format == "blocked"
         assert result.counters.compressed_bytes_in > 0
-        # Only pass 1 decodes the container; the raw ping-pong passes
-        # must not inflate the reported compression ratio.
+        # The container's bytes count once, at the scan pass: the
+        # reduce pass's re-reads must not skew the reported ratio.
         assert result.counters.decoded_bytes_in == values.nbytes
         assert result.counters.compression_ratio_in() == pytest.approx(
             values.nbytes / result.counters.compressed_bytes_in

@@ -2,9 +2,10 @@
 
 Mirrors ``test_stream_driver.py`` for the sharded path: bit-identity
 against the one-shot host scan across the configuration grid (shard
-boundaries landing mid-tuple included), carry priming, per-shard
-manifest resume after injected crashes and a real SIGKILL of the CLI,
-and the float exact-path fallback.
+boundaries landing mid-tuple included), reduce-then-scan traffic (one
+output write, no scratch file), per-shard manifest resume after every
+injected crash point and a real SIGKILL of the CLI, and the
+single-stream fallbacks.
 """
 
 import base64
@@ -22,6 +23,7 @@ import pytest
 from conftest import make_int_array
 from repro import kernels
 from repro.core.host import host_prefix_sum
+from repro.reference import prefix_sum_serial
 from repro.stream import (
     CheckpointError,
     CheckpointMismatchError,
@@ -34,7 +36,7 @@ from repro.stream import (
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: The three carry kinds of the sharded splice/fold.
+#: The three carry kinds of the sharded splice.
 CARRY_KINDS = ("plain", "fused", "compensated")
 
 
@@ -81,17 +83,14 @@ class TestShardedBitIdentity:
             values, order=order, tuple_size=tuple_size, inclusive=inclusive
         )
         assert np.array_equal(np.fromfile(out, dtype=np.int32), expected)
-        # Fused order-q jobs (integer add, tuple_size >= 2) are
-        # single-pass over the file; pass-per-order jobs run one
-        # shard-scan round per order.
-        assert result.counters.shards >= result.num_shards * max(
-            1, result.passes - 1
-        )
+        # Every order shards through one scan pass per shard, which
+        # writes the output once; order-q jobs at tuple_size >= 2 take
+        # the fused tile path in it.
+        assert result.passes == 1
+        assert result.counters.shards == result.num_shards
+        assert result.counters.bytes_out == values.nbytes
         if order > 1 and tuple_size > 1:
-            assert result.passes == 1
             assert result.counters.fused_order_scans >= result.num_shards
-        else:
-            assert result.passes == order
         assert not (tmp_path / "out.bin.scratch").exists()
 
     @pytest.mark.parametrize("op", ["add", "max", "min", "xor", "and", "or"])
@@ -151,19 +150,22 @@ class TestShardedBitIdentity:
 
 
 class TestCarryPriming:
+    """Every scan-pass shard starts primed with its exact incoming
+    carry, so its output region is final as written."""
+
     def test_sequential_run_primes_every_shard(self, tmp_path, rng):
-        # One worker executes shards in order, so every shard sees its
-        # predecessors finished, bakes its carry, and skips the fold —
-        # the job degenerates to a single pass over the data, like
-        # decoupled lookback with in-order blocks.
+        # The read-only reduce pass reads shards 0..2 (the last shard's
+        # aggregate is never needed); then every shard rescans from its
+        # carry and writes its region once.
         values = make_int_array(rng, 8_000, dtype=np.int64)
         raw = write_input(tmp_path, values)
         out = tmp_path / "out.bin"
         result = scan_file_sharded(
             raw, out, dtype="int64", shards=4, workers=1, chunk_bytes=4096,
         )
-        assert result.counters.primed_shards == 4
-        assert result.counters.folded_shards == 0
+        assert result.counters.shards == 4
+        assert result.counters.bytes_in == values.nbytes * 7 // 4
+        assert result.counters.bytes_out == values.nbytes
         assert np.array_equal(
             np.fromfile(out, dtype=np.int64), host_prefix_sum(values)
         )
@@ -176,9 +178,8 @@ class TestCarryPriming:
             raw, out, dtype="int32", tuple_size=3, inclusive=False,
             shards=4, workers=1, chunk_bytes=1024,
         )
-        # Primed shards skip the carry fold but still need the
-        # exclusive lane shift.
-        assert result.counters.primed_shards == 4
+        # Primed shards still need the exclusive lane shift.
+        assert result.counters.shards == 4
         expected = host_prefix_sum(values, tuple_size=3, inclusive=False)
         assert np.array_equal(np.fromfile(out, dtype=np.int32), expected)
 
@@ -209,6 +210,20 @@ class TestFloatPath:
         assert result.num_shards == 4
         expected = host_prefix_sum(values)
         assert np.allclose(np.fromfile(out, np.float64), expected)
+
+    def test_regrouped_keeps_negative_zero(self, tmp_path):
+        # Every shard's lane totals and carries stay -0.0, as the
+        # one-shot sum of -0.0 values does: no shard folds an identity
+        # (+0.0) into a lane's first total.
+        values = np.full(4_000, -0.0)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        result = scan_file_sharded(
+            raw, out, dtype="float64", tuple_size=3, shards=4, workers=2,
+            chunk_bytes=2048, float_mode="regrouped",
+        )
+        assert result.num_shards == 4
+        assert np.fromfile(out, np.float64).tobytes() == values.tobytes()
 
 
 class TestShortRead:
@@ -268,8 +283,7 @@ class TestManifestResume:
 
     def carry_kind_job(self, kind, rng, n=30_000):
         """Values, job options and the bit-exact expected output of an
-        exclusive scan of one carry kind.  An exclusive scan runs the
-        fold/shift phase for every shard regardless of priming."""
+        exclusive scan of one carry kind."""
         if kind == "plain":
             values = make_int_array(rng, n)
             kw = dict(order=1, tuple_size=2)
@@ -294,26 +308,26 @@ class TestManifestResume:
 
     @pytest.mark.parametrize("kind", CARRY_KINDS)
     def test_resume_mid_fold_phase(self, tmp_path, rng, kind):
-        # Crash *inside* the fold phase: an in-place fold is not
-        # idempotent, so resume must rebuild unfinished shards from the
-        # intact pass source before refolding.  Every shard scans once
-        # and then folds, so the completion after the last scan is a
-        # fold.  The compensated plan snaps to the segment grid, which
-        # can give fewer shards than asked for.
+        # Crash inside the scan phase, where each shard's carry is
+        # folded into its values: the first completion after the
+        # planned - 1 reduce completions is a scan.  Resume rescans the
+        # unfinished shards from the input.  The compensated plan snaps
+        # to the segment grid, which can give fewer shards than asked
+        # for.
         values, kw, expected = self.carry_kind_job(kind, rng)
         planned = 6
         if kind == "compensated":
             span = kernels.segment_span(kw["tuple_size"])
             planned = len(plan_shards(-(-len(values) // span), 6))
         values, raw, out, manifest, config = self.run_interrupted(
-            tmp_path, rng, values=values, fail_after=planned + 1, **kw
+            tmp_path, rng, values=values, fail_after=planned, **kw
         )
         state = read_shard_manifest(manifest)["state"]
-        assert state["phase"] == {"kind": "fold"}
+        assert state["phase"] == "scan"
+        assert sum(state["done"]) == 1
         result = scan_file_sharded(raw, out, resume=True, **config)
         assert result.counters.resumes == 1
-        if kind == "fused":
-            assert result.passes == 1
+        assert result.passes == 1
         got = np.fromfile(out, dtype=expected.dtype)
         assert got.tobytes() == expected.tobytes()
 
@@ -428,11 +442,26 @@ class TestManifestValidation:
         with pytest.raises(CheckpointMismatchError, match="'done'"):
             self.edited_resume(tmp_path, edit)
 
-    def test_missing_baked_key_rejected(self, tmp_path):
+    def test_missing_aggregates_key_rejected(self, tmp_path):
         def edit(payload):
-            del payload["state"]["baked"]
+            del payload["state"]["aggregates"]
 
-        with pytest.raises(CheckpointMismatchError, match="'baked'"):
+        with pytest.raises(CheckpointMismatchError, match="'aggregates'"):
+            self.edited_resume(tmp_path, edit)
+
+    def test_scan_phase_without_aggregates_rejected(self, tmp_path):
+        def edit(payload):
+            payload["state"]["phase"] = "scan"
+            payload["state"]["done"] = [False] * 4
+
+        with pytest.raises(CheckpointMismatchError, match="no aggregate"):
+            self.edited_resume(tmp_path, edit)
+
+    def test_version_1_manifest_rejected(self, tmp_path):
+        def edit(payload):
+            payload["version"] = 1
+
+        with pytest.raises(CheckpointError, match="version 1"):
             self.edited_resume(tmp_path, edit)
 
     @pytest.mark.parametrize("corrupt", [
@@ -584,3 +613,125 @@ class TestShardThreads:
         assert np.array_equal(np.fromfile(out, dtype=np.int32), expected)
         # budget // workers == 0 -> clamped to 1 thread -> serial kernel.
         assert result.counters.threaded_scans == 0
+
+
+#: One job per carry kind for the traffic and crash-point checks: the
+#: plain row, the fused (q, s) matrix at s == 1 and at s == 3, and the
+#: compensated chain.  name -> (values, job options, expected output).
+def traffic_job(name):
+    rng = np.random.default_rng(7)
+    if name == "int32-q1":
+        values = make_int_array(rng, 20_011)
+        kw = dict(dtype="int32")
+        return values, kw, prefix_sum_serial(values)
+    if name.startswith("int64-q2"):
+        s = int(name[-1])
+        values = make_int_array(rng, 20_011, dtype=np.int64)
+        kw = dict(dtype="int64", order=2, tuple_size=s, inclusive=s == 1)
+        expected = prefix_sum_serial(
+            values, order=2, tuple_size=s, inclusive=s == 1
+        )
+        return values, kw, expected
+    values = rng.standard_normal(4 * kernels.segment_span(1) + 77)
+    kw = dict(dtype="float64", float_mode="compensated", inclusive=False)
+    expected = kernels.compensated_scan_into(
+        values, np.empty_like(values), "add", inclusive=False
+    )
+    return values, kw, expected
+
+
+TRAFFIC_JOBS = ("int32-q1", "int64-q2-s1", "int64-q2-s3", "float64-compensated")
+
+
+class TestReduceThenScanTraffic:
+    """The output is written once and no scratch file ever exists, at
+    every order and for every carry kind."""
+
+    @pytest.mark.parametrize("name", TRAFFIC_JOBS)
+    def test_output_written_once_without_scratch(self, tmp_path, name):
+        values, kw, expected = traffic_job(name)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        scratch = tmp_path / "out.bin.scratch"
+        config = dict(
+            kw, shards=4, workers=2, chunk_bytes=8192,
+            checkpoint=tmp_path / "job.manifest",
+        )
+        # A crash at the first scan completion, after the reduce pass.
+        with pytest.raises(InjectedFailureError):
+            scan_file_sharded(raw, out, fail_after_shards=4, **config)
+        assert not scratch.exists()
+        resumed = scan_file_sharded(raw, out, resume=True, **config)
+        assert not scratch.exists()
+        assert np.fromfile(out, expected.dtype).tobytes() == expected.tobytes()
+        result = scan_file_sharded(raw, out, **config)
+        assert result.fallback_reason is None
+        assert not scratch.exists()
+        assert result.counters.bytes_out == out.stat().st_size
+        # Resumed counters add the three rescanned shards to the one
+        # the crashed run recorded.
+        assert resumed.counters.bytes_out == out.stat().st_size
+        assert np.fromfile(out, expected.dtype).tobytes() == expected.tobytes()
+
+
+class TestOrderFallback:
+    """Order q >= 2 shards only integer add; every other operator, and
+    regrouped floats, run the single-stream scan and say why."""
+
+    @pytest.mark.parametrize("dtype,op,float_mode", [
+        ("int64", "max", None),
+        ("int64", "xor", None),
+        ("int64", "mul", None),
+        ("float64", "add", "regrouped"),
+    ])
+    def test_order2_falls_back_bit_identically(
+        self, tmp_path, rng, dtype, op, float_mode
+    ):
+        if dtype == "float64":
+            values = rng.standard_normal(9_001)
+        else:
+            values = rng.integers(-3, 4, 9_001).astype(dtype)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        result = scan_file_sharded(
+            raw, out, dtype=dtype, op=op, order=2, tuple_size=2,
+            shards=4, workers=2, chunk_bytes=4096, float_mode=float_mode,
+        )
+        assert result.fallback_reason is not None
+        assert result.num_shards == 1
+        expected = prefix_sum_serial(values, order=2, tuple_size=2, op=op)
+        assert np.fromfile(out, values.dtype).tobytes() == expected.tobytes()
+
+
+class TestCrashPoints:
+    """Every crash point of both passes, for every carry kind: a job of
+    S shards completes S - 1 reduce shards, then S scan shards.  A job
+    killed after any completion resumes to the one-shot bytes."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", TRAFFIC_JOBS)
+    def test_every_crash_point_resumes_bit_identically(
+        self, tmp_path, name, workers
+    ):
+        values, kw, expected = traffic_job(name)
+        raw = write_input(tmp_path, values)
+        out = tmp_path / "out.bin"
+        manifest = tmp_path / "job.manifest"
+        shards = 4
+        config = dict(
+            kw, shards=shards, workers=workers, chunk_bytes=8192,
+            checkpoint=manifest,
+        )
+        completions = 2 * shards - 1
+        for crash in range(1, completions + 1):
+            if crash < completions:
+                with pytest.raises(InjectedFailureError):
+                    scan_file_sharded(raw, out, fail_after_shards=crash, **config)
+                phase = read_shard_manifest(manifest)["state"]["phase"]
+                assert phase == ("reduce" if crash < shards else "scan")
+                scan_file_sharded(raw, out, resume=True, **config)
+            else:  # the last completion finishes the job
+                scan_file_sharded(raw, out, fail_after_shards=crash, **config)
+            assert not manifest.exists()
+            got = np.fromfile(out, expected.dtype)
+            assert got.tobytes() == expected.tobytes(), crash

@@ -3,12 +3,13 @@ is frozen.
 
 ``tests/data/shard_manifest_golden.json`` holds the manifest a killed
 :func:`repro.stream.scan_file_sharded` job leaves behind, one job per
-carry kind (pass-per-order integer rows, the fused ``(q, s)`` matrix
-and the compensated segment chain), each killed once in the scan phase
-(before the splice) and once mid-fold.  Every job runs one worker with fixed chunks, so the crash
-point and the manifest are a pure function of the input; only the
-per-phase ``seconds_*`` timings vary between runs, and they are zeroed
-before comparing.  A job run today must leave byte-equal JSON at the
+order-2 carry kind (the fused ``(q, s)`` matrix at ``s == 1`` and at
+``s == 3``) and the compensated segment chain, each killed once at the
+end of the reduce phase (before the splice) and once mid-scan.  Every
+job runs one worker with fixed chunks, and completions are recorded in
+shard order, so the crash point and the manifest are a pure function
+of the input; only the per-phase ``seconds_*`` timings vary between
+runs, and they are zeroed before comparing.  A job run today must leave byte-equal JSON at the
 same crash point, and a job resumed from each stored manifest must
 finish exactly like a one-shot scan.
 
@@ -36,24 +37,21 @@ FIXTURE = os.path.join(
 )
 
 #: name -> (scan_file_sharded kwargs, total elements, {crash point:
-#: shard completions before the injected failure}).  Exclusive integer
-#: scans fold every shard, so each job has a fold phase to crash in.
-#: The scan-phase crash comes at the last scan completion, before the
-#: splice: earlier in a scan pass the one worker may already publish
-#: its next shard while the manifest is written, and the fold phase
-#: records done flags on the calling thread only.
+#: shard completions before the injected failure}).  Four shards
+#: complete three reduce shards, then four scan shards: the reduce
+#: crash comes after the last reduce, the scan crash after two scans.
 CASES = {
     "int32_order2_passes": (
         dict(dtype="int32", order=2, tuple_size=1, inclusive=False),
-        33_001, {"scan": 8, "fold": 10},
+        33_001, {"reduce": 3, "scan": 5},
     ),
     "int64_order2_s3_fused": (
         dict(dtype="int64", order=2, tuple_size=3, inclusive=False),
-        20_003, {"scan": 4, "fold": 6},
+        20_003, {"reduce": 3, "scan": 5},
     ),
     "float64_compensated_order1": (
         dict(dtype="float64", order=1, tuple_size=1, float_mode="compensated"),
-        5 * 4096 + 77, {"scan": 4, "fold": 6},
+        5 * 4096 + 77, {"reduce": 3, "scan": 5},
     ),
 }
 
@@ -111,7 +109,7 @@ def _encode(manifest: dict) -> str:
     return json.dumps(manifest, sort_keys=True)
 
 
-POINTS = [(name, point) for name in sorted(CASES) for point in ("scan", "fold")]
+POINTS = [(name, point) for name in sorted(CASES) for point in ("reduce", "scan")]
 
 
 @pytest.fixture(scope="module")
@@ -123,20 +121,20 @@ def golden():
 def test_fixture_covers_every_case(golden):
     assert sorted(golden) == sorted(CASES)
     for name in CASES:
-        assert sorted(golden[name]) == ["fold", "scan"]
+        assert sorted(golden[name]) == ["reduce", "scan"]
 
 
 @pytest.mark.parametrize("name,point", POINTS)
 def test_manifest_byte_matches_golden(tmp_path, golden, name, point):
     _, _, _, manifest = crash(str(tmp_path), name, point)
-    assert manifest["state"]["phase"]["kind"] == point
+    assert manifest["state"]["phase"] == point
     assert _encode(manifest) == _encode(golden[name][point])
 
 
 @pytest.mark.parametrize("name,point", POINTS)
 def test_golden_manifest_resumes_bit_identically(tmp_path, golden, name, point):
-    # The crash leaves the output and scratch files; the stored
-    # manifest then replaces the one the crash wrote.
+    # The crash leaves the output file; the stored manifest then
+    # replaces the one the crash wrote.
     raw, out, job, _ = crash(str(tmp_path), name, point)
     with open(job["checkpoint"], "w", encoding="utf-8") as fh:
         json.dump(golden[name][point], fh)

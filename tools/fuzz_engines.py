@@ -260,11 +260,11 @@ class ShardedFileScan:
     """Adapter: round-trips a scan through :func:`scan_file_sharded` —
     input written to a temp file, scanned across random shard counts,
     worker counts, and tiny chunk sizes, output read back.  Exercises
-    shard splits, carry splicing, priming, and fold against the same
-    oracle comparison as every in-memory engine.  With
-    ``fail_after_shards`` the job runs with a manifest, is killed by
-    the injected-failure hook after that many shard completions (scan
-    or fold), and is resumed from the manifest.
+    shard splits, the reduce pass, carry splicing and the primed scan
+    pass against the same oracle comparison as every in-memory engine.
+    With ``fail_after_shards`` the job runs with a manifest, is killed
+    by the injected-failure hook after that many shard completions
+    (reduce or scan), and is resumed from the manifest.
     """
 
     def __init__(self, shards: int, workers: int, chunk_bytes: int,
@@ -334,8 +334,8 @@ class CompressedScan:
         self.sharded = sharded
         self.shards = shards
         self.chunk_bytes = chunk_bytes
-        # Blocked output is single-session only (the sharded fold
-        # rewrites the output in place).
+        # Blocked output is single-session only (a .samb container is
+        # written by one sequential writer).
         self.output_blocked = output_blocked and not sharded
         self.crash = crash
 
@@ -695,8 +695,8 @@ def run_fused_order(config, rng) -> bool:
     if not agrees(out):
         return False
 
-    # Sharded file driver: single-pass layout, aggregate matrices,
-    # binomial splice, shard fold.
+    # Sharded file driver: reduce pass to aggregate matrices, binomial
+    # splice, primed scan pass.
     with tempfile.TemporaryDirectory(prefix="fuzz-fused-") as tmp:
         input_path = os.path.join(tmp, "in.bin")
         output_path = os.path.join(tmp, "out.bin")
@@ -962,10 +962,11 @@ def run_one(config, rng) -> bool:
     else:
         values = rng.integers(-(2**16), 2**16, config["n"]).astype(dtype)
     if config["engine"] == "sharded":
-        # A crash point in [1, 2 x shards] (scan and fold completions)
-        # or none, drawn from the data rng like the "file" kind's draws
-        # so the other kinds' configurations do not shift.
-        crash = int(rng.integers(0, 2 * config["shards"] + 1))
+        # A crash point in [1, 2 x shards - 1] (the reduce and scan
+        # completions; the last one finishes the job) or none, drawn
+        # from the data rng like the "file" kind's draws so the other
+        # kinds' configurations do not shift.
+        crash = int(rng.integers(0, 2 * config["shards"]))
         config["fail_after_shards"] = crash or None
     # Lookback's tuple path needs divisible sizes; truncate like the
     # paper's tuple experiments do.
