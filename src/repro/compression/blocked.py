@@ -23,14 +23,15 @@ over time.  Every container byte is covered by exactly one CRC32
 flipped bit — raises :class:`CodecError` instead of decoding to wrong
 values.
 
-The module-level ``pack_*`` / ``parse_*`` / ``encode_block`` /
-``decode_block_payload`` helpers are shared with the streaming
-reader/writer (:mod:`repro.compression.stream`), which processes the
-same format without materializing whole containers in memory.  A block
-payload decodes through the same residual decoder as a
-:class:`~repro.compression.codec.DeltaCodec` blob: varints straight to
-signed residuals, then the order-``q`` prefix sum in place, so the
-block's residual array becomes its output.
+The module-level ``pack_*`` / ``parse_*`` / ``decode_block_payload``
+helpers are shared with the streaming reader/writer
+(:mod:`repro.compression.stream`), which processes the same format
+without materializing whole containers in memory.  A block payload
+encodes and decodes through the same residual coder as a
+:class:`~repro.compression.codec.DeltaCodec` blob
+(``codec._encode_residuals`` / ``codec._decode_residuals``): on decode,
+varints straight to signed residuals, then the order-``q`` prefix sum
+in place, so the block's residual array becomes its output.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.compression.codec import CodecError, _decode_residuals, choose_model
-from repro.compression.zigzag import varint_encode, zigzag_encode
-from repro.core.host import host_delta_encode
+from repro.compression.codec import CodecError, _decode_residuals, _encode_residuals
 
 MAGIC = b"SAMB"
 #: v2 appends CRC32 checksums: per-payload in the index, plus index and
@@ -138,20 +137,6 @@ def parse_index_bytes(
         orders.append(order)
         crcs.append(crc)
     return sizes, orders, crcs
-
-
-def encode_block(block: np.ndarray, order: Optional[int],
-                 tuple_size: int) -> Tuple[bytes, int]:
-    """Encode one block's payload; ``order=None`` auto-selects.
-
-    Deterministic for a given (block, order, tuple_size), which is what
-    lets an interrupted streaming writer re-encode its tail blocks on
-    resume and land bit-identical.
-    """
-    if order is None:
-        order, _ = choose_model(block, tuple_sizes=(tuple_size,))
-    residuals = host_delta_encode(block, order=order, tuple_size=tuple_size)
-    return varint_encode(zigzag_encode(residuals)), order
 
 
 def decode_block_payload(
@@ -255,7 +240,7 @@ class BlockedDeltaCodec:
             block = array[start : start + block_elements]
             if block.size == 0:
                 continue
-            payload, block_order = encode_block(block, order, tuple_size)
+            payload, block_order = _encode_residuals(block, order, tuple_size)
             payloads.append(payload)
             orders.append(block_order)
 

@@ -40,13 +40,12 @@ from repro.compression.blocked import (
     MAGIC,
     align_block_elements,
     decode_block_payload,
-    encode_block,
     pack_header,
     pack_index_entry,
     parse_header_bytes,
     parse_index_bytes,
 )
-from repro.compression.codec import CodecError
+from repro.compression.codec import CodecError, _encode_residuals
 
 __all__ = [
     "BlockedFileReader",
@@ -387,7 +386,7 @@ class BlockedStreamWriter:
         if index >= self.num_blocks:
             raise CodecError("more elements fed than total_count")
         start = time.perf_counter()
-        payload, order = encode_block(block, self.order, self.tuple_size)
+        payload, order = _encode_residuals(block, self.order, self.tuple_size)
         self.encode_seconds += time.perf_counter() - start
         self._fh.write(payload)
         self._payload_pos += len(payload)

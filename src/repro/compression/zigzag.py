@@ -8,10 +8,20 @@ This is the same residual coder used by protobuf and many column
 stores — a simple, honest stand-in for the paper's unspecified "coder"
 component.
 
-Decoding is a hot path: :func:`_zigzag_varint_decode` turns a payload
-straight into signed residuals, byte-wide when almost every varint is
-one byte, through :func:`varint_decode` (whose validation defines the
-error contract) otherwise.
+Both directions are hot paths, and both are vectorized around the
+same observation: a smooth signal's residuals are almost all one-byte
+varints, behind each delta block's few wide head residuals.
+
+* **Encode** (every container write, including each block a streaming
+  writer emits): :func:`varint_encode` is one ``astype(uint8)`` when
+  every value is narrow, and otherwise walks byte positions over the
+  compacted wide values only; :func:`varint_lengths`, the one
+  varint-length function, prices a model's residuals without building
+  bytes.
+* **Decode**: :func:`_zigzag_varint_decode` turns a payload straight
+  into signed residuals, byte-wide when almost every varint is one
+  byte, through :func:`varint_decode` (whose validation defines the
+  error contract) otherwise.
 """
 
 from __future__ import annotations
@@ -27,9 +37,18 @@ def zigzag_encode(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values)
     if values.dtype not in _UNSIGNED:
         raise TypeError(f"zigzag needs int32/int64, got {values.dtype}")
-    bits = values.dtype.itemsize * 8
-    unsigned = values.view(_UNSIGNED[values.dtype])
-    return ((unsigned << np.uint8(1)) ^ (values >> np.int8(bits - 1)).view(unsigned.dtype))
+    return _zigzag(values, np.empty_like(values))
+
+
+def _zigzag(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`zigzag_encode` into ``out`` (which may be ``values``),
+    returned as an unsigned view; the sign mask is the one temporary."""
+    unsigned = _UNSIGNED[values.dtype]
+    sign = values >> values.dtype.type(8 * values.dtype.itemsize - 1)
+    out = out.view(unsigned)
+    np.left_shift(values.view(unsigned), unsigned.type(1), out=out)
+    np.bitwise_xor(out, sign.view(unsigned), out=out)
+    return out
 
 
 def zigzag_decode(values: np.ndarray) -> np.ndarray:
@@ -51,34 +70,80 @@ def _unzigzag(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out.view(f"i{out.dtype.itemsize}")
 
 
+def varint_lengths(values: np.ndarray) -> np.ndarray:
+    """Bytes each unsigned value's LEB128 varint takes (uint8, 1 to 10).
+
+    A value needs ``k + 1`` bytes iff it is at least ``2**(7 * k)`` and
+    below ``2**(7 * (k + 1))``, so the length is one plus the count of
+    thresholds it reaches.  Each threshold is compared only against the
+    values that reached the one before: the first compare runs over
+    every value, later ones over the wide values alone, compacted once
+    fewer than half of the working set is left.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind != "u":
+        raise TypeError(f"varint lengths need an unsigned dtype, got {values.dtype}")
+    lengths = np.ones(values.shape, dtype=np.uint8)
+    flat = lengths.reshape(-1)
+    live = values.reshape(-1)
+    where = None  # indices of ``live`` in ``flat``; None = all
+    for k in range(1, -(-8 * values.dtype.itemsize // 7)):
+        wide = live >= values.dtype.type(1 << (7 * k))
+        nwide = int(np.count_nonzero(wide))
+        if not nwide:
+            break
+        if 2 * nwide < wide.size:
+            keep = np.flatnonzero(wide)
+            where = keep if where is None else where[keep]
+            live = live[keep]
+            flat[where] += np.uint8(1)
+        elif where is None:
+            flat += wide
+        else:
+            flat[where] += wide
+    return lengths
+
+
 def varint_encode(values: np.ndarray) -> bytes:
     """LEB128-encode an unsigned integer array.
 
-    Vectorized by byte position: all values emit their k-th varint byte
-    together, then the byte stream is reassembled in value order.
+    The encoder mirrors the decoder's narrow path.  Values below 0x80
+    are their own one-byte varint, so when every value is, the payload
+    is one ``astype(uint8)``.  Otherwise each value's terminator byte
+    (the whole value when narrow, its top 7-bit group when wide) lands
+    through one mask at its position shifted by the continuation bytes
+    of the wide values before it, and only the compacted set of wide
+    values is walked byte position by byte position to write those
+    continuation bytes.  A handful of wide values (each delta block's
+    first residuals) thus costs no full-length pass per byte position.
     """
     values = np.asarray(values)
     if values.dtype.kind != "u":
         raise TypeError(f"varint encoding needs an unsigned dtype, got {values.dtype}")
-    if values.size == 0:
-        return b""
-    work = values.astype(np.uint64)
-    # Number of 7-bit groups each value needs (at least one).
-    nbytes = np.maximum(1, (64 - _clz64(work) + 6) // 7)
-    total = int(nbytes.sum())
-    out = np.empty(total, dtype=np.uint8)
-    positions = np.concatenate([[0], np.cumsum(nbytes)[:-1]])
-    remaining = work.copy()
-    emitted = np.zeros(len(work), dtype=np.int64)
-    max_len = int(nbytes.max())
-    for k in range(max_len):
-        active = emitted < nbytes
-        payload = (remaining & np.uint64(0x7F)).astype(np.uint8)
-        more = (emitted + 1 < nbytes) & active
-        byte = payload | (np.uint8(0x80) * more.astype(np.uint8))
-        out[(positions + emitted)[active]] = byte[active]
-        remaining = remaining >> np.uint64(7)
-        emitted = emitted + active.astype(np.int64)
+    values = values.reshape(-1)
+    wide = np.flatnonzero(values >= values.dtype.type(0x80))
+    terms = values.astype(np.uint8)
+    if not wide.size:
+        return terms.tobytes()
+    groups = values[wide]
+    extra = varint_lengths(groups).astype(np.intp) - 1  # continuation bytes
+    # First byte of each wide varint: its index plus the continuation
+    # bytes of the wide values before it.
+    heads = np.cumsum(extra) - extra + wide
+    terms[wide] = groups >> (7 * extra).astype(values.dtype)
+    out = np.empty(values.size + int(extra.sum()), dtype=np.uint8)
+    is_term = np.ones(out.size, dtype=bool)
+    for k in range(int(extra.max())):
+        if k:
+            live = extra > k
+            if not live.all():
+                keep = np.flatnonzero(live)
+                heads, extra, groups = heads[keep], extra[keep], groups[keep]
+            groups = groups >> values.dtype.type(7)
+        at = heads + k
+        is_term[at] = False
+        out[at] = (groups & values.dtype.type(0x7F)).astype(np.uint8) | np.uint8(0x80)
+    out[is_term] = terms
     return out.tobytes()
 
 
@@ -278,20 +343,3 @@ def _varint_decode_scalar(data: bytes, count: int, dtype=np.uint64) -> np.ndarra
             f"{len(raw) - position} trailing bytes after decoding {count} varints"
         )
     return out.astype(dtype)
-
-
-def _clz64(values: np.ndarray) -> np.ndarray:
-    """Count leading zeros of uint64 values (vectorized)."""
-    # bit_length = 64 - clz; compute via float log2 is unsafe for >2^53,
-    # so use a branchless binary reduction.
-    v = values.astype(np.uint64)
-    n = np.full(v.shape, 64, dtype=np.int64)
-    shift = 32
-    while shift:
-        mask = (v >> np.uint64(shift)) != 0
-        n = np.where(mask, n - shift, n)
-        v = np.where(mask, v >> np.uint64(shift), v)
-        shift //= 2
-    # v now < 2 (0 or 1); subtract final bit
-    n = np.where(v != 0, n - 1, n)
-    return n

@@ -89,13 +89,13 @@ def host_delta_encode(values, order: int = 1, tuple_size: int = 1):
     array = _validate(values, order, tuple_size)
     if array.dtype.kind not in "iuf":
         raise TypeError(f"delta encoding needs a numeric dtype, got {array.dtype}")
-    out = array.copy()
+    out = array
+    s = tuple_size
     for _ in range(order):
-        shifted = np.zeros_like(out)
-        if len(out) > tuple_size:
-            shifted[tuple_size:] = out[:-tuple_size]
+        prev, out = out, np.empty_like(out)
+        out[:s] = prev[:s]
         with np.errstate(over="ignore"):
-            out = (out - shifted).astype(array.dtype)
+            np.subtract(prev[s:], prev[:-s], out=out[s:])
     return out
 
 

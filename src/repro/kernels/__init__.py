@@ -29,6 +29,7 @@ from repro.kernels.compensated import (
 )
 from repro.kernels.lane import (
     BLOCK_BYTES,
+    BLOCKED_MIN_BYTES,
     BLOCKED_MIN_STRIDE_BYTES,
     FUSED_BLOCK_BYTES,
     FUSED_MIN_TUPLE,
@@ -61,6 +62,7 @@ from repro.kernels.threaded import (
 
 __all__ = [
     "BLOCK_BYTES",
+    "BLOCKED_MIN_BYTES",
     "BLOCKED_MIN_STRIDE_BYTES",
     "FLOAT_MODES",
     "FUSED_BLOCK_BYTES",

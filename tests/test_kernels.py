@@ -78,12 +78,14 @@ def test_lane_scan_in_place_aliasing():
             _assert_bitwise(got, want)
 
 
-def test_lane_scan_crosses_block_boundaries():
+def test_lane_scan_crosses_block_boundaries(monkeypatch):
     # Sizes straddling the cache-block row count the kernel runs with
-    # exercise the blocked integer path's carry splice; int64 s=4 sits
-    # just below the blocked stride floor and takes the plain path.  A
+    # exercise the blocked integer path's carry splice (the chunk-size
+    # floor is lifted so 1 MiB inputs reach it); int64 s=4 sits just
+    # below the blocked stride floor and takes the plain path.  A
     # prefix of an inclusive scan is the scan of the prefix, so one
     # serial reference per shape covers every size.
+    monkeypatch.setattr(lane_mod, "BLOCKED_MIN_BYTES", 0)
     op = get_op("add")
     rng = np.random.default_rng(4)
     assert 4 * 8 < kernels.BLOCKED_MIN_STRIDE_BYTES <= 8 * 8
@@ -96,6 +98,41 @@ def test_lane_scan_crosses_block_boundaries():
             _assert_bitwise(
                 kernels.lane_scan(a[:n], op, s), ref[:n], f"{dtype} s={s} n={n}"
             )
+
+
+class _CountingOp:
+    """Counts the accumulate calls a lane scan makes: one per row block
+    on the cache-blocked path, one in all on the plain path."""
+
+    def __init__(self, op):
+        self.op, self.accumulates = op, 0
+
+    def accumulate(self, *args, **kwargs):
+        self.accumulates += 1
+        return self.op.accumulate(*args, **kwargs)
+
+    def apply_into(self, *args, **kwargs):
+        return self.op.apply_into(*args, **kwargs)
+
+
+@pytest.mark.parametrize("dtype, s", [("int64", 8), ("int32", 32)])
+def test_lane_scan_blocks_only_from_the_size_floor(dtype, s):
+    # The blocked path needs both a wide stride and a chunk of at least
+    # BLOCKED_MIN_BYTES; just below the floor the scan is one plain
+    # accumulate, at it one per BLOCK_BYTES row block.
+    assert 2 << 20 < kernels.BLOCKED_MIN_BYTES <= 4 << 20
+    itemsize = np.dtype(dtype).itemsize
+    floor = kernels.BLOCKED_MIN_BYTES // itemsize
+    a = _data(np.random.default_rng(5), floor, dtype)
+    ref = np.cumsum(a.reshape(-1, s), axis=0, dtype=dtype).reshape(-1)
+    for n, calls in ((floor - s, 1), (floor, kernels.BLOCKED_MIN_BYTES // kernels.BLOCK_BYTES)):
+        op = _CountingOp(get_op("add"))
+        _assert_bitwise(kernels.lane_scan(a[:n], op, s), ref[:n], f"{dtype} n={n}")
+        assert op.accumulates == calls, (dtype, n)
+    # A carry row folds into every block of the blocked path.
+    carry = np.arange(1, s + 1, dtype=dtype) * 1000
+    got = kernels.lane_scan(a, get_op("add"), s, carry=carry)
+    _assert_bitwise(got, ref + np.tile(carry, floor // s), f"{dtype} carry")
 
 
 # -- feed(): split-point equivalence -------------------------------------
