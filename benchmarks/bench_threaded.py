@@ -8,7 +8,9 @@ threads x tuple_size x order for the ISSUE's headline shape (8M int64
 = 64 MiB of add).  ``speedup`` is serial/threaded measured within one
 run on one machine — the machine-independent ratio the CI gate
 (`tools/bench_gate.py`) regresses on; rows carry ``threads`` so the
-gate matches per thread count.
+gate matches per thread count.  Only configurations with a slab path
+(``repro.kernels.threaded.runs_slabs``: the row kind) are swept; the
+fused order-2, tuple-4 shape scans serially under ``threads=``.
 
 Every timed configuration is first checked bit-identical against the
 serial kernel before the clock starts (the threaded kernel's contract
@@ -39,6 +41,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro import kernels  # noqa: E402
+from repro.kernels.threaded import runs_slabs  # noqa: E402
 from repro.ops import get_op  # noqa: E402
 
 RESULTS = pathlib.Path(__file__).resolve().parent / "results" / "BENCH_threaded.json"
@@ -73,6 +76,8 @@ def run_sweep(n, threads_list, tuple_sizes, orders, dtypes, ops, repeats):
             op = get_op(opname)
             for s in tuple_sizes:
                 for order in orders:
+                    if not runs_slabs(op, dtype, order, s):
+                        continue  # the fused kind scans serially
                     want = kernels.scan_into(
                         values, np.empty_like(values), op,
                         order=order, tuple_size=s,

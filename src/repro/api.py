@@ -245,9 +245,9 @@ def open_session(
     bit-identical to the one-shot scan of the concatenated inputs, for
     arbitrary chunk boundaries.  ``engine`` selects the inner engine
     the chunks are scanned on (same names/objects as everywhere else);
-    ``threads`` (an int or ``"auto"``) additionally runs integer
-    host-path chunk scans on the slab-parallel in-memory kernel —
-    results are unchanged.  ``float_mode`` picks the session's float
+    ``threads`` (an int or ``"auto"``) additionally runs row-kind
+    host-path chunk scans on the slab-parallel in-memory kernel (fused
+    and compensated scans stay serial) — results are unchanged.  ``float_mode`` picks the session's float
     contract (``"exact"`` default, ``"compensated"``, ``"regrouped"``
     — see :class:`repro.stream.ScanSession`).
 

@@ -60,8 +60,8 @@ def host_prefix_sum(
     passes rescan it in place — and the exclusive shift happens on the
     final pass only (Section 2.4's observation that only the last
     iteration differs).  ``threads`` (``None`` serial, an int, ``0`` or
-    ``"auto"``) makes each pass slab-parallel, bit-identical for every
-    dtype; ``float_mode`` picks the float contract (``"exact"`` by
+    ``"auto"``) makes each row-kind pass slab-parallel, bit-identical
+    for every dtype (fused and compensated scans stay serial); ``float_mode`` picks the float contract (``"exact"`` by
     default; ``"compensated"`` is float ``add`` only).
     """
     op = get_op(op)

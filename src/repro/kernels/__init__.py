@@ -5,11 +5,13 @@ hot path: the fast host functions, the streaming session, the sharded
 out-of-core driver, and the multicore workers.  Two entries run it:
 :func:`scan_into`, the one in-memory one-shot scan, and
 :class:`LaneKernel`, the one chunk kernel; both take ``threads=`` and
-``float_mode=`` as parameters.  See
+``float_mode=`` as parameters, and
+:func:`repro.kernels.threaded.runs_slabs` says where ``threads=``
+applies (the plain row kind only).  See
 :mod:`repro.kernels.lane` for the algorithmic notes (the 2-D
 lane-block trick, the cache-blocked integer path, and the exact-float
 prepend mode) and :mod:`repro.kernels.compensated` for the
-deterministic parallel float mode built on error-free carries.
+deterministic float mode built on error-free carries.
 """
 
 from repro.kernels.batched import (
@@ -56,7 +58,6 @@ from repro.kernels.threaded import (
     check_threads,
     get_pool,
     resolve_threads,
-    threaded_fused_lane_scan,
     threaded_lane_scan,
 )
 
@@ -97,6 +98,5 @@ __all__ = [
     "resolve_float_mode",
     "resolve_threads",
     "scan_into",
-    "threaded_fused_lane_scan",
     "threaded_lane_scan",
 ]

@@ -1,14 +1,19 @@
 """Compensated float lane scans: deterministic parallelism for floats.
 
-Every parallel path in this repo — the threaded slab kernel, the
-sharded driver, the batched serve kernel — regroups the scan's
+Every parallel path in this repo — the sharded driver, the batched
+serve kernel, the threaded slab kernel — regroups the scan's
 reduction, which is exact for fixed-width integers and *wrong by one
-rounding per regroup* for floats.  The exact float path therefore had
-to stay sequential (the prepend-carry kernel), locking floats out of
-every speedup since PR 1.
+rounding per regroup* for floats.  The exact float path therefore has
+to stay sequential (the prepend-carry kernel).
 
-This module unlocks them with error-free transformations
-(:mod:`repro.ops.eft`).  The compensated scan is defined per lane as:
+This module opens the sharded driver and the batched serve kernel to
+floats with error-free transformations (:mod:`repro.ops.eft`).  The
+threaded slab kernel stays closed to them: a compensated slab made a
+local pass and a render pass over memory where the serial scan makes
+one, and lost to it (CHANGES.md), so ``threads=`` on a compensated
+scan runs the serial kernel.
+
+The compensated scan is defined per lane as:
 
 1. **Segments.**  Each lane's element stream is cut into *segments* of
    :data:`SEGMENT_ROWS` elements.  Segment boundaries are a pure
@@ -26,7 +31,7 @@ This module unlocks them with error-free transformations
    feed a sequential double-double carry chain
    ``(H, G) <- dd_add(H, G, T, F)`` — tiny (one step per segment), so
    the host replays it identically no matter how segments were
-   distributed over threads or shards.
+   distributed over shards or batched streams.
 5. **Render.**  The emitted value is
    ``out_j = fl(fl(fl(E_j + G) + H) + L_j)`` — local value plus the
    compensated carry, small terms first.
@@ -269,8 +274,6 @@ def lane_scan_compensated(
     pos: int = 0,
     *,
     out: Optional[np.ndarray] = None,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """One compensated continuation pass of ``chunk``; returns a fresh
     scanned array (``chunk`` is never modified) and advances ``state``
@@ -278,47 +281,16 @@ def lane_scan_compensated(
 
     ``pos`` is the global index of ``chunk[0]``; outputs are
     bit-identical to the one-shot compensated scan for *any* chunk
-    split.  ``threads`` routes whole aligned segments through the slab
-    driver (:func:`repro.kernels.threaded.slab_scan`) with the
-    compensated carry kind — bit-identical for any thread count,
-    because the segment grid is fixed.
+    split.  ``out`` may alias ``chunk``: each piece is read before it is
+    written.
     """
     op, _ = check_compensated(op, np.asarray(chunk).dtype)
     chunk = np.asarray(chunk)
-    s = int(tuple_size)
-    n = chunk.size
     if out is None:
         out = np.empty_like(chunk)
-    if n == 0:
+    if chunk.size == 0:
         return out
-    pos = int(pos)
-    if threads in (None, 1):
-        return _scan_serial(chunk, s, state, pos, out)
-
-    from repro.kernels.splice import CompensatedCarry
-    from repro.kernels.threaded import slab_scan
-
-    # Whole segments between the partial head and tail go through the
-    # slab driver; the chain state rides its carry.
-    span = segment_span(s)
-    head = min((span - pos % span) % span, n)
-    mid = head + (n - head) // span * span
-    if head:
-        _scan_serial(chunk[:head], s, state, pos, out[:head])
-    kind = CompensatedCarry(chunk.dtype, s)
-    carry = kind.identity()
-    carry[:2] = state[[HI, LO]]
-    buf = (chunk[head:mid], out[head:mid], np.empty(mid - head, chunk.dtype))
-    carry = slab_scan(
-        kind, buf, mid - head, carry, threads=threads, cutover_bytes=cutover_bytes
-    )
-    if carry is None:
-        mid = head  # the gate declined: the rest is scanned serially
-    else:
-        state[[HI, LO]] = carry[:2]
-    if mid < n:
-        _scan_serial(chunk[mid:], s, state, pos + mid, out[mid:])
-    return out
+    return _scan_serial(chunk, int(tuple_size), state, int(pos), out)
 
 
 def compensated_scan_into(
@@ -328,8 +300,6 @@ def compensated_scan_into(
     order: int = 1,
     tuple_size: int = 1,
     inclusive: bool = True,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """Order-``q`` one-shot compensated scan: :func:`repro.kernels.scan_into`
     under ``float_mode="compensated"``, raising ``TypeError`` for a
@@ -338,8 +308,7 @@ def compensated_scan_into(
 
     op, _ = check_compensated(op, np.asarray(src).dtype)
     return scan_into(
-        src, out, op, order, tuple_size, inclusive, threads=threads,
-        cutover_bytes=cutover_bytes, float_mode="compensated",
+        src, out, op, order, tuple_size, inclusive, float_mode="compensated",
     )
 
 

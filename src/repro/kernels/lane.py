@@ -69,7 +69,7 @@ Exactness modes
 :class:`LaneKernel` wraps every mode, at every order, behind the
 carry-continuation ``feed(chunk)`` API: the one state machine the
 streaming session, the sharded driver and the serve batcher all drive.
-Both take ``threads=`` for the slab-parallel passes.
+Both take ``threads=`` for the row kind's slab-parallel passes.
 """
 
 from __future__ import annotations
@@ -779,28 +779,26 @@ def scan_into(
     and passes 2..q re-scan ``out`` in place (each pass is a left fold).
     The exclusive shift, on the final pass only, allocates the returned
     array.  ``threads`` (``None`` serial) makes each pass slab-parallel
-    above ``cutover_bytes``.  ``float_mode`` picks the float passes:
-    ``"exact"`` (default) serial, ``"compensated"`` error-free-carry
-    (float ``add`` only, else ``TypeError``), ``"regrouped"`` the slab
-    splice.  Integers ignore it: their regrouping is exact.
+    above ``cutover_bytes`` where :func:`repro.kernels.threaded.runs_slabs`
+    allows it (the row kind); other configurations scan serially, with
+    the same bytes.  ``float_mode`` picks the float passes: ``"exact"``
+    (default) serial, ``"compensated"`` error-free-carry (float ``add``
+    only, else ``TypeError``), ``"regrouped"`` the slab splice.
+    Integers ignore it: their regrouping is exact.
     """
     from repro.kernels.compensated import (
         fresh_state,
         lane_scan_compensated,
         resolve_float_mode,
     )
-    from repro.kernels.threaded import (
-        check_threads,
-        threaded_fused_lane_scan,
-        threaded_lane_scan,
-    )
+    from repro.kernels.threaded import check_threads, runs_slabs, threaded_lane_scan
 
     op = get_op(op)
     q = int(order)
     s = int(tuple_size)
     threads = check_threads(threads)
     mode = resolve_float_mode(out.dtype, float_mode)
-    if mode == "exact":
+    if threads is not None and not runs_slabs(op, out.dtype, q, s, mode):
         threads = None
     if (
         q >= 2
@@ -810,26 +808,13 @@ def scan_into(
     ):
         if out is not src:
             out[...] = src
-        carry = np.zeros((q, s), dtype=out.dtype)
-        if threads is None:
-            fused_lane_scan(out, op, s, q, carry)
-        else:
-            threaded_fused_lane_scan(
-                out, op, s, q, carry, threads=threads, cutover_bytes=cutover_bytes
-            )
+        fused_lane_scan(out, op, s, q, np.zeros((q, s), dtype=out.dtype))
     else:
         current = src
         for _ in range(q):
             if mode == "compensated":
-                if current is out and threads is not None:
-                    # Later passes rescan the output.  The serial path
-                    # reads each piece before writing it; the
-                    # segment-parallel path reads the source after
-                    # writing, so give it its own copy.
-                    current = out.copy()
                 lane_scan_compensated(
-                    current, op, s, fresh_state(out.dtype, s), 0, out=out,
-                    threads=threads, cutover_bytes=cutover_bytes,
+                    current, op, s, fresh_state(out.dtype, s), 0, out=out
                 )
             elif threads is None:
                 lane_scan(current, op, s, out=out)
@@ -874,10 +859,12 @@ class LaneKernel:
       chunk locally and the carry is folded on afterwards, exact
       because integer regrouping is.  Float dtypes ignore the engine.
 
-    ``threads`` (``None`` serial) runs the in-place, compensated and
-    fused passes on the slab driver (:mod:`repro.kernels.threaded`),
-    above ``cutover_bytes``, each counted in ``counters.threaded_scans``;
-    the prepend pass stays serial, so results do not change.
+    ``threads`` (``None`` serial) runs the in-place passes on the slab
+    driver (:mod:`repro.kernels.threaded`) above ``cutover_bytes``, and
+    ``counters.threaded_scans`` counts the passes it ran.  Configurations
+    :func:`repro.kernels.threaded.runs_slabs` declines — the fused and
+    compensated kinds, exact floats — keep ``threads`` as ``None`` and
+    scan serially, so results do not change.
 
     At ``order >= 2`` inside the :func:`fused_supported` gate (integer
     ADD, ``s >= 2``, no engine) contiguous chunks take the single-pass
@@ -901,7 +888,7 @@ class LaneKernel:
             fresh_state,
             resolve_float_mode,
         )
-        from repro.kernels.threaded import check_threads
+        from repro.kernels.threaded import check_threads, runs_slabs
 
         self.op = get_op(op)
         self.dtype = self.op.check_dtype(dtype)
@@ -911,6 +898,10 @@ class LaneKernel:
         self.float_mode = resolve_float_mode(self.dtype, float_mode)
         self.engine = engine if self.dtype.kind in "iu" else None
         self.threads = check_threads(threads)
+        if self.threads is not None and not runs_slabs(
+            self.op, self.dtype, self.order, self.s, self.float_mode
+        ):
+            self.threads = None
         self.cutover_bytes = cutover_bytes
         #: Pass counts, under the :class:`repro.stream.StreamCounters`
         #: field names so an owner may hand in its own counters.
@@ -977,45 +968,22 @@ class LaneKernel:
         t = phase_totals(scanned, self.s)
         row[(self.pos + np.arange(t.size)) % self.s] = t
 
-    # The three scan hooks: serial kernels at ``threads=None``, the
-    # slab driver otherwise (imported lazily, like the compensated one).
-
     def _scan(self, src, out, carry_row=None):
         """Lane scan of ``src`` into ``out`` (allocated when ``None``)
-        with an optional phase-order carry row folded in."""
-        if self.threads is None:
-            return lane_scan(src, self.op, self.s, out=out, carry=carry_row)
-        from repro.kernels.threaded import threaded_lane_scan
-
-        self.counters.threaded_scans += 1
-        return threaded_lane_scan(
-            src, self.op, self.s, out=out, carry=carry_row,
-            threads=self.threads, cutover_bytes=self.cutover_bytes,
-        )
-
-    def _scan_compensated(self, src, state):
-        """Compensated continuation pass (fresh output)."""
-        from repro.kernels.compensated import lane_scan_compensated
-
+        with an optional phase-order carry row folded in: on the slab
+        driver when ``threads`` is set and it does not decline."""
         if self.threads is not None:
-            self.counters.threaded_scans += 1
-        return lane_scan_compensated(
-            src, self.op, self.s, state, self.pos,
-            threads=self.threads, cutover_bytes=self.cutover_bytes,
-        )
+            from repro.kernels.threaded import slab_scan
 
-    def _fused_scan(self, buf, carry):
-        """In-place fused order-q scan with a phase-order ``(q, s)``
-        carry matrix (updated in place)."""
-        if self.threads is None:
-            return fused_lane_scan(buf, self.op, self.s, self.order, carry)
-        from repro.kernels.threaded import threaded_fused_lane_scan
-
-        self.counters.threaded_scans += 1
-        return threaded_fused_lane_scan(
-            buf, self.op, self.s, self.order, carry,
-            threads=self.threads, cutover_bytes=self.cutover_bytes,
-        )
+            if out is None:
+                out = np.empty_like(src)
+            if slab_scan(
+                src, out, self.op, self.s, carry_row,
+                threads=self.threads, cutover_bytes=self.cutover_bytes,
+            ):
+                self.counters.threaded_scans += 1
+                return out
+        return lane_scan(src, self.op, self.s, out=out, carry=carry_row)
 
     def _delegate(self, src):
         """Local scan of ``src`` on the delegated engine (fresh output)."""
@@ -1034,7 +1002,9 @@ class LaneKernel:
         row = self.carry[j]
         out = src if own else None
         if self.comp is not None:
-            out = self._scan_compensated(src, self.comp[j])
+            from repro.kernels.compensated import lane_scan_compensated
+
+            out = lane_scan_compensated(src, self.op, self.s, self.comp[j], self.pos)
         elif self.exact:
             out = lane_scan_exact(src, self.op, self.s, row, self.active, self.pos)
         elif self._seen_all and self.engine is None:
@@ -1076,7 +1046,7 @@ class LaneKernel:
             out = chunk if inplace else chunk.copy()
             perm = phase_perm(self.pos, self.s)
             carry = np.ascontiguousarray(self.carry[:, perm])
-            self._fused_scan(out, carry)
+            fused_lane_scan(out, self.op, self.s, self.order, carry)
             self.carry[:, perm] = carry
             self.counters.fused_order_scans += 1
         else:

@@ -1,14 +1,14 @@
 """Carry kinds and the one splice, written once for every parallel scan.
 
-A parallel scan cuts its input into regions — slabs of one in-memory
-chunk (:func:`repro.kernels.threaded.slab_scan`) or shards of one file
-(:mod:`repro.stream.sharded`) — reduces each region locally from a
-zero carry, splices the region aggregates with a short exclusive scan
-on the host, and then finishes each region from its incoming carry:
-the paper's two-level carry propagation (§2.2), as in LightScan and the
-CPU SIMD partition scans.  Slabs fold the carry into their local scan;
-shards rescan their input with a kernel started from it (:meth:`kernel`).
-Only the *carry kind* differs:
+A parallel scan cuts its input into regions — shards of one file
+(:mod:`repro.stream.sharded`), or slabs of one in-memory chunk for the
+row kind (:func:`repro.kernels.threaded.slab_scan`) — reduces each
+region locally from a zero carry, splices the region aggregates with a
+short exclusive scan on the host, and then finishes each region from
+its incoming carry: the paper's two-level carry propagation (§2.2), as
+in LightScan and the CPU SIMD partition scans.  Shards rescan their
+input with a kernel started from it (:meth:`RowCarry.kernel`).  Only the
+*carry kind* differs:
 
 * :class:`RowCarry` — one order's ``(s,)`` row of lane totals (any op);
 * :class:`FusedCarry` — the fused ``(q, s)`` order-total matrix
@@ -16,14 +16,14 @@ Only the *carry kind* differs:
 * :class:`CompensatedCarry` — the compensated double-double chain
   (float ``add``).
 
-Each kind supplies the identity, the local step of a slab, ``combine``,
-the slab fold, the shard kernel, and encode/decode of its aggregate;
-:func:`splice` is the one exclusive scan over aggregates.  Carries are
-in the lane order of the frame the regions are cut from: global lanes
-for shards, chunk phases for slabs (slabs start on whole rows).
-In-memory slabs hand a kind its buffers as one tuple ``(src, out)``
-(``(src, out, err)`` for the compensated kind); ``out`` may alias
-``src``.
+Each kind supplies what the sharded driver uses: the identity,
+``combine``, the shard kernel and the aggregate read off it,
+encode/decode of an aggregate for the manifest, and ``unit``, the grid
+regions start on.  :func:`splice` is the one exclusive scan over
+aggregates.  Carries are in the lane order of the frame the regions are
+cut from: global lanes for shards, chunk phases for slabs (slabs start
+on whole rows).  The row kind's slab steps live beside their one driver
+in :mod:`repro.kernels.threaded`.
 """
 
 from __future__ import annotations
@@ -35,24 +35,14 @@ import numpy as np
 from repro.kernels.compensated import (
     HI,
     LO,
-    SEGMENT_ROWS,
     CompensatedCollectKernel,
     _dd_render,
     fresh_state,
     segment_span,
 )
-from repro.kernels.lane import (
-    LaneKernel,
-    _fused_tail,
-    fold_lanes,
-    fused_combine,
-    fused_fold,
-    fused_lane_scan,
-    lane_scan,
-    phase_perm,
-)
+from repro.kernels.lane import LaneKernel, fused_combine
 from repro.ops import ADD, get_op
-from repro.ops.eft import NEG_ZERO, canonicalize_errors, dd_add, two_sum_err
+from repro.ops.eft import NEG_ZERO, dd_add
 
 
 class RowCarry:
@@ -62,7 +52,7 @@ class RowCarry:
         self.op = get_op(op)
         self.dtype = np.dtype(dtype)
         self.s = int(tuple_size)
-        #: Elements per slab unit: slabs are whole lane rows.
+        #: Elements per grid unit: regions start on whole lane rows.
         self.unit = self.s
 
     def shape(self, elements: int = 0) -> tuple:
@@ -101,35 +91,6 @@ class RowCarry:
         """A shard's aggregate, read off the kernel that reduced it."""
         return kernel.carry[0].copy()
 
-    def local(self, buf, lo, hi):
-        """Scan slab ``[lo, hi)`` from a zero carry; returns its aggregate."""
-        src, out = buf[:2]
-        lane_scan(src[lo:hi], self.op, self.s, out=out[lo:hi])
-        return out[hi - self.s : hi]
-
-    def fold(self, carry, start, seen):
-        """Fold ``carry`` into the slab starting at ``start``: a
-        ``step(chunk, pos)`` applied in place to each piece of the
-        slab's local scan at global index ``pos``, or ``None`` when it
-        would change nothing."""
-        if not seen.any():
-            return None
-        return lambda chunk, pos: fold_lanes(
-            chunk, self.op, carry, pos, self.s, seen=seen
-        )
-
-    def fold_slab(self, buf, lo, hi, carry, agg, seen) -> None:
-        """Fold ``carry`` into slab ``[lo, hi)`` of ``out`` in place."""
-        step = self.fold(carry, lo, seen)
-        if step is not None:
-            step(buf[1][lo:hi], lo)
-
-    def tail(self, buf, body, carry) -> None:
-        """Continue over the partial row past the last slab."""
-        src, out = buf[:2]
-        last = out[body - self.s : out.size - self.s]
-        self.op.apply_into(last, src[body:], out=out[body:])
-
     def encode(self, agg) -> str:
         """An aggregate as manifest text."""
         return base64.b64encode(np.ascontiguousarray(agg).tobytes()).decode("ascii")
@@ -149,9 +110,8 @@ class RowCarry:
 class FusedCarry(RowCarry):
     """The fused ``(q, s)`` order-total matrix (integer ``add``; row
     ``j - 1`` holds the order-``j`` totals).  It splices by the binomial
-    identity (:func:`repro.kernels.fused_combine`) and folds through
-    binomial weight columns (:func:`repro.kernels.fused_fold`), both
-    exact mod ``2**w``."""
+    identity (:func:`repro.kernels.fused_combine`), exact mod
+    ``2**w``."""
 
     def __init__(self, op, dtype, tuple_size: int, order: int):
         super().__init__(op, dtype, tuple_size)
@@ -174,20 +134,6 @@ class FusedCarry(RowCarry):
     def aggregate(self, kernel) -> np.ndarray:
         return kernel.carry.copy()
 
-    def local(self, buf, lo, hi):
-        carry = self.identity()
-        fused_lane_scan(buf[1][lo:hi], self.op, self.s, self.q, carry)
-        return carry
-
-    def fold(self, carry, start, seen):
-        local = np.ascontiguousarray(carry[:, phase_perm(start, self.s)])
-        if not local.any():
-            return None
-        return lambda chunk, pos: fused_fold(chunk, local, d0=(pos - start) // self.s)
-
-    def tail(self, buf, body, carry) -> None:
-        _fused_tail(buf[1][body:], carry)
-
 
 class CompensatedCarry(RowCarry):
     """The compensated double-double chain (float ``add`` only).
@@ -198,9 +144,7 @@ class CompensatedCarry(RowCarry):
     the chain state ``(H, G)`` and the last row rendered so far.
     Combine replays the sequential ``dd_add`` chain over the region's
     segments — the same steps in the same order for any cut into
-    regions, so every layout gives the same bits.  A slab's aggregate
-    has two more rows, which combine fills with the chain state at each
-    segment start, so the slab's render does not replay the chain.
+    regions, so every layout gives the same bits.
     """
 
     def __init__(self, dtype, tuple_size: int):
@@ -220,8 +164,6 @@ class CompensatedCarry(RowCarry):
             return running
         hi, lo = running[0], running[1]
         for k in range(len(agg)):
-            if agg.shape[1] == 4:
-                agg[k, 2], agg[k, 3] = hi, lo
             before = hi, lo
             hi, lo = dd_add(hi, lo, agg[k, 0], agg[k, 1])
         last = np.empty(self.s, dtype=self.dtype)
@@ -248,38 +190,6 @@ class CompensatedCarry(RowCarry):
 
     def aggregate(self, kernel) -> np.ndarray:
         return kernel.segment_totals()
-
-    def local(self, buf, lo, hi):
-        """Per segment: the naive scan into ``out``, the running sum of
-        its exact rounding errors into ``err``, and its totals (with
-        room for its chain state)."""
-        src, out, err = buf
-        totals = np.empty(((hi - lo) // self.unit, 4, self.s), dtype=self.dtype)
-        for k, a in enumerate(range(lo, hi, self.unit)):
-            x = src[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
-            L = out[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
-            if np.may_share_memory(x, L):
-                x = x.copy()  # the errors read the values L overwrites
-            # Copy-then-in-place accumulate (numpy's out-of-place axis-0
-            # accumulate takes the slower buffered loop).
-            L[...] = x
-            np.add.accumulate(L, axis=0, out=L)
-            e = err[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
-            e[0] = NEG_ZERO  # first add of a fresh segment is exact
-            e[1:] = two_sum_err(L[:-1], x[1:], L[1:])
-            canonicalize_errors(e[1:])
-            np.add.accumulate(e, axis=0, out=e)
-            totals[k, :2] = L[-1], e[-1]
-        return totals
-
-    def fold_slab(self, buf, lo, hi, carry, agg, seen) -> None:
-        """Render the slab's segments: errors from ``err``, chain states
-        from the rows combine filled."""
-        _, out, err = buf
-        for k, a in enumerate(range(lo, hi, self.unit)):
-            L = out[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
-            e = err[a : a + self.unit].reshape(SEGMENT_ROWS, self.s)
-            _dd_render(L, e, agg[k, 2], agg[k, 3], L)
 
 
 class LaneReduce:

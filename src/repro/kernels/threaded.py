@@ -1,34 +1,39 @@
 """Threaded in-memory lane kernels: multicore intra-chunk scans.
 
-One slab driver, :func:`slab_scan`, runs every parallel in-memory scan.
-It cuts a chunk into ``P`` contiguous slabs of whole units (lane rows;
-segments for the compensated kind), scans every slab locally on a
-persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker,
-splices the ``P`` slab aggregates on the calling thread
-(:func:`repro.kernels.splice`), and folds each slab's incoming carry in
-parallel — the scan→splice→fold decomposition of LightScan and of
-Zhang, Wang & Ross's SIMD prefix sums.  What differs between the plain
-row, the fused ``(q, s)`` matrix and the compensated chain is the carry
-kind (:mod:`repro.kernels.splice`): :func:`threaded_lane_scan`,
-:func:`threaded_fused_lane_scan` and the compensated kernel's whole
-segments are each one kind plus one driver call, which
+One slab driver, :func:`slab_scan`, runs every parallel in-memory scan,
+and it serves one carry kind: the plain row
+(:class:`repro.kernels.splice.RowCarry`).  It cuts a chunk into ``P``
+contiguous slabs of whole lane rows, scans every slab locally on a
+persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker
+(:func:`slab_local`), splices the ``P`` slab aggregates on the calling
+thread (:func:`repro.kernels.splice`), and folds each slab's incoming
+carry in parallel (:func:`slab_fold`) — the scan→splice→fold
+decomposition of LightScan and of Zhang, Wang & Ross's SIMD prefix
+sums.  :func:`threaded_lane_scan` is one row pass on it, which
 :func:`repro.kernels.scan_into` and :class:`repro.kernels.LaneKernel`
 make when given ``threads=``.
+
+:func:`runs_slabs` is the one gate deciding where ``threads=`` applies.
+The fused ``(q, s)`` kind and the compensated kind have no slab path:
+their slabs made a local pass and a fold pass over memory where the
+serial kernel makes one, and lost to it with two cores present
+(CHANGES.md).  Such scans accept and validate ``threads=`` and run the
+serial kernel, with the same bytes; ``threaded_scans`` counts only
+passes the slab driver ran.
 
 Threads — not processes — give real parallelism here because numpy's
 ufunc inner loops release the GIL.  Looped (non-ufunc) operators hold
 it, so they always take the serial kernel.
 
 **Determinism and exactness.**  The slab partition is a pure function
-of ``(n, unit, threads)`` — never of pool scheduling — so results are
+of ``(n, s, threads)`` — never of pool scheduling — so results are
 identical under oversubscription.  Integer regrouping is exact, so
 integer results are **bit-identical** to the serial kernel.  Floats
 keep bit-exactness by default: under ``float_mode="exact"`` a threaded
 scan runs the serial passes (a slab chain would be sequential in the
-carry).  ``"compensated"`` runs the error-free-carry segments of
-:mod:`repro.kernels.compensated`, bit-identical for *any* thread count;
-``"regrouped"`` opts into the regrouped fold (deterministic for a fixed
-thread count only).
+carry), and ``"compensated"`` runs the serial error-free-carry kernel
+of :mod:`repro.kernels.compensated`; ``"regrouped"`` opts into the
+regrouped fold (deterministic for a fixed thread count only).
 
 **Cutover.**  Chunks below :data:`PARALLEL_CUTOVER_BYTES` run on the
 serial kernel, whether the thread count was pinned or ``"auto"``; the
@@ -47,8 +52,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.lane import fused_lane_scan, lane_scan, scan_into
-from repro.kernels.splice import FusedCarry, RowCarry, splice
+from repro.kernels.compensated import resolve_float_mode
+from repro.kernels.lane import fold_lanes, fused_supported, lane_scan, scan_into
+from repro.kernels.splice import RowCarry, splice
 from repro.ops import ADD, AssociativeOp, get_op
 
 #: The parallel cutover (bytes): chunks smaller than this are scanned
@@ -152,46 +158,90 @@ def _gather(pool, calls):
     return [f.result() for f in [pool.submit(*call) for call in calls]]
 
 
-def slab_scan(kind, buf, n, carry, seen=None, *, threads=None, cutover_bytes=None):
+def runs_slabs(op, dtype, order=1, tuple_size=1, float_mode=None) -> bool:
+    """Whether a ``threads=`` scan of this configuration runs on the slab
+    driver — the one gate :func:`repro.kernels.scan_into`,
+    :class:`repro.kernels.LaneKernel`, :class:`ThreadedScan`, the planner
+    and the serve batcher read.  Only the row kind does: an integer, or
+    a ``"regrouped"`` float, under a real-ufunc operator, outside the
+    fused gate (:func:`repro.kernels.fused_supported`).  The fused and
+    compensated kinds and exact floats scan serially, with the same
+    bytes."""
+    op = get_op(op)
+    if op.ufunc is None or resolve_float_mode(dtype, float_mode) not in (
+        None, "regrouped",
+    ):
+        return False
+    return not fused_supported(op, dtype, order, tuple_size)
+
+
+def slab_local(kind, src, out, lo, hi):
+    """Scan slab ``[lo, hi)`` of ``src`` into ``out`` from a zero carry;
+    returns its aggregate, the slab's last row."""
+    lane_scan(src[lo:hi], kind.op, kind.s, out=out[lo:hi])
+    return out[hi - kind.s : hi]
+
+
+def slab_fold(kind, out, lo, hi, carry, seen) -> None:
+    """Fold the ``carry`` entering slab ``[lo, hi)`` into its local scan
+    in ``out``, in place, on the ``seen`` lanes only."""
+    if seen.any():
+        fold_lanes(out[lo:hi], kind.op, carry, lo, kind.s, seen=seen)
+
+
+def slab_tail(kind, src, out, body, carry) -> None:
+    """Continue over the partial row past the last slab."""
+    last = out[body - kind.s : out.size - kind.s]
+    kind.op.apply_into(last, src[body:], out=out[body:])
+
+
+def slab_scan(
+    src, out, op, tuple_size=1, carry=None, *, threads=None, cutover_bytes=None
+) -> bool:
     """The one slab driver: scan → splice → fold over row-slabs of a chunk.
 
-    ``kind`` is a carry kind of :mod:`repro.kernels.splice` and ``buf``
-    its in-memory buffers, holding ``n`` elements.  ``carry`` is the
-    carry entering the chunk (in chunk-phase lane order) and ``seen``
-    the lanes it covers (all of them by default).  Below the cutover,
-    with one thread or fewer than two whole units (rows; segments for
-    the compensated kind) the driver declines and returns ``None``:
-    the caller scans serially.  Otherwise every slab of whole units
-    runs the kind's local step on the pool, :func:`splice` chains the
-    slab aggregates on the calling thread, every slab folds its
-    incoming carry on the pool, and the kind continues over the
-    partial row past the last slab.  Returns the carry after the
-    chunk.
+    Scans ``src`` into ``out`` (which may alias it) with the row carry
+    kind (:class:`repro.kernels.splice.RowCarry`); ``carry`` is an
+    optional phase-order continuation row.  Returns ``False``, having
+    written nothing, when it declines — a looped operator, a
+    non-contiguous buffer, below the cutover, one thread, or fewer than
+    two whole rows — and the caller scans serially.  Otherwise every
+    slab of whole rows scans locally on the pool (:func:`slab_local`),
+    :func:`splice` chains the slab aggregates on the calling thread,
+    every slab folds its incoming carry on the pool (:func:`slab_fold`),
+    :func:`slab_tail` continues over the partial row past the last slab,
+    and it returns ``True``.
     """
-    n_bytes = n * kind.dtype.itemsize
+    s = int(tuple_size)
+    n = src.size
+    n_bytes = n * src.dtype.itemsize
     threads = resolve_threads(threads, n_bytes)
     if cutover_bytes is None:
         cutover_bytes = PARALLEL_CUTOVER_BYTES
-    units = n // kind.unit
-    if threads <= 1 or units < 2 or n_bytes < cutover_bytes:
-        return None
-    bounds = [
-        (lo * kind.unit, hi * kind.unit) for lo, hi in _slab_bounds(units, threads)
-    ]
+    rows = n // s
+    if (
+        op.ufunc is None or not (src.flags.c_contiguous and out.flags.c_contiguous)
+        or threads <= 1 or rows < 2 or n_bytes < cutover_bytes
+    ):
+        return False
+    kind = RowCarry(op, src.dtype, s)
+    bounds = [(lo * s, hi * s) for lo, hi in _slab_bounds(rows, threads)]
     pool = get_pool(threads)
-    aggregates = _gather(pool, [(kind.local, buf, lo, hi) for lo, hi in bounds])
-    everywhere = np.ones(kind.s, dtype=bool)
-    seen = [everywhere if seen is None else seen] + [everywhere] * (len(bounds) - 1)
-    counts = [np.full(kind.s, (hi - lo) // kind.s) for lo, hi in bounds]
-    incoming, carry = splice(kind, carry, aggregates, counts, seen)
+    aggregates = _gather(
+        pool, [(slab_local, kind, src, out, lo, hi) for lo, hi in bounds]
+    )
+    start = kind.identity() if carry is None else np.asarray(carry)
+    seen = [np.full(s, carry is not None)] + [np.ones(s, dtype=bool)] * (len(bounds) - 1)
+    counts = [np.full(s, (hi - lo) // s) for lo, hi in bounds]
+    incoming, running = splice(kind, start, aggregates, counts, seen)
     _gather(pool, [
-        (kind.fold_slab, buf, lo, hi, c, agg, lanes)
-        for (lo, hi), c, agg, lanes in zip(bounds, incoming, aggregates, seen)
+        (slab_fold, kind, out, lo, hi, c, lanes)
+        for (lo, hi), c, lanes in zip(bounds, incoming, seen)
     ])
-    body = units * kind.unit
+    body = rows * s
     if n > body:
-        kind.tail(buf, body, carry)
-    return carry
+        slab_tail(kind, src, out, body, running)
+    return True
 
 
 def threaded_lane_scan(
@@ -219,55 +269,13 @@ def threaded_lane_scan(
     :func:`repro.kernels.lane_scan_exact`.
     """
     src = np.asarray(src)
-    s = int(tuple_size)
     if out is None:
         out = np.empty_like(src)
-    if src.size and op.ufunc is not None and (
-        src.flags.c_contiguous and out.flags.c_contiguous
+    if not slab_scan(
+        src, out, op, tuple_size, carry, threads=threads, cutover_bytes=cutover_bytes
     ):
-        kind = RowCarry(op, src.dtype, s)
-        start = kind.identity() if carry is None else np.asarray(carry)
-        seen = np.full(s, carry is not None)
-        if slab_scan(
-            kind, (src, out), src.size, start, seen,
-            threads=threads, cutover_bytes=cutover_bytes,
-        ) is not None:
-            return out
-    return lane_scan(src, op, s, out=out, carry=carry)
-
-
-def threaded_fused_lane_scan(
-    buf: np.ndarray,
-    op: AssociativeOp,
-    tuple_size: int,
-    order: int,
-    carry: np.ndarray,
-    *,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
-) -> np.ndarray:
-    """Slab-parallel fused single-pass order-``q`` scan (in place).
-
-    Same contract as :func:`repro.kernels.lane.fused_lane_scan`
-    (``carry`` is the phase-order ``(q, s)`` running-total matrix,
-    updated in place), run through :func:`slab_scan` with the fused
-    carry kind: every slab fused-scans its rows from a zero carry, the
-    ``(q, s)`` slab aggregates splice by the binomial identity, and
-    slabs with a non-zero incoming matrix fold it through the binomial
-    weight columns.  Integer regrouping is exact, so results are
-    bit-identical to the serial fused kernel for any thread count.
-    """
-    s = int(tuple_size)
-    q = int(order)
-    if buf.size and buf.flags.c_contiguous:
-        running = slab_scan(
-            FusedCarry(op, buf.dtype, s, q), (buf, buf), buf.size, carry,
-            threads=threads, cutover_bytes=cutover_bytes,
-        )
-        if running is not None:
-            carry[...] = running
-            return buf
-    return fused_lane_scan(buf, op, s, q, carry)
+        lane_scan(src, op, int(tuple_size), out=out, carry=carry)
+    return out
 
 
 class ThreadedResult:
@@ -286,7 +294,8 @@ class ThreadedScan:
     Same ``run(values, order=, tuple_size=, op=, inclusive=)`` contract
     as every other engine; bit-identical to the host path for all
     dtypes by default (floats take the exact serial passes unless
-    ``float_mode`` says otherwise).
+    ``float_mode`` says otherwise).  A configuration with no slab path
+    (:func:`runs_slabs`) scans serially and reports ``threads == 1``.
     """
 
     def __init__(self, threads=None, cutover_bytes=None, float_mode=None):
@@ -313,6 +322,8 @@ class ThreadedScan:
         if array.size == 0:
             return ThreadedResult(array.copy(), 0)
         threads = resolve_threads(self.threads, array.size * array.dtype.itemsize)
+        if not runs_slabs(op, dtype, order, tuple_size, self.float_mode):
+            threads = 1
         out = scan_into(
             array,
             np.empty_like(array),

@@ -17,15 +17,10 @@ In memory (``repro.scan(x)`` / ``repro.prefix_sum(x)``):
    error-free carries on a fixed segment grid make any split agree).
    Exact-mode floats, looped operators and strided buffers plan
    ``serial``.
-3. **kind** — only the plain row carry kind goes parallel.  The fused
-   ``(q, s)`` kind's slab fold runs out of cache, and the compensated
-   kind's local step writes a full-size error buffer that its fold
-   reads again, so both lose to one thread.  In a same-run A/B on a
-   2-vCPU VM (medians of 7 alternating runs, CHANGES.md) forced
-   ``threaded:2`` read 0.42x / 0.45x of serial for fused int64 order 3
-   tuple 4 at 64 / 256 MiB and 0.67x for compensated float64 at
-   40 MiB, against 1.26x / 1.61x for the row kind (int64 order 1).
-   Fused and compensated plan ``serial``.
+3. **kind** — only the plain row carry kind has a slab path
+   (:func:`repro.kernels.threaded.runs_slabs`).  The fused ``(q, s)``
+   kind and the compensated kind have none, so they plan ``serial``
+   and forcing ``threaded`` on them is refused.
 4. **cores** — one core plans ``serial``.
 5. **cutover** — below :data:`repro.kernels.threaded.PARALLEL_CUTOVER_BYTES`
    (128 MiB) two slab threads measured slower than one, and the
@@ -44,13 +39,13 @@ int64 input read 0.68-0.88x on ``sharded``.  Pinning ``threads=`` or
 ``force=`` picks a strategy by label (``"serial"``, ``"threaded:4"``,
 ``"stream"``) regardless of the gates — the differential fuzzer and the
 planner benchmark use it to run every dispatch arm — and is refused
-for a strategy that would not be bit-identical for the workload.
+for a strategy that would not be bit-identical for the workload, or
+that has no slab path for it.
 Pinning ``engine="host"`` or a driver argument bypasses the planner.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -180,15 +175,13 @@ def _gate_reason(workload: Workload) -> str:
     )
 
 
-#: Why the fused and compensated kinds plan serial (see the module
-#: docstring and CHANGES.md for the measurements).
-_KIND_REASONS = {
-    "fused": "fused kind: its slab fold leaves cache, so threads lose to one",
-    "compensated": (
-        "compensated kind: its error buffer is written and read again, "
-        "so threads lose to one"
-    ),
-}
+def _runs_slabs(workload: Workload) -> bool:
+    """Whether the workload's carry kind runs on the slab driver (the
+    row kind only)."""
+    from repro.kernels.threaded import runs_slabs
+
+    w = workload
+    return runs_slabs(w.op, w.dtype, w.order, w.tuple_size, w.float_mode)
 
 
 def plan_chunk_bytes(nbytes: int) -> int:
@@ -231,9 +224,9 @@ def _memory_gates(
         return serial, _gate_reason(w)
     gates.append(("correct", layout, "pass"))
     kind = f"{w.kind} (order {w.order}, tuple size {w.tuple_size})"
-    if w.kind in _KIND_REASONS:
+    if not _runs_slabs(w):
         gates.append(("kind", kind, "serial"))
-        return serial, _KIND_REASONS[w.kind]
+        return serial, f"{w.kind} kind: no slab path, so it scans serially"
     gates.append(("kind", kind, "pass"))
     m = machine()
     if not m.multicore:
@@ -265,11 +258,12 @@ def _forced(
             return Choice("stream", {"chunk_bytes": plan_chunk_bytes(w.nbytes)})
     elif force == "serial":
         return Choice("serial")
-    elif name == "threaded" and _parallel_safe(w):
+    elif name == "threaded" and _parallel_safe(w) and _runs_slabs(w):
         threads = int(arg) if arg else machine().cpu_count
         return Choice("threaded", {"threads": threads})
     allowed = "stream" if w.on_disk else (
-        "serial, threaded[:T]" if _parallel_safe(w) else "serial"
+        "serial, threaded[:T]" if _parallel_safe(w) and _runs_slabs(w)
+        else "serial"
     )
     raise ValueError(
         f"cannot force strategy {force!r} for this workload; "
@@ -461,23 +455,23 @@ def plan_file_scan(
 def session_threads(dtype, op="add", float_mode: Optional[str] = None) -> Optional[str]:
     """Planned ``threads=`` for a streaming/served session whose chunk
     sizes are unknown up front: ``"auto"`` on a multicore machine for an
-    integer ufunc or a compensated float configuration (the threaded
-    kernel's parallel cutover then decides per chunk), ``None`` where
-    slab threads could only add dispatch overhead.  Reads the core count
-    and the configuration only."""
-    if (os.cpu_count() or 1) <= 1:
+    integer configuration whose row kind runs on the slab driver
+    (:func:`repro.kernels.threaded.runs_slabs`; the threaded kernel's
+    parallel cutover then decides per chunk), ``None`` where slab
+    threads could only add dispatch overhead.  Floats never plan
+    threads: exact and compensated floats have no slab path, and a
+    regrouped float's bits would follow the core count.  Reads the
+    planner's machine snapshot and the configuration only; order and
+    tuple size are not known here, so a fused session planned
+    ``"auto"`` is declined by the kernel's own gate and scans
+    serially."""
+    if not machine_snapshot().multicore:
         return None
-    try:
-        from repro.ops import get_op
+    from repro.kernels.threaded import runs_slabs
 
-        resolved = get_op(op)
+    try:
         integer = np.dtype(dtype).kind in "iu"
+        slabs = integer and runs_slabs(op, dtype, float_mode=float_mode)
+        return "auto" if slabs else None
     except (KeyError, TypeError):  # the registry open reports it
         return None
-    if integer:
-        return "auto" if resolved.ufunc is not None else None
-    from repro.kernels import compensated_supported
-
-    if float_mode == "compensated" and compensated_supported(resolved, dtype):
-        return "auto"
-    return None

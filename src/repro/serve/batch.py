@@ -33,9 +33,11 @@ the threaded kernel's parallel cutover
 (:data:`repro.kernels.threaded.PARALLEL_CUTOVER_BYTES`) their chunks
 would take the serial kernel anyway, and at or above it
 :func:`feeds_solo` sends the feed to its own slab-parallel ``feed`` —
-the same per-chunk rule the threaded kernel applies.  Either layout
-is bit-identical (integer regrouping is exact; compensated carries
-are layout-invariant).
+the same per-chunk rule the threaded kernel applies — when the
+session's carry kind has a slab path at all
+(:func:`repro.kernels.threaded.runs_slabs`: the row kind only).
+Either layout is bit-identical (integer regrouping is exact;
+compensated carries are layout-invariant).
 """
 
 from __future__ import annotations
@@ -92,11 +94,15 @@ def batch_key(session: ScanSession):
 
 def feeds_solo(session: ScanSession, nbytes: int) -> bool:
     """Whether a feed of ``nbytes`` from a batchable session should be
-    dispatched alone: a ``threads="auto"`` session's chunk at or above
-    the parallel cutover, where the slab-parallel kernel wins."""
-    if session.threads != "auto":
+    dispatched alone: a ``threads="auto"`` row-kind session's chunk at
+    or above the parallel cutover, where the slab-parallel kernel wins.
+    Fused and compensated sessions have no slab path and always batch."""
+    if session.threads != "auto" or nbytes < kernels.threaded.PARALLEL_CUTOVER_BYTES:
         return False
-    return nbytes >= kernels.threaded.PARALLEL_CUTOVER_BYTES
+    return kernels.threaded.runs_slabs(
+        session.op, session.dtype, session.order, session.tuple_size,
+        session.float_mode,
+    )
 
 
 def feed_batch(

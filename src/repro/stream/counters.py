@@ -27,8 +27,8 @@ class StreamCounters:
     ``delegated_stage_scans`` counts how many stage scans actually went
     through it (float inputs always take the exact host path, see
     :mod:`repro.stream.session`); ``threaded_scans`` counts stage scans
-    routed through the slab-parallel in-memory kernel
-    (:mod:`repro.kernels.threaded`) when ``threads=`` is requested,
+    the slab-parallel in-memory kernel (:mod:`repro.kernels.threaded`)
+    ran — not those that asked for ``threads=`` and were declined,
     ``batched_feeds`` counts feed calls serviced by a coalesced
     multi-stream dispatch (:func:`repro.serve.feed_batch`) instead of a
     per-session kernel call, and ``fused_order_scans`` counts feed

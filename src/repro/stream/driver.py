@@ -278,10 +278,11 @@ def scan_file(
     the job simply starts fresh).  ``adaptive_chunks`` enables the
     sharded driver's measured-phase-seconds chunk sizing (off by
     default here: a fixed ``chunk_bytes`` keeps checkpoint cadence and
-    chunk counts predictable).  ``threads`` routes per-chunk integer
+    chunk counts predictable).  ``threads`` routes per-chunk row-kind
     stage scans through the slab-parallel in-memory kernel
-    (``None`` = serial; an int or ``"auto"`` enables it) — results are
-    unchanged either way.  ``float_mode`` picks the session's float
+    (``None`` = serial; an int or ``"auto"`` enables it; fused and
+    compensated scans stay serial) — results are unchanged either
+    way.  ``float_mode`` picks the session's float
     handling (``"exact"``, ``"compensated"``, or ``"regrouped"``; see
     :class:`repro.stream.ScanSession`); ``None`` keeps the default
     bit-exact sequential float path.

@@ -54,9 +54,8 @@ one of its modes:
   ``float_mode="exact"``.  ``float_mode="compensated"`` switches float
   streams to the error-free-carry kernel
   (:mod:`repro.kernels.compensated`): still bit-identical across any
-  chunk split, *additionally* bit-identical across thread counts (so
-  ``threads=`` applies to floats too) and batchable by the serve
-  layer, and more accurate than the naive fold — at the cost of not
+  chunk split, *additionally* bit-identical across shard counts and
+  batchable by the serve layer, and more accurate than the naive fold — at the cost of not
   being bit-identical to the exact mode's output.
   ``float_mode="regrouped"`` opts into the fast in-place integer-style
   fold (regrouped rounding).
@@ -112,10 +111,11 @@ class ScanSession:
         object.  Only consulted for integer dtypes (see module docs).
     threads:
         ``None`` (default) keeps the serial per-chunk kernel.  An int,
-        ``0`` or ``"auto"`` makes the kernel's host-path passes
-        slab-parallel — bit-identical for integers; exact-mode float
-        chunks keep the serial prepend path regardless
-        (compensated-mode chunks *do* thread).  Invalid values raise
+        ``0`` or ``"auto"`` makes the kernel's row-kind passes
+        slab-parallel — bit-identical for integers; fused order-``q``
+        chunks, exact-mode float chunks and compensated-mode chunks
+        scan serially regardless
+        (:func:`repro.kernels.threaded.runs_slabs`).  Invalid values raise
         ``ValueError`` here, for every dtype.  Not part of
         :meth:`config`: like the engine, the thread count never
         changes results, so checkpoints stay portable across it.

@@ -1,14 +1,17 @@
 """Layout invariance for every carry kind of :mod:`repro.kernels.splice`.
 
-One property per kind, in two checks: the slab driver equals the serial
-kernel bit for bit at any thread count, and splicing random region cuts
-through :func:`repro.kernels.splice` then finishing every region from
-its incoming carry equals it too — folded into the slab's local scan,
-and rescanned by the kind's shard kernel (whose reduce form must end on
-the slab's aggregate).
+One property per kind, in two checks: ``threads=`` equals the serial
+kernel bit for bit at any thread count — on the slab driver for the row
+kind, and through the gate that scans the fused and compensated kinds
+serially — and splicing random region cuts through
+:func:`repro.kernels.splice` then finishing every region from its
+incoming carry equals it too.  Region aggregates come from the kind's
+shard reduce kernel; every kind rescans each region with its shard
+kernel, and the row kind also folds the carry into its slabs' local
+scans (:mod:`repro.kernels.threaded`).
 Each kind is one entry of ``CASES``: how to draw an input and the carry
-entering it, the serial kernel, the kind's threaded entry point and its
-in-memory buffers.  A new carry kind is tested by adding one entry.
+entering it, the serial kernel and the kind's ``threads=`` entry point.
+A new carry kind is tested by adding one entry.
 """
 
 from __future__ import annotations
@@ -17,15 +20,15 @@ import numpy as np
 import pytest
 
 from repro.kernels import (
+    LaneKernel,
     fused_lane_scan,
     lane_scan,
-    lane_scan_compensated,
     segment_span,
-    threaded_fused_lane_scan,
     threaded_lane_scan,
 )
 from repro.kernels.compensated import HI, LO, _scan_serial, fresh_state
 from repro.kernels.splice import CompensatedCarry, FusedCarry, RowCarry, splice
+from repro.kernels.threaded import slab_fold, slab_local, slab_tail
 
 
 class Row:
@@ -42,9 +45,6 @@ class Row:
         x = rng.integers(info.min, info.max, 3_001 * self.s + self.s // 2)
         carry = rng.integers(info.min, info.max, self.s)
         return x.astype(self.dtype), carry.astype(self.dtype)
-
-    def buffers(self, x):
-        return (x, np.empty_like(x))
 
     def serial(self, x, carry):
         return lane_scan(x, self.kind().op, self.s, carry=carry), None
@@ -73,17 +73,18 @@ class Fused(Row):
         carry = rng.integers(info.min, info.max, (self.q, self.s))
         return x, carry.astype(self.dtype)
 
-    def buffers(self, x):
-        return (x, x)
-
     def serial(self, x, carry):
         return fused_lane_scan(x, "add", self.s, self.q, carry), carry
 
     def threaded(self, x, carry, threads):
-        threaded_fused_lane_scan(
-            x, "add", self.s, self.q, carry, threads=threads, cutover_bytes=0
+        # No slab path: the kernel keeps threads=None and scans serially.
+        kernel = LaneKernel(
+            "add", self.dtype, self.s, prime=carry, order=self.q,
+            threads=threads, cutover_bytes=0,
         )
-        return x, carry
+        out = kernel.feed(x)
+        assert kernel.threads is None and kernel.counters.threaded_scans == 0
+        return out, kernel.carry
 
 
 class Compensated:
@@ -104,9 +105,6 @@ class Compensated:
         carry[1] = rng.standard_normal(self.s) * 1e-6
         return x, carry
 
-    def buffers(self, x):
-        return (x, np.empty_like(x), np.empty_like(x))
-
     def _state(self, carry):
         state = fresh_state(np.float64, self.s)
         state[[HI, LO]] = carry[:2]
@@ -118,11 +116,15 @@ class Compensated:
         return out, state[[HI, LO]]
 
     def threaded(self, x, carry, threads):
-        state = self._state(carry)
-        out = lane_scan_compensated(
-            x, "add", self.s, state, 0, threads=threads, cutover_bytes=0
+        # No slab path: the kernel keeps threads=None and scans serially.
+        kernel = LaneKernel(
+            "add", np.float64, self.s, float_mode="compensated",
+            threads=threads, cutover_bytes=0,
         )
-        return out, state[[HI, LO]]
+        kernel.load_state(0, kernel.carry, self._state(carry)[None])
+        out = kernel.feed(x)
+        assert kernel.threads is None and kernel.counters.threaded_scans == 0
+        return out, kernel.comp[0][[HI, LO]]
 
 
 CASES = {
@@ -161,17 +163,14 @@ def test_random_cuts_splice_and_fold_match_serial(name, seed):
     cuts = np.sort(rng.choice(np.arange(1, units), rng.integers(1, 6), replace=False))
     edges = [0, *(int(c) * kind.unit for c in cuts), units * kind.unit]
     bounds = list(zip(edges[:-1], edges[1:]))
-    buf = case.buffers(x.copy())
-    aggregates = [kind.local(buf, lo, hi) for lo, hi in bounds]
-    # The shard form of the reduce: the kind's unprimed kernel fed the
-    # region in pieces ends on the slab's aggregate (the compensated
-    # slab's has two extra rows for chain states).
-    for (lo, hi), agg in zip(bounds, aggregates):
+    # The reduce: the kind's unprimed shard kernel fed the region in
+    # pieces.
+    aggregates = []
+    for lo, hi in bounds:
         kernel = kind.kernel(lo)
         for pos in range(lo, hi, 257 * kind.s):
             kernel.feed(x[pos : min(pos + 257 * kind.s, hi)].copy())
-        reduced = kind.aggregate(kernel)
-        _assert_same(reduced, agg[tuple(slice(0, d) for d in reduced.shape)])
+        aggregates.append(kind.aggregate(kernel))
     counts = [np.full(kind.s, (hi - lo) // kind.s) for lo, hi in bounds]
     seen = [np.ones(kind.s, dtype=bool)] * len(bounds)
     incoming, running = splice(kind, carry, aggregates, counts, seen)
@@ -180,20 +179,30 @@ def test_random_cuts_splice_and_fold_match_serial(name, seed):
     # keeps the lane phases (and the segment grid) and makes every lane
     # live, as the drawn carry's lanes are.
     rescanned = np.empty_like(x)
-    for (lo, hi), c, agg, lanes in zip(bounds, incoming, aggregates, seen):
-        kind.fold_slab(buf, lo, hi, c, agg, lanes)
+    for (lo, hi), c in zip(bounds, incoming):
         kernel = kind.kernel(lo + kind.unit, c)
         for pos in range(lo, hi, 257 * kind.s):
             end = min(pos + 257 * kind.s, hi)
             rescanned[pos:end] = kernel.feed(x[pos:end].copy())
+    final = running
     if x.size > edges[-1]:
         kernel = kind.kernel(edges[-1] + kind.unit, running.copy())
         rescanned[edges[-1] :] = kernel.feed(x[edges[-1] :].copy())
-        kind.tail(buf, edges[-1], running)
+        final = kernel.carry  # the carry after the partial row
     else:  # the carry's heads are the last value of every lane
         heads = kind.kernel(edges[-1] + kind.unit, running).heads()
         _assert_same(heads, want[-kind.s :])
-    _assert_same(buf[1], want)
     _assert_same(rescanned, want)
     if want_carry is not None:
-        _assert_same(running[: len(want_carry)], want_carry)
+        _assert_same(final[: len(want_carry)], want_carry)
+    if isinstance(kind, (FusedCarry, CompensatedCarry)):
+        return
+    # The slab form (row kind only): each region scanned locally ends on
+    # the reduce's aggregate, and folding its incoming carry finishes it.
+    out = np.empty_like(x)
+    for (lo, hi), c, agg, lanes in zip(bounds, incoming, aggregates, seen):
+        _assert_same(slab_local(kind, x, out, lo, hi), agg)
+        slab_fold(kind, out, lo, hi, c, lanes)
+    if x.size > edges[-1]:
+        slab_tail(kind, x, out, edges[-1], running)
+    _assert_same(out, want)

@@ -55,21 +55,19 @@ class TestScanCommand:
         expected = repro.scan(values, op="max", inclusive=False)
         assert np.array_equal(got, expected)
 
-    def test_host_compensated_threads_reach_the_slab_driver(
+    def test_host_compensated_threads_scan_serially(
         self, tmp_path, rng, monkeypatch
     ):
-        # --threads on a compensated host scan runs the segment slabs
-        # (not the serial scan) and changes no output byte.
+        # The compensated kind has no slab path: --threads on a
+        # compensated host scan never reaches the slab driver, even with
+        # the cutover zeroed, and changes no output byte.
         from repro.kernels import threaded
-        from repro.kernels.splice import CompensatedCarry
 
-        real = threaded.slab_scan
         runs = []
 
-        def spy(kind, *args, **kwargs):
-            carry = real(kind, *args, **kwargs)
-            runs.append((kind, carry))
-            return carry
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return None
 
         monkeypatch.setattr(threaded, "PARALLEL_CUTOVER_BYTES", 0)
         monkeypatch.setattr(threaded, "slab_scan", spy)
@@ -84,8 +82,7 @@ class TestScanCommand:
             command[2] = str(tmp_path / f"out{len(extra)}.bin")
             assert main(command + extra) == 0
             outputs[len(extra)] = (tmp_path / f"out{len(extra)}.bin").read_bytes()
-        assert runs and all(isinstance(kind, CompensatedCarry) for kind, _ in runs)
-        assert all(carry is not None for _, carry in runs)
+        assert runs == []
         assert outputs[2] == outputs[0]
 
     def test_unknown_engine_rejected(self, tmp_path):

@@ -4,7 +4,8 @@ The compensated contract (:mod:`repro.kernels.compensated`) has two
 halves, and both are tested here:
 
 * **Determinism** — under ``float_mode="compensated"`` the output is a
-  pure function of the input: bit-identical for any slab thread count,
+  pure function of the input: bit-identical for any ``threads=`` value
+  (the compensated kind has no slab path, so it scans serially),
   any shard count, any chunk split, and any session feed boundary,
   because per-segment error-free totals are always folded through the
   same fixed 4096-row segment grid in the same canonical order.
@@ -56,8 +57,13 @@ def _assert_bitwise(got, want, msg=""):
 
 
 def _oneshot(x, s=1, threads=None):
-    state = fresh_state(x.dtype, s)
-    return lane_scan_compensated(x, OP, s, state, 0, threads=threads)
+    if threads is None:
+        state = fresh_state(x.dtype, s)
+        return lane_scan_compensated(x, OP, s, state, 0)
+    return kernels.scan_into(
+        x, np.empty_like(x), OP, tuple_size=s, threads=threads,
+        cutover_bytes=0, float_mode="compensated",
+    )
 
 
 def _split_scan(x, s, cuts):
@@ -156,8 +162,13 @@ def test_threaded_scan_resumes_mid_segment(rng):
     full = _oneshot(x, s)
     state = fresh_state(x.dtype, s)
     head = lane_scan_compensated(x[:101 * s], OP, s, state, 0)
-    tail = lane_scan_compensated(x[101 * s:], OP, s, state, 101 * s, threads=8)
+    kernel = kernels.LaneKernel(
+        OP, x.dtype, s, float_mode="compensated", threads=8, cutover_bytes=0
+    )
+    kernel.load_state(101 * s, kernel.carry, state[None])
+    tail = kernel.feed(x[101 * s:])
     _assert_bitwise(np.concatenate([head, tail]), full)
+    assert kernel.counters.threaded_scans == 0
 
 
 def test_session_float_mode_matches_kernel(rng):
@@ -366,18 +377,18 @@ def test_sharded_compensated_rejects_non_add(rng, tmp_path):
 def test_planner_plans_compensated_serial(rng):
     from repro.plan import Machine, Workload, auto_scan, plan_scan
 
-    # The compensated kind re-reads its error buffer in the fold, so
-    # the gates plan it serial; a forced threaded:2 stays bit-identical.
+    # The compensated kind has no slab path, so the gates plan it
+    # serial and a forced threaded plan is refused.
     machine = Machine(cpu_count=8)
     workload = Workload(nbytes=64 << 20, dtype="float64", op="add",
                         float_mode="compensated", source="memory")
     plan = plan_scan(workload, machine=machine)
     assert plan.chosen.label == "serial"
     assert "compensated" in plan.reason
+    assert ("kind", "compensated (order 1, tuple size 1)", "serial") in plan.gates
     x = _cancellation_corpus(rng, 60_000)
-    _assert_bitwise(
-        auto_scan(x, float_mode="compensated", force="threaded:2"), _oneshot(x)
-    )
+    with pytest.raises(ValueError, match="cannot force"):
+        auto_scan(x, float_mode="compensated", force="threaded:2")
     # Exact-mode floats stay serial, the rationale says why, and
     # forcing slab threads on them is refused.
     exact = plan_scan(
@@ -404,6 +415,14 @@ def test_planned_float_execution_bitwise(rng, force):
     from repro.plan import auto_scan
 
     x = _cancellation_corpus(rng, 60_000)
+    if force == "threaded:2":
+        # The compensated kind has no slab path: forcing slab threads is
+        # refused, and two threads through scan_into scan serially with
+        # the same bits.
+        with pytest.raises(ValueError, match="cannot force"):
+            auto_scan(x, float_mode="compensated", force=force)
+        _assert_bitwise(_oneshot(x, threads=2), _oneshot(x))
+        return
     _assert_bitwise(
         auto_scan(x, float_mode="compensated", force=force), _oneshot(x)
     )

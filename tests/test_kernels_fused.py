@@ -2,10 +2,11 @@
 
 The fused contract: inside the exactness gate (integer ADD, order >= 2,
 tuple_size >= 2) every surface — one-shot ``scan_into``, the
-``LaneKernel`` continuation stream, threaded slabs, sessions, the
-sharded file driver, the batched serve kernel — produces output
-bit-identical to pass-per-order scanning while touching the payload
-once.  Outside the gate the fused path must never engage.
+``LaneKernel`` continuation stream, sessions, the sharded file
+driver, the batched serve kernel — produces output bit-identical to
+pass-per-order scanning while touching the payload once.  The fused
+kind has no slab path: ``threads=`` scans it serially, with the same
+bytes.  Outside the gate the fused path must never engage.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.kernels import (
     fused_weights,
     lane_scan,
     scan_into,
-    threaded_fused_lane_scan,
 )
 from repro.ops import get_op
 from repro.plan import Machine, Workload, auto_scan, plan_scan
@@ -170,8 +170,8 @@ class TestFusedLaneScan:
             current = out
 
     def test_pinned_tile_bytes(self, rng, monkeypatch):
-        # Tiny tiles: every tile of the serial scan and every slab fold
-        # of the threaded one crosses many tile boundaries.
+        # Tiny tiles: every tile of the scan crosses many tile
+        # boundaries.
         import repro.kernels.lane as lane
 
         order, s = 3, 4
@@ -181,11 +181,6 @@ class TestFusedLaneScan:
         out = scan_into(values, np.empty_like(values), "add",
                         order=order, tuple_size=s)
         assert np.array_equal(out, expected)
-        buf = values.copy()
-        carry = np.zeros((order, s), dtype=buf.dtype)
-        threaded_fused_lane_scan(buf, "add", s, order, carry, threads=3,
-                                 cutover_bytes=0)
-        assert np.array_equal(buf, expected)
 
 
 class TestScanInto:
@@ -313,11 +308,13 @@ class TestFusedCombine:
 class TestFusedAcrossStack:
     @pytest.mark.parametrize("threads", (2, 3, 8))
     def test_threaded_slabs(self, rng, threads):
+        # No slab path: the threaded engine scans serially and says so.
         order, s = 3, 4
         values = full_range(rng, np.int64, 4099)
         engine = ThreadedScan(threads=threads, cutover_bytes=0)
-        out = engine.run(values, order=order, tuple_size=s, op="add").values
-        assert np.array_equal(out, pass_per_order(values, order, s))
+        result = engine.run(values, order=order, tuple_size=s, op="add")
+        assert np.array_equal(result.values, pass_per_order(values, order, s))
+        assert result.threads == 1
 
     def test_session_counts_fused_scans(self, rng):
         order, s = 3, 4
@@ -388,9 +385,9 @@ class TestFusedAcrossStack:
         assert all(b.counters.fused_order_scans == 2 for b in batched)
 
     def test_planner_plans_fused_serial(self, rng):
-        # The fused kind's slab fold leaves cache, so the gates plan it
-        # serial at any size; the same shape under max is the row kind
-        # and goes threaded.  A forced threaded:2 stays bit-identical.
+        # The fused kind has no slab path, so the gates plan it serial
+        # at any size and a forced threaded plan is refused; the same
+        # shape under max is the row kind and goes threaded.
         machine = Machine(cpu_count=8)
         fused = Workload(nbytes=512 << 20, dtype="int64", op="add",
                          order=3, tuple_size=4)
@@ -401,7 +398,5 @@ class TestFusedAcrossStack:
         assert "fused" in plan_f.reason
         assert plan_scan(unfused, machine=machine).chosen.label == "threaded:8"
         values = full_range(rng, np.int64, 5003 * 4)
-        assert np.array_equal(
-            auto_scan(values, order=3, tuple_size=4, force="threaded:2"),
-            prefix_sum_serial(values, order=3, tuple_size=4),
-        )
+        with pytest.raises(ValueError, match="cannot force"):
+            auto_scan(values, order=3, tuple_size=4, force="threaded:2")

@@ -133,8 +133,8 @@ def test_oversubscription_determinism():
 
 
 # Order 3, tuple size 4, exclusive: the fused kind for int64; for floats
-# three segments (plus a partial one) per pass, so threaded compensated
-# passes reach the slab driver.
+# three segments (plus a partial one) per pass.  None of the three has a
+# slab path, so threads= must scan each serially, with the same bytes.
 ENTRY_CASES = [("int64", None), ("float64", "exact"), ("float64", "compensated")]
 
 
@@ -169,14 +169,10 @@ def test_every_in_memory_entry_matches_scan_into(dtype, float_mode):
             values, **shape, force="serial", float_mode=float_mode
         ),
     }
-    if float_mode == "exact":
-        # Only the serial plan reproduces the exact left fold.
-        with pytest.raises(ValueError, match="cannot force"):
-            auto_scan(values, **shape, force="threaded:2", float_mode=float_mode)
-    else:
-        entries["auto_scan(force='threaded:2')"] = auto_scan(
-            values, **shape, force="threaded:2", float_mode=float_mode
-        )
+    # Exact floats: only the serial plan reproduces the left fold; the
+    # fused and compensated kinds have no slab path to force.
+    with pytest.raises(ValueError, match="cannot force"):
+        auto_scan(values, **shape, force="threaded:2", float_mode=float_mode)
     for name, got in entries.items():
         _assert_bitwise(got, want, name)
 
@@ -249,6 +245,92 @@ def test_pinned_threads_stay_serial_below_the_cutover(monkeypatch):
     _assert_bitwise(got, kernels.lane_scan(values, add, 1))
 
 
+# -- where threads= applies ----------------------------------------------
+
+
+def test_runs_slabs_is_the_row_kind_only():
+    from repro.kernels.threaded import runs_slabs
+
+    assert runs_slabs("add", np.int64)
+    assert runs_slabs("max", np.int64, order=3, tuple_size=4)
+    assert runs_slabs("add", np.int64, order=3, tuple_size=1)
+    assert runs_slabs("add", np.float64, float_mode="regrouped")
+    assert not runs_slabs("add", np.int64, order=3, tuple_size=4)  # fused
+    assert not runs_slabs("add", np.float64, float_mode="compensated")
+    assert not runs_slabs("add", np.float64)  # exact
+    assert not runs_slabs("add", np.float64, float_mode="exact")
+
+
+#: One shape per carry kind: (dtype, order, tuple_size, float_mode).
+KIND_SHAPES = {
+    "row": ("int64", 1, 3, None),
+    "fused": ("int64", 3, 4, None),
+    "compensated": ("float64", 1, 2, "compensated"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SHAPES))
+def test_threads_run_slabs_for_the_row_kind_only(kind, tmp_path, monkeypatch):
+    """``threads=`` gives serial bytes on every surface for every kind;
+    only the row kind reaches the slab driver and counts it, with the
+    cutover zeroed."""
+    from repro.kernels import threaded
+    from repro.stream import ScanSession, scan_file, scan_file_sharded
+
+    monkeypatch.setattr(threaded, "PARALLEL_CUTOVER_BYTES", 0)
+    dtype, order, s, float_mode = KIND_SHAPES[kind]
+    rng = np.random.default_rng(41)
+    values = _data(rng, 3 * kernels.segment_span(s) + 5 * s, dtype)
+    shape = dict(order=order, tuple_size=s)
+    want = scan_into(
+        values, np.empty_like(values), "add", **shape, float_mode=float_mode
+    )
+    _assert_bitwise(
+        scan_into(values, np.empty_like(values), "add", **shape, threads=2,
+                  float_mode=float_mode),
+        want, "scan_into",
+    )
+    session = ScanSession(dtype=dtype, threads=2, float_mode=float_mode, **shape)
+    _assert_bitwise(
+        np.concatenate([session.feed(part.copy()) for part in np.array_split(values, 3)]),
+        want, "ScanSession",
+    )
+    counts = {"ScanSession": session.counters.threaded_scans}
+    raw = tmp_path / "in.bin"
+    values.tofile(raw)
+    for name, run in {
+        "scan_file": lambda out: scan_file(
+            raw, out, dtype=dtype, **shape, chunk_bytes=1 << 14, threads=2,
+            float_mode=float_mode,
+        ),
+        "scan_file_sharded": lambda out: scan_file_sharded(
+            raw, out, dtype=dtype, **shape, shards=2, workers=2, threads=4,
+            chunk_bytes=1 << 14, float_mode=float_mode,
+        ),
+    }.items():
+        out = tmp_path / f"{name}.bin"
+        counts[name] = run(out).counters.threaded_scans
+        _assert_bitwise(np.fromfile(out, dtype=dtype), want, name)
+    if kind == "row":
+        assert all(count > 0 for count in counts.values()), counts
+    else:
+        assert counts == dict.fromkeys(counts, 0)
+
+
+@pytest.mark.parametrize("order,tuple_size", [(1, 1), (2, 3)])
+def test_threaded_scans_count_only_slab_passes(order, tuple_size):
+    # A 512 KiB feed sits below the parallel cutover: the slab driver
+    # declines, so nothing is counted, for the row and fused kinds.
+    from repro.stream import ScanSession
+
+    values = np.arange(64 << 10, dtype=np.int64)
+    shape = dict(dtype="int64", order=order, tuple_size=tuple_size)
+    session = ScanSession(**shape, threads=2)
+    serial = ScanSession(**shape)
+    _assert_bitwise(session.feed(values.copy()), serial.feed(values.copy()))
+    assert session.counters.threaded_scans == 0
+
+
 # -- carry continuation (the kernel protocol) ----------------------------
 
 
@@ -294,7 +376,8 @@ def test_threaded_engine_contract(threads):
                 order=order, tuple_size=3, inclusive=inclusive,
             )
             _assert_bitwise(result.values, want)
-    assert result.threads == threads
+            # Order 2 at tuple size 3 is the fused kind: no slab path.
+            assert result.threads == (threads if order == 1 else 1)
 
 
 def test_threaded_engine_via_api():

@@ -272,11 +272,15 @@ class TestAutoScan:
         assert np.array_equal(got, prefix_sum_serial(values))
 
     def test_forced_arms_agree_with_reference(self, rng):
+        # Order 2 tuple 3 under max is the row kind, so every arm runs;
+        # under add it is the fused kind, which has no slab path.
         values = make_int_array(rng, 5003, dtype=np.int64)
-        want = prefix_sum_serial(values, order=2, tuple_size=3)
+        want = prefix_sum_serial(values, order=2, tuple_size=3, op="max")
         for force in ("serial", "threaded:2", "threaded:3"):
-            got = auto_scan(values, order=2, tuple_size=3, force=force)
+            got = auto_scan(values, op="max", order=2, tuple_size=3, force=force)
             assert np.array_equal(got, want), force
+        with pytest.raises(ValueError, match="cannot force"):
+            auto_scan(values, order=2, tuple_size=3, force="threaded:2")
 
     def test_float_input_plans_serial_and_matches(self, rng):
         values = rng.standard_normal(4096)
@@ -429,13 +433,19 @@ class TestScanFilePlanned:
 
 class TestSessionAndCounters:
     def test_session_threads_needs_cores_and_safe_config(self, monkeypatch):
+        # session_threads reads the planner's machine snapshot; the memo
+        # is restored when the test ends.
+        import repro.plan.workload as workload
+
+        monkeypatch.setattr(workload, "_MACHINE", None)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        _reset_machine_memo()
         assert session_threads("int64", "add") == "auto"
         assert session_threads("float64", "add") is None
-        assert session_threads("float64", "add", "compensated") == "auto"
+        # The compensated kind has no slab path.
+        assert session_threads("float64", "add", "compensated") is None
         assert session_threads("float64", "max", "compensated") is None
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        _reset_machine_memo()
         assert session_threads("int64", "add") is None
 
     def test_stream_counters_roundtrip_planner_fields(self):

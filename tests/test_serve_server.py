@@ -208,14 +208,18 @@ def test_auto_threaded_feed_above_cutover_goes_solo(monkeypatch, rng):
 
 def test_auto_feed_below_the_cutover_is_batched():
     # A served threads="auto" feed of 16 MiB stays on the batched path:
-    # only chunks at or above the parallel cutover go solo, and a
-    # pinned thread count never batches, so it is never "solo" either.
+    # only row-kind chunks at or above the parallel cutover go solo (a
+    # fused session has no slab path), and a pinned thread count never
+    # batches, so it is never "solo" either.
     from repro.kernels.threaded import PARALLEL_CUTOVER_BYTES
     from repro.serve.batch import feeds_solo
 
     auto = ScanSession(op="add", order=1, dtype="int64", threads="auto")
     assert not feeds_solo(auto, 16 << 20)
     assert feeds_solo(auto, PARALLEL_CUTOVER_BYTES)
+    fused = ScanSession(op="add", order=3, tuple_size=4, dtype="int64",
+                        threads="auto")
+    assert not feeds_solo(fused, PARALLEL_CUTOVER_BYTES)
     pinned = ScanSession(op="add", order=1, dtype="int64", threads=2)
     assert not feeds_solo(pinned, PARALLEL_CUTOVER_BYTES)
 

@@ -461,15 +461,20 @@ class TestResumeAfterKill:
 class TestThreadedAndAdaptive:
     """PR satellites: slab-threaded chunk scans and adaptive chunk sizing."""
 
-    def test_threads_bit_identical_and_counted(self, tmp_path, rng):
+    def test_threads_bit_identical_and_counted(self, tmp_path, rng, monkeypatch):
+        # Order 2 at tuple size 1 is the row kind (the slab driver's
+        # only one); the zeroed cutover lets 64 KiB chunks reach it.
+        from repro.kernels import threaded
+
+        monkeypatch.setattr(threaded, "PARALLEL_CUTOVER_BYTES", 0)
         values = make_int_array(rng, 60_000, dtype=np.int64)
         raw = write_input(tmp_path, values)
         out = tmp_path / "out.bin"
         result = scan_file(
-            raw, out, dtype="int64", order=2, tuple_size=3,
+            raw, out, dtype="int64", order=2, tuple_size=1,
             chunk_bytes=1 << 16, threads=4,
         )
-        expected = host_prefix_sum(values, order=2, tuple_size=3)
+        expected = host_prefix_sum(values, order=2, tuple_size=1)
         assert np.array_equal(np.fromfile(out, dtype=np.int64), expected)
         assert result.counters.threaded_scans > 0
 

@@ -588,15 +588,20 @@ class TestShardedResumeAfterKill:
 class TestShardThreads:
     """Slab threads under the shard pool (combined oversubscription guard)."""
 
-    def test_threads_bit_identical_and_counted(self, tmp_path, rng):
+    def test_threads_bit_identical_and_counted(self, tmp_path, rng, monkeypatch):
+        # Order 1 at tuple size 3 is the row kind (the slab driver's
+        # only one); the zeroed cutover lets 16 KiB chunks reach it.
+        from repro.kernels import threaded
+
+        monkeypatch.setattr(threaded, "PARALLEL_CUTOVER_BYTES", 0)
         values = make_int_array(rng, 50_021, dtype=np.int64)
         raw = write_input(tmp_path, values)
         out = tmp_path / "out.bin"
         result = scan_file_sharded(
-            raw, out, dtype="int64", order=2, tuple_size=3,
+            raw, out, dtype="int64", order=1, tuple_size=3,
             shards=4, workers=2, chunk_bytes=1 << 14, threads=8,
         )
-        expected = host_prefix_sum(values, order=2, tuple_size=3)
+        expected = host_prefix_sum(values, order=1, tuple_size=3)
         assert np.array_equal(np.fromfile(out, dtype=np.int64), expected)
         # 8-thread budget over 2 workers -> 4 slab threads per shard task.
         assert result.counters.threaded_scans > 0

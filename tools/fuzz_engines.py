@@ -45,7 +45,6 @@ OPERATORS = ("add", "max", "min", "xor", "and", "or")
 DTYPES = (np.int32, np.int64, np.uint32, np.uint64)
 #: The "float_eft" kind's differential matrix: compensated output must
 #: be bit-identical across every cell (and the session-split arm).
-FLOAT_EFT_THREADS = (1, 2, 3, 8)
 FLOAT_EFT_SHARDS = (1, 2, 4)
 POLICIES = ("round_robin", "reversed", "rotating", "random")
 #: The "file" kind's dtypes (integers plus exact-mode floats) and the
@@ -492,18 +491,18 @@ def _float_oracle_cumsum(values, tuple_size):
 
 def run_float_eft(config, rng) -> bool:
     """The ``float_eft`` differential arm: one compensated float
-    workload run through every parallel decomposition — slab threads
-    {1, 2, 3, 8}, shards {1, 2, 4}, a random session split, and the
-    serve layer's ``feed_batch`` over three staggered streams whose
-    cuts often land on segment boundaries — all of which must agree
-    *bit for bit* with the serial compensated kernel;
+    workload run through every parallel decomposition — shards
+    {1, 2, 4}, a random session split, and the serve layer's
+    ``feed_batch`` over three staggered streams whose cuts often land
+    on segment boundaries — all of which must agree *bit for bit* with
+    the serial compensated kernel;
     then (order-1, inclusive, aligned lengths) the compensated result's
     worst absolute error against a float128/mpmath oracle must not
     exceed the naive serial fold's."""
     import os
     import tempfile
 
-    from repro.kernels import ThreadedScan, compensated_scan_into, segment_span
+    from repro.kernels import compensated_scan_into, segment_span
     from repro.ops import get_op
     from repro.serve.batch import feed_batch
     from repro.stream import ScanSession, scan_file_sharded
@@ -528,16 +527,6 @@ def run_float_eft(config, rng) -> bool:
         return out.dtype == dtype and np.array_equal(
             bits, out.view(bits.dtype)
         )
-
-    for threads in FLOAT_EFT_THREADS:
-        engine = ThreadedScan(
-            threads=threads, cutover_bytes=0, float_mode="compensated"
-        )
-        out = engine.run(
-            values, order=order, tuple_size=s, op=op, inclusive=inclusive
-        ).values
-        if not agrees(out):
-            return False
 
     with tempfile.TemporaryDirectory(prefix="fuzz-float-eft-") as tmp:
         input_path = os.path.join(tmp, "in.bin")
@@ -626,7 +615,7 @@ def run_fused_order(config, rng) -> bool:
     2..8) run through every surface that owns a fused tile path —
     one-shot :func:`repro.kernels.scan_into`, a ``LaneKernel(order=q)``
     fed at random split points (mid-tile carry-matrix continuation),
-    slab threads, a ``ScanSession`` split feed, the sharded file driver
+    a ``ScanSession`` split feed, the sharded file driver
     with random shard/worker counts, and the serve layer's
     ``feed_batch`` over three staggered streams (mixing fused batches
     with short-chunk fallback rounds).  All must agree *bit for bit*
@@ -636,7 +625,7 @@ def run_fused_order(config, rng) -> bool:
     import os
     import tempfile
 
-    from repro.kernels import LaneKernel, ThreadedScan, scan_into
+    from repro.kernels import LaneKernel, scan_into
     from repro.ops import get_op
     from repro.serve.batch import feed_batch
     from repro.stream import ScanSession, scan_file_sharded
@@ -679,13 +668,6 @@ def run_fused_order(config, rng) -> bool:
         pos += step
     stitched = np.concatenate(parts) if parts else values[:0]
     if not np.array_equal(stitched, expected_inc):
-        return False
-
-    # Slab threads (cutover forced off so fuzz sizes actually split).
-    engine = ThreadedScan(threads=config["slab_threads"], cutover_bytes=0)
-    out = engine.run(values, order=q, tuple_size=s, op="add",
-                     inclusive=inclusive).values
-    if not agrees(out):
         return False
 
     # Session split feed (the serve layer's single-stream path).
@@ -818,7 +800,11 @@ def build_engine(config):
         # sizes; without it every config would take the serial fallback.
         return ThreadedScan(threads=config["slab_threads"], cutover_bytes=0)
     if kind == "plan":
-        return PlannedScan(force=config["plan_force"])
+        force = _accepted_force(
+            config, config["op"], config["dtype"], config["order"],
+            config["tuple_size"],
+        )
+        return PlannedScan(force=force)
     if kind == "compressed":
         return CompressedScan(
             block_elements=config["compressed_block_elements"],
@@ -839,6 +825,21 @@ def build_engine(config):
     raise ValueError(kind)
 
 
+def _accepted_force(config, op, dtype, order, tuple_size, float_mode=None):
+    """The drawn plan force, or ``"serial"`` (recorded in ``config``) in
+    place of a threaded force the planner refuses because the
+    workload's carry kind has no slab path (the fused and compensated
+    kinds; the refusal is covered by the unit tests)."""
+    from repro.kernels.threaded import runs_slabs
+
+    force = config["plan_force"]
+    if force and force.startswith("threaded") and not runs_slabs(
+        op, dtype, order, tuple_size, float_mode
+    ):
+        force = config["plan_force"] = "serial"
+    return force
+
+
 def run_plan_float(config, rng) -> bool:
     """The planner's float arms: a compensated float64 workload routed
     through :func:`repro.plan.auto_scan` — planner's own pick or a
@@ -851,7 +852,8 @@ def run_plan_float(config, rng) -> bool:
     order = 1 + config["order"] % 3
     n = config["n"] - config["n"] % s
     values = _float_corpus(rng, np.float64, config["float_flavor"], n)
-    engine = PlannedScan(force=config["plan_force"], float_mode="compensated")
+    force = _accepted_force(config, "add", np.float64, order, s, "compensated")
+    engine = PlannedScan(force=force, float_mode="compensated")
     out = engine.run(
         values, order=order, tuple_size=s, op="add",
         inclusive=config["inclusive"],
