@@ -2,9 +2,10 @@
 """Benchmark: fused single-pass order-q scans vs pass-per-order.
 
 One JSON (``benchmarks/results/BENCH_fused.json``): ``rows`` sweep the
-fused tile-resident path (``repro.kernels.scan_into`` inside the
-:func:`repro.kernels.fused_supported` gate — one streaming pass that
-produces all ``q`` orders with binomial carry splicing across tiles)
+fused tile-resident path (``repro.kernels.scan_into``'s order-q tile
+loop, :func:`repro.kernels.fused_lane_scan` — one streaming pass that
+produces all ``q`` orders, folding each order's running total into
+each tile's head row)
 against the pass-per-order layout (``q`` iterated
 ``repro.kernels.lane_scan`` passes — the paper's ``2qn`` traffic) on
 the same buffers in the same run.  ``speedup`` is

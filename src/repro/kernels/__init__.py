@@ -40,10 +40,8 @@ from repro.kernels.lane import (
     fold_lanes,
     fused_combine,
     fused_deltas,
-    fused_fold,
     fused_lane_scan,
     fused_supported,
-    fused_weights,
     lane_scan,
     lane_scan_exact,
     lane_totals,
@@ -58,7 +56,6 @@ from repro.kernels.threaded import (
     check_threads,
     get_pool,
     resolve_threads,
-    threaded_lane_scan,
 )
 
 __all__ = [
@@ -84,10 +81,8 @@ __all__ = [
     "fresh_state",
     "fused_combine",
     "fused_deltas",
-    "fused_fold",
     "fused_lane_scan",
     "fused_supported",
-    "fused_weights",
     "get_pool",
     "lane_scan",
     "lane_scan_compensated",
@@ -98,5 +93,4 @@ __all__ = [
     "resolve_float_mode",
     "resolve_threads",
     "scan_into",
-    "threaded_lane_scan",
 ]

@@ -65,6 +65,19 @@ Exactness modes
   rounding included.  This is the streaming session's bit-exact float
   path, vectorized across lanes instead of looping per lane.
 
+Higher orders: one tile loop
+----------------------------
+
+Order ``q`` repeats the scan ``q`` times.  At ``s >= 2``
+:func:`fused_lane_scan` does it in one sweep over memory, as SAM
+iterates only its computation stage over each chunk while the chunk is
+in cache (Section 3): per cache-sized tile and per order ``j``, fold
+that order's running total into the tile's head row, accumulate the
+tile in place, and keep the last row as the new total.  That is the
+serial left fold itself, so it is exact for every ufunc operator and
+every dtype, floats included.  At ``s == 1`` the ``q`` contiguous passes
+are prefetch-friendly and the tiles lose, so those keep the passes.
+
 :func:`scan_into` is the one in-memory one-shot scan and
 :class:`LaneKernel` wraps every mode, at every order, behind the
 carry-continuation ``feed(chunk)`` API: the one state machine the
@@ -109,17 +122,17 @@ BLOCKED_MIN_STRIDE_BYTES = 64
 #: 32 MiB.  The 2 MiB wins at 128 B (0.97-1.28x) are given up.
 BLOCKED_MIN_BYTES = 4 << 20
 
-#: Tile byte budget for the fused single-pass order-q path.  Fused
-#: tiles are revisited ``q`` times while cache-resident, so the sweet
-#: spot is larger than :data:`BLOCK_BYTES` (fewer per-tile Python
-#: dispatches amortized over ``q`` accumulates; measured best around
-#: 0.5–1 MiB).
+#: Tile byte budget for the single-pass order-q tile loop
+#: (:func:`fused_lane_scan`).  Tiles are revisited ``q`` times while
+#: cache-resident, so the sweet spot is larger than :data:`BLOCK_BYTES`
+#: (fewer per-tile Python dispatches amortized over ``q`` accumulates;
+#: measured best around 0.5–1 MiB).
 FUSED_BLOCK_BYTES = 1 << 20
 
-#: Minimum tuple size for the fused order-q path to engage.  At
+#: Minimum tuple size for the order-q tile loop to engage.  At
 #: ``s == 1`` the chunk is one contiguous prefetch-friendly stream, the
-#: per-pass accumulate is not strided, and the measured fused path
-#: loses to pass-per-order — same engagement-heuristic role as
+#: per-pass accumulate is not strided, and the measured tile loop loses
+#: to pass-per-order — same engagement-heuristic role as
 #: :data:`BLOCKED_MIN_STRIDE_BYTES` plays for the blocked order-1 path.
 FUSED_MIN_TUPLE = 2
 
@@ -536,16 +549,18 @@ def exclusive_shift(
 
 
 def fused_supported(op, dtype, order, tuple_size=None) -> bool:
-    """Whether the fused single-pass order-``q`` path may engage.
+    """Whether integer ``add``'s binomial carry algebra applies.
 
-    The exactness gate: the binomial carry identity regroups the
+    The exactness gate of the fused ``(q, s)`` kind: the binomial carry
+    identity (:func:`fused_combine`, :func:`fused_deltas`) regroups the
     reduction, which is exact only under truly associative arithmetic —
     modular ADD over fixed-width integers (wraparound included, signed
-    or unsigned).  Floats and non-ADD operators keep the pass-per-order
-    path, mirroring the compensated-mode gating.  ``tuple_size`` (when
+    or unsigned).  The sharded driver splices order-``q`` shards only
+    inside it, the batched kernel stages fused rounds inside it, and the
+    planner labels those workloads ``"fused"``.  ``tuple_size`` (when
     given) additionally applies the :data:`FUSED_MIN_TUPLE` engagement
-    heuristic: ``s == 1`` streams are contiguous and gain nothing from
-    fusing.
+    heuristic.  The serial kernels do not read it: their order-``q``
+    tile loop (:func:`fused_lane_scan`) is exact for every operator.
     """
     op = get_op(op)
     if int(order) < 2 or op.ufunc is not np.add:
@@ -564,32 +579,8 @@ def _binom_wrap(n: int, k: int, dtype: np.dtype):
     return np.array(val, dtype=unsigned).view(dtype)[()]
 
 
-def fused_weights(rows: int, order: int, dtype, d0: int = 0) -> np.ndarray:
-    """Binomial weight columns ``W[d, k] = C(d0 + d + k, k) mod 2**w``.
-
-    Column ``k`` is the order-``k`` carry-application weight at local
-    depth ``d``: a carry ``T_j`` entering a region contributes
-    ``C(d + q - j, q - j) * T_j`` to the order-``q`` value at depth
-    ``d``.  Built by the additive Pascal recurrence
-    ``W[d, k] = W[d-1, k] + W[d, k-1]`` — additions only, so every
-    entry is exact under modular arithmetic for signed and unsigned
-    fixed-width integers alike.
-    """
-    dtype = np.dtype(dtype)
-    q = int(order)
-    W = np.empty((int(rows), q), dtype=dtype)
-    W[:, 0] = 1
-    with np.errstate(over="ignore"):
-        for k in range(1, q):
-            W[0, k] = _binom_wrap(int(d0) + k, k, dtype)
-            if rows > 1:
-                W[1:, k] = W[1:, k - 1]
-                np.add.accumulate(W[:, k], out=W[:, k])
-    return W
-
-
 def fused_deltas(carry: np.ndarray) -> np.ndarray:
-    """Carry-injection rows for the fused tile scan.
+    """Carry-injection rows for the batched kernel's fused staging.
 
     Given the running order totals ``carry[j-1] = T_j`` (shape
     ``(q, s)``), returns ``q`` rows ``delta_p = sum_{i>p} (-1)^p *
@@ -617,7 +608,7 @@ def fused_deltas(carry: np.ndarray) -> np.ndarray:
 def fused_combine(
     prev: np.ndarray, local: np.ndarray, counts
 ) -> np.ndarray:
-    """Splice two adjacent regions' order-total matrices.
+    """Splice two adjacent regions' order-total matrices (integer ADD).
 
     ``prev[j-1]`` holds the running order-``j`` totals entering a
     region; ``local[j-1]`` the region's own totals scanned from zero
@@ -647,114 +638,69 @@ def fused_combine(
     return new
 
 
-def _fused_tile_rows(order: int, tuple_size: int, dtype: np.dtype) -> int:
-    return max(int(order), FUSED_BLOCK_BYTES // (int(tuple_size) * dtype.itemsize))
-
-
-def fused_fold(buf: np.ndarray, carry: np.ndarray, d0: int = 0) -> np.ndarray:
-    """Fold an incoming phase-order ``(q, s)`` carry matrix into ``buf``.
-
-    ``buf`` (1-D, C-contiguous, starting on a row boundary) holds
-    locally order-``q``-scanned values whose first row sits at lane
-    depth ``d0``; the ``n % s`` tail is a partial row one depth past the
-    last full row.  A carry ``T_j`` (row ``j - 1``) adds
-    ``C(d + q - j, q - j) * T_j`` to the value at depth ``d``, applied
-    tile by tile through the binomial weight columns
-    (:func:`fused_weights`) — exact mod ``2**w``.  ``carry`` is not
-    changed.
-    """
-    q, s = carry.shape
-    dtype = buf.dtype
-    m, r = divmod(buf.size, s)
-    rows = buf[: m * s].reshape(m, s)
-    tile = _fused_tile_rows(q, s, dtype)
-    with np.errstate(over="ignore"):
-        for i in range(0, m, tile):
-            blk = rows[i : i + tile]
-            W = fused_weights(blk.shape[0], q, dtype, d0=d0 + i)
-            for k in range(q):
-                blk += W[:, k : k + 1] * carry[q - 1 - k]
-        if r:
-            W = fused_weights(1, q, dtype, d0=d0 + m)
-            tail = buf[m * s :]
-            for k in range(q):
-                tail += W[0, k] * carry[q - 1 - k, :r]
-    return buf
-
-
-def _fused_tail(tail: np.ndarray, carry: np.ndarray) -> None:
-    """Continue a fused scan over the ``n % s`` tail (raw values).
-
-    The tail is a one-row partial tile at depth 0: the order-``q``
-    value is ``x + sum_j T_j`` and the touched phases' new order-``j``
-    totals are ``x + (T_1 + ... + T_j)`` (``carry`` updated in place).
-    """
-    r = tail.size
-    q = carry.shape[0]
-    raw = tail.copy()
-    with np.errstate(over="ignore"):
-        part = np.add.accumulate(carry[:, :r], axis=0)
-        tail[...] = raw + part[q - 1]
-        carry[:, :r] = raw + part
+def _fused_tiles(op, order: int, tuple_size: int, float_mode) -> bool:
+    """Whether an order-``q`` scan runs :func:`fused_lane_scan`: ``q >= 2``
+    and ``s >= FUSED_MIN_TUPLE`` under a real-ufunc operator, for every
+    dtype unless the float mode is ``"compensated"``.  The one gate
+    :func:`scan_into` and :class:`LaneKernel` take the loop on and
+    :func:`repro.kernels.threaded.runs_slabs` declines."""
+    return (
+        int(order) >= 2
+        and int(tuple_size) >= FUSED_MIN_TUPLE
+        and op.ufunc is not None
+        and float_mode != "compensated"
+    )
 
 
 def fused_lane_scan(
-    buf: np.ndarray,
-    op,
-    tuple_size: int,
-    order: int,
-    carry: np.ndarray,
-    *,
-    rows_per_tile: Optional[int] = None,
+    buf: np.ndarray, op, tuple_size: int, order: int, carry: Optional[np.ndarray]
 ) -> np.ndarray:
-    """Single-pass in-place fused order-``q`` lane scan of ``buf``.
+    """Single-pass in-place order-``q`` lane scan of ``buf``; returns the
+    carry.
 
-    ``buf`` (1-D, C-contiguous) is read and written exactly once: each
-    cache-resident tile of full lane rows is scanned to all ``q``
-    orders while hot, with the ``(q, s)`` running-total matrix
-    ``carry`` (in **chunk-phase order**; updated in place) advanced
-    across tile boundaries via delta injection (:func:`fused_deltas`).
-    Tiles shorter than ``q`` rows and the ``n % s`` tail instead take
-    the explicit binomial weight fold — both exact.  Only valid inside
-    the :func:`fused_supported` gate; bit-identical to ``q`` separate
-    :func:`lane_scan` passes for every integer dtype, wraparound
-    included.
+    ``buf`` (1-D, C-contiguous) is read and written once: each tile of
+    full lane rows (:data:`FUSED_BLOCK_BYTES`) is scanned to all ``q``
+    orders while cache-resident.  For each order ``j`` the tile's head
+    row first takes that order's running totals, ``op(carry[j - 1],
+    row0)``, then the tile is accumulated in place and its last row
+    becomes the new ``carry[j - 1]``.  The ``n % s`` tail continues from
+    the totals the same way.  That is each lane's serial left fold with
+    no regrouping, so the result is bit-identical to ``q`` separate
+    passes for every ufunc operator and every dtype, floats included.
+
+    ``carry`` is the ``(q, s)`` running-total matrix in **chunk-phase
+    order** (row ``j - 1`` the order-``j`` totals), advanced in place.
+    ``None`` starts a stream: the first tile folds no carry (``+0.0``
+    is not an exact identity for float ``add``), and a new matrix,
+    identity on phases with no element, is returned.
     """
     op = get_op(op)
     s = int(tuple_size)
     q = int(order)
-    n = buf.size
-    if n == 0:
-        return buf
     dtype = buf.dtype
-    if rows_per_tile is None:
-        rows_per_tile = _fused_tile_rows(q, s, dtype)
-    m = n // s
+    started = carry is not None
+    if carry is None:
+        carry = np.full((q, s), op.identity(dtype), dtype=dtype)
+    m = buf.size // s
     body = m * s
+    rows = max(1, FUSED_BLOCK_BYTES // (s * dtype.itemsize))
     out2 = buf[:body].reshape(m, s)
-    local = np.empty((q, s), dtype=dtype)
-    with np.errstate(over="ignore"):
-        for i in range(0, m, rows_per_tile):
-            blk = out2[i : i + rows_per_tile]
-            rc = blk.shape[0]
-            if rc >= q:
-                blk[:q] += fused_deltas(carry)
-                for j in range(q):
-                    np.add.accumulate(blk, axis=0, out=blk)
-                    local[j] = blk[-1]
-                carry[...] = local
-            else:
-                # Runt tile (fewer rows than orders): the injected
-                # deltas would not have settled by the last row, so
-                # scan locally and fold the binomial weights instead.
-                for j in range(q):
-                    np.add.accumulate(blk, axis=0, out=blk)
-                    local[j] = blk[-1]
-                fused_fold(buf[i * s : (i + rc) * s], carry)
-                carry[...] = fused_combine(carry, local, rc)
-    if n > body:
-        _fused_tail(buf[body:], carry)
-    return buf
+    for i in range(0, m, rows):
+        blk = out2[i : i + rows]
+        for j in range(q):
+            if started:
+                op.apply_into(carry[j], blk[0], out=blk[0])
+            op.accumulate(blk, axis=0, out=blk)
+            carry[j] = blk[-1]
+        started = True
+    r = buf.size - body
+    if r:
+        tail = buf[body:]
+        for j in range(q):
+            if started:
+                op.apply_into(carry[j, :r], tail, out=tail)
+            carry[j, :r] = tail
+    return carry
 
 
 def scan_into(
@@ -771,12 +717,12 @@ def scan_into(
 ) -> np.ndarray:
     """Order-``q`` lane scan of ``src`` using ``out`` as the only buffer.
 
-    The one in-memory one-shot scan.  Inside the :func:`fused_supported`
-    gate (integer ADD, ``q >= 2``, ``s >= 2``) the scan is single-pass
-    over memory: one streaming copy into ``out``, then
-    :func:`fused_lane_scan` visits each cache-sized tile once for all
-    ``q`` orders.  Outside the gate, pass 1 scans ``src`` into ``out``
-    and passes 2..q re-scan ``out`` in place (each pass is a left fold).
+    The one in-memory one-shot scan.  At ``q >= 2`` and ``s >= 2`` under
+    a ufunc operator (not compensated) with ``out`` 1-D contiguous, the
+    scan is single-pass over memory: one streaming copy into ``out``,
+    then :func:`fused_lane_scan` visits each cache-sized tile once for
+    all ``q`` orders.  Otherwise pass 1 scans ``src`` into ``out`` and
+    passes 2..q re-scan ``out`` in place (each pass is a left fold).
     The exclusive shift, on the final pass only, allocates the returned
     array.  ``threads`` (``None`` serial) makes each pass slab-parallel
     above ``cutover_bytes`` where :func:`repro.kernels.threaded.runs_slabs`
@@ -791,7 +737,7 @@ def scan_into(
         lane_scan_compensated,
         resolve_float_mode,
     )
-    from repro.kernels.threaded import check_threads, runs_slabs, threaded_lane_scan
+    from repro.kernels.threaded import check_threads, runs_slabs, slab_scan
 
     op = get_op(op)
     q = int(order)
@@ -800,15 +746,10 @@ def scan_into(
     mode = resolve_float_mode(out.dtype, float_mode)
     if threads is not None and not runs_slabs(op, out.dtype, q, s, mode):
         threads = None
-    if (
-        q >= 2
-        and fused_supported(op, out.dtype, q, s)
-        and out.ndim == 1
-        and out.flags.c_contiguous
-    ):
+    if _fused_tiles(op, q, s, mode) and out.ndim == 1 and out.flags.c_contiguous:
         if out is not src:
             out[...] = src
-        fused_lane_scan(out, op, s, q, np.zeros((q, s), dtype=out.dtype))
+        fused_lane_scan(out, op, s, q, None)
     else:
         current = src
         for _ in range(q):
@@ -816,13 +757,10 @@ def scan_into(
                 lane_scan_compensated(
                     current, op, s, fresh_state(out.dtype, s), 0, out=out
                 )
-            elif threads is None:
+            elif threads is None or not slab_scan(
+                current, out, op, s, threads=threads, cutover_bytes=cutover_bytes
+            ):
                 lane_scan(current, op, s, out=out)
-            else:
-                threaded_lane_scan(
-                    current, op, s, out=out,
-                    threads=threads, cutover_bytes=cutover_bytes,
-                )
             current = out
     if inclusive:
         return out
@@ -862,14 +800,17 @@ class LaneKernel:
     ``threads`` (``None`` serial) runs the in-place passes on the slab
     driver (:mod:`repro.kernels.threaded`) above ``cutover_bytes``, and
     ``counters.threaded_scans`` counts the passes it ran.  Configurations
-    :func:`repro.kernels.threaded.runs_slabs` declines — the fused and
-    compensated kinds, exact floats — keep ``threads`` as ``None`` and
-    scan serially, so results do not change.
+    :func:`repro.kernels.threaded.runs_slabs` declines — order ``q >= 2``
+    at ``s >= 2``, the compensated kind, exact floats — keep ``threads``
+    as ``None`` and scan serially, so results do not change.
 
-    At ``order >= 2`` inside the :func:`fused_supported` gate (integer
-    ADD, ``s >= 2``, no engine) contiguous chunks take the single-pass
-    fused tile path instead of ``q`` passes; both advance the identical
-    carry matrix, bit for bit.
+    At ``order >= 2`` and ``s >= 2`` under a ufunc operator (no engine,
+    not compensated) contiguous chunks take the single-pass tile loop
+    (:func:`fused_lane_scan`) instead of ``q`` passes, and
+    ``counters.fused_order_scans`` counts them.  A float chunk takes it
+    at a stream start or once every lane is live; one that leaves some
+    lane unseen takes the passes.  Both advance the identical carry
+    matrix, bit for bit.
 
     ``start`` is the global index of the first element that will be
     fed.  ``prime`` preloads an absolute carry (lane order, the
@@ -922,8 +863,8 @@ class LaneKernel:
                 )
             self.comp = np.stack([fresh_state(self.dtype, self.s)] * self.order)
         self.exact = self.float_mode == "exact"
-        self._fused = self.engine is None and fused_supported(
-            self.op, self.dtype, self.order, self.s
+        self._fused = self.engine is None and _fused_tiles(
+            self.op, self.order, self.s, self.float_mode
         )
         self.active = np.zeros(self.s, dtype=bool)
         self._seen_all = False
@@ -1029,7 +970,7 @@ class LaneKernel:
         """Scan the next chunk as a continuation; returns the scanned
         values.
 
-        In the in-place and fused paths ``inplace=True`` scans in the
+        In the in-place and tile-loop paths ``inplace=True`` scans in the
         chunk's own buffer and returns it, while ``inplace=False``
         leaves the chunk untouched: the first pass scans it out of
         place.  The other modes always return a fresh array.
@@ -1038,16 +979,23 @@ class LaneKernel:
         n = chunk.size
         if n == 0:
             return chunk
+        # Integer identities fold exactly, so an integer chunk always
+        # folds the carry; a float chunk folds it once every lane is
+        # live and none at a stream start (+0.0 is not float add's
+        # exact identity), and otherwise takes the pass loop.
+        fold = self._seen_all or self.dtype.kind in "iu"
         if (
             self._fused
             and chunk.ndim == 1
             and (chunk.flags.c_contiguous or not inplace)
+            and (fold or not self.active.any())
         ):
             out = chunk if inplace else chunk.copy()
             perm = phase_perm(self.pos, self.s)
-            carry = np.ascontiguousarray(self.carry[:, perm])
-            fused_lane_scan(out, self.op, self.s, self.order, carry)
-            self.carry[:, perm] = carry
+            carry = self.carry[:, perm] if fold else None
+            self.carry[:, perm] = fused_lane_scan(
+                out, self.op, self.s, self.order, carry
+            )
             self.counters.fused_order_scans += 1
         else:
             out = chunk

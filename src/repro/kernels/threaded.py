@@ -9,14 +9,16 @@ persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker
 thread (:func:`repro.kernels.splice`), and folds each slab's incoming
 carry in parallel (:func:`slab_fold`) — the scan→splice→fold
 decomposition of LightScan and of Zhang, Wang & Ross's SIMD prefix
-sums.  :func:`threaded_lane_scan` is one row pass on it, which
-:func:`repro.kernels.scan_into` and :class:`repro.kernels.LaneKernel`
-make when given ``threads=``.
+sums.  :func:`repro.kernels.scan_into` and
+:class:`repro.kernels.LaneKernel` call it for each row pass when given
+``threads=``, and scan serially where it declines.
 
 :func:`runs_slabs` is the one gate deciding where ``threads=`` applies.
-The fused ``(q, s)`` kind and the compensated kind have no slab path:
-their slabs made a local pass and a fold pass over memory where the
-serial kernel makes one, and lost to it with two cores present
+Order ``q >= 2`` at ``s >= 2`` has no slab path: the serial tile loop
+(:func:`repro.kernels.fused_lane_scan`) reads memory once for all ``q``
+orders, where slabs make ``q`` passes.  The compensated kind has none
+either: its slabs made a local pass and a fold pass over memory where
+the serial kernel makes one, and lost to it with two cores present
 (CHANGES.md).  Such scans accept and validate ``threads=`` and run the
 serial kernel, with the same bytes; ``threaded_scans`` counts only
 passes the slab driver ran.
@@ -53,9 +55,9 @@ from typing import Optional
 import numpy as np
 
 from repro.kernels.compensated import resolve_float_mode
-from repro.kernels.lane import fold_lanes, fused_supported, lane_scan, scan_into
+from repro.kernels.lane import _fused_tiles, fold_lanes, lane_scan, scan_into
 from repro.kernels.splice import RowCarry, splice
-from repro.ops import ADD, AssociativeOp, get_op
+from repro.ops import ADD, get_op
 
 #: The parallel cutover (bytes): chunks smaller than this are scanned
 #: serially.  It is the measured row-kind crossover of two slab threads
@@ -163,16 +165,16 @@ def runs_slabs(op, dtype, order=1, tuple_size=1, float_mode=None) -> bool:
     driver — the one gate :func:`repro.kernels.scan_into`,
     :class:`repro.kernels.LaneKernel`, :class:`ThreadedScan`, the planner
     and the serve batcher read.  Only the row kind does: an integer, or
-    a ``"regrouped"`` float, under a real-ufunc operator, outside the
-    fused gate (:func:`repro.kernels.fused_supported`).  The fused and
-    compensated kinds and exact floats scan serially, with the same
-    bytes."""
+    a ``"regrouped"`` float, under a real-ufunc operator, at order 1 or
+    tuple size 1.  Order ``q >= 2`` at ``s >= 2`` is the serial tile
+    loop's (:func:`repro.kernels.fused_lane_scan`), which reads memory
+    once for all ``q`` orders; it, the compensated kind and exact floats
+    scan serially, with the same bytes."""
     op = get_op(op)
-    if op.ufunc is None or resolve_float_mode(dtype, float_mode) not in (
-        None, "regrouped",
-    ):
+    mode = resolve_float_mode(dtype, float_mode)
+    if op.ufunc is None or mode not in (None, "regrouped"):
         return False
-    return not fused_supported(op, dtype, order, tuple_size)
+    return not _fused_tiles(op, order, tuple_size, mode)
 
 
 def slab_local(kind, src, out, lo, hi):
@@ -195,6 +197,24 @@ def slab_tail(kind, src, out, body, carry) -> None:
     kind.op.apply_into(last, src[body:], out=out[body:])
 
 
+def slab_threads(src, out, op, tuple_size=1, threads=None, cutover_bytes=None) -> int:
+    """How many slabs :func:`slab_scan` cuts ``src`` into: ``threads``
+    resolved for its size, or 1 where the driver declines — a looped
+    operator, a non-contiguous buffer, below ``cutover_bytes``
+    (default :data:`PARALLEL_CUTOVER_BYTES`), or fewer than two whole
+    rows."""
+    n_bytes = src.size * src.dtype.itemsize
+    threads = resolve_threads(threads, n_bytes)
+    if cutover_bytes is None:
+        cutover_bytes = PARALLEL_CUTOVER_BYTES
+    if (
+        op.ufunc is None or not (src.flags.c_contiguous and out.flags.c_contiguous)
+        or src.size // int(tuple_size) < 2 or n_bytes < cutover_bytes
+    ):
+        return 1
+    return threads
+
+
 def slab_scan(
     src, out, op, tuple_size=1, carry=None, *, threads=None, cutover_bytes=None
 ) -> bool:
@@ -203,27 +223,21 @@ def slab_scan(
     Scans ``src`` into ``out`` (which may alias it) with the row carry
     kind (:class:`repro.kernels.splice.RowCarry`); ``carry`` is an
     optional phase-order continuation row.  Returns ``False``, having
-    written nothing, when it declines — a looped operator, a
-    non-contiguous buffer, below the cutover, one thread, or fewer than
-    two whole rows — and the caller scans serially.  Otherwise every
-    slab of whole rows scans locally on the pool (:func:`slab_local`),
-    :func:`splice` chains the slab aggregates on the calling thread,
-    every slab folds its incoming carry on the pool (:func:`slab_fold`),
-    :func:`slab_tail` continues over the partial row past the last slab,
-    and it returns ``True``.
+    written nothing, when it declines (:func:`slab_threads` is 1) and
+    the caller scans serially.  Otherwise every slab of whole rows
+    scans locally on the pool (:func:`slab_local`), :func:`splice`
+    chains the slab aggregates on the calling thread, every slab folds
+    its incoming carry on the pool (:func:`slab_fold`),
+    :func:`slab_tail` continues over the partial row past the last
+    slab, and it returns ``True``.  For floats (``"regrouped"``) the
+    splice regroups each lane's fold: deterministic for a fixed thread
+    count, not bit-identical to the serial kernel.
     """
     s = int(tuple_size)
-    n = src.size
-    n_bytes = n * src.dtype.itemsize
-    threads = resolve_threads(threads, n_bytes)
-    if cutover_bytes is None:
-        cutover_bytes = PARALLEL_CUTOVER_BYTES
-    rows = n // s
-    if (
-        op.ufunc is None or not (src.flags.c_contiguous and out.flags.c_contiguous)
-        or threads <= 1 or rows < 2 or n_bytes < cutover_bytes
-    ):
+    threads = slab_threads(src, out, op, s, threads, cutover_bytes)
+    if threads <= 1:
         return False
+    rows = src.size // s
     kind = RowCarry(op, src.dtype, s)
     bounds = [(lo * s, hi * s) for lo, hi in _slab_bounds(rows, threads)]
     pool = get_pool(threads)
@@ -239,43 +253,9 @@ def slab_scan(
         for (lo, hi), c, lanes in zip(bounds, incoming, seen)
     ])
     body = rows * s
-    if n > body:
+    if src.size > body:
         slab_tail(kind, src, out, body, running)
     return True
-
-
-def threaded_lane_scan(
-    src: np.ndarray,
-    op: AssociativeOp,
-    tuple_size: int = 1,
-    *,
-    out: Optional[np.ndarray] = None,
-    carry: Optional[np.ndarray] = None,
-    threads=None,
-    cutover_bytes: Optional[int] = None,
-) -> np.ndarray:
-    """One inclusive lane scan pass, slab-parallel with a carry splice.
-
-    Same contract as :func:`repro.kernels.lane_scan` (``out`` may alias
-    ``src``; ``carry`` is a phase-order continuation row) plus
-    ``threads`` and ``cutover_bytes``.  Small chunks, ``threads=1``,
-    non-ufunc operators, and non-contiguous buffers fall back to the
-    serial kernel.
-
-    For integer dtypes the result is bit-identical to the serial kernel
-    (integer regrouping is exact).  For floats the splice regroups the
-    per-lane fold — deterministic for a fixed thread count, but not
-    bit-identical to serial; exact float continuation lives in
-    :func:`repro.kernels.lane_scan_exact`.
-    """
-    src = np.asarray(src)
-    if out is None:
-        out = np.empty_like(src)
-    if not slab_scan(
-        src, out, op, tuple_size, carry, threads=threads, cutover_bytes=cutover_bytes
-    ):
-        lane_scan(src, op, int(tuple_size), out=out, carry=carry)
-    return out
 
 
 class ThreadedResult:
@@ -294,8 +274,10 @@ class ThreadedScan:
     Same ``run(values, order=, tuple_size=, op=, inclusive=)`` contract
     as every other engine; bit-identical to the host path for all
     dtypes by default (floats take the exact serial passes unless
-    ``float_mode`` says otherwise).  A configuration with no slab path
-    (:func:`runs_slabs`) scans serially and reports ``threads == 1``.
+    ``float_mode`` says otherwise).  ``ThreadedResult.threads`` is the
+    slab count that ran: 1 for a configuration with no slab path
+    (:func:`runs_slabs`) and for an input the slab driver declines
+    (:func:`slab_threads`), both scanned serially.
     """
 
     def __init__(self, threads=None, cutover_bytes=None, float_mode=None):
@@ -321,12 +303,15 @@ class ThreadedScan:
         array = np.ascontiguousarray(array, dtype=dtype)
         if array.size == 0:
             return ThreadedResult(array.copy(), 0)
-        threads = resolve_threads(self.threads, array.size * array.dtype.itemsize)
-        if not runs_slabs(op, dtype, order, tuple_size, self.float_mode):
-            threads = 1
+        out = np.empty_like(array)
+        threads = 1
+        if runs_slabs(op, dtype, order, tuple_size, self.float_mode):
+            threads = slab_threads(
+                array, out, op, tuple_size, self.threads, self.cutover_bytes
+            )
         out = scan_into(
             array,
-            np.empty_like(array),
+            out,
             op,
             order=order,
             tuple_size=tuple_size,

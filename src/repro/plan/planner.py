@@ -18,9 +18,10 @@ In memory (``repro.scan(x)`` / ``repro.prefix_sum(x)``):
    Exact-mode floats, looped operators and strided buffers plan
    ``serial``.
 3. **kind** — only the plain row carry kind has a slab path
-   (:func:`repro.kernels.threaded.runs_slabs`).  The fused ``(q, s)``
-   kind and the compensated kind have none, so they plan ``serial``
-   and forcing ``threaded`` on them is refused.
+   (:func:`repro.kernels.threaded.runs_slabs`), and only at order 1 or
+   tuple size 1: order ``q >= 2`` at ``s >= 2`` is the serial tile
+   loop's.  Those, the fused ``(q, s)`` kind and the compensated kind
+   plan ``serial`` and forcing ``threaded`` on them is refused.
 4. **cores** — one core plans ``serial``.
 5. **cutover** — below :data:`repro.kernels.threaded.PARALLEL_CUTOVER_BYTES`
    (128 MiB) two slab threads measured slower than one, and the
@@ -226,6 +227,8 @@ def _memory_gates(
     kind = f"{w.kind} (order {w.order}, tuple size {w.tuple_size})"
     if not _runs_slabs(w):
         gates.append(("kind", kind, "serial"))
+        if w.kind == "row":
+            return serial, "order-q tile loop: one serial sweep, no slab path"
         return serial, f"{w.kind} kind: no slab path, so it scans serially"
     gates.append(("kind", kind, "pass"))
     m = machine()
@@ -452,7 +455,9 @@ def plan_file_scan(
     return plan_scan(workload)
 
 
-def session_threads(dtype, op="add", float_mode: Optional[str] = None) -> Optional[str]:
+def session_threads(
+    dtype, op="add", float_mode: Optional[str] = None, *, order=1, tuple_size=1
+) -> Optional[str]:
     """Planned ``threads=`` for a streaming/served session whose chunk
     sizes are unknown up front: ``"auto"`` on a multicore machine for an
     integer configuration whose row kind runs on the slab driver
@@ -460,18 +465,17 @@ def session_threads(dtype, op="add", float_mode: Optional[str] = None) -> Option
     parallel cutover then decides per chunk), ``None`` where slab
     threads could only add dispatch overhead.  Floats never plan
     threads: exact and compensated floats have no slab path, and a
-    regrouped float's bits would follow the core count.  Reads the
-    planner's machine snapshot and the configuration only; order and
-    tuple size are not known here, so a fused session planned
-    ``"auto"`` is declined by the kernel's own gate and scans
-    serially."""
+    regrouped float's bits would follow the core count.  ``order`` and
+    ``tuple_size`` are the session's: order ``q >= 2`` at ``s >= 2``
+    runs the serial tile loop and plans ``None``.  Reads the planner's
+    machine snapshot and the configuration only."""
     if not machine_snapshot().multicore:
         return None
     from repro.kernels.threaded import runs_slabs
 
     try:
         integer = np.dtype(dtype).kind in "iu"
-        slabs = integer and runs_slabs(op, dtype, float_mode=float_mode)
+        slabs = integer and runs_slabs(op, dtype, order, tuple_size, float_mode)
         return "auto" if slabs else None
-    except (KeyError, TypeError):  # the registry open reports it
+    except (KeyError, TypeError, ValueError):  # the registry open reports it
         return None

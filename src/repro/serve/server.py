@@ -249,6 +249,8 @@ class ScanServer:
                         header.get("dtype", "int64"),
                         header.get("op", "add"),
                         float_mode=header.get("float_mode"),
+                        order=header.get("order", 1),
+                        tuple_size=header.get("tuple_size", 1),
                     )
                 session, created = self.registry.open(
                     header.get("session"),

@@ -32,9 +32,10 @@ class StreamCounters:
     ``batched_feeds`` counts feed calls serviced by a coalesced
     multi-stream dispatch (:func:`repro.serve.feed_batch`) instead of a
     per-session kernel call, and ``fused_order_scans`` counts feed
-    calls that took the single-pass fused order-q tile path
-    (:func:`repro.kernels.fused_lane_scan`) instead of pass-per-order
-    stage scans.  A resumed job *restores* the
+    calls that scanned all ``q`` orders in one sweep instead of
+    pass-per-order stage scans: the order-q tile loop
+    (:func:`repro.kernels.fused_lane_scan`, every ufunc operator at
+    ``q >= 2``, ``s >= 2``) or the batched kernel's fused staging.  A resumed job *restores* the
     counters persisted in the checkpoint, so totals are cumulative
     across interruptions; ``resumes`` says how often that happened.
 

@@ -19,16 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    LaneKernel,
-    fused_lane_scan,
-    lane_scan,
-    segment_span,
-    threaded_lane_scan,
-)
+from repro.kernels import LaneKernel, fused_lane_scan, lane_scan, segment_span
 from repro.kernels.compensated import HI, LO, _scan_serial, fresh_state
 from repro.kernels.splice import CompensatedCarry, FusedCarry, RowCarry, splice
-from repro.kernels.threaded import slab_fold, slab_local, slab_tail
+from repro.kernels.threaded import slab_fold, slab_local, slab_scan, slab_tail
 
 
 class Row:
@@ -50,10 +44,13 @@ class Row:
         return lane_scan(x, self.kind().op, self.s, carry=carry), None
 
     def threaded(self, x, carry, threads):
-        out = threaded_lane_scan(
-            x, self.kind().op, self.s, carry=carry, threads=threads,
-            cutover_bytes=0,
-        )
+        # The slab driver runs at every count but one, where it declines
+        # and the serial kernel scans, as in LaneKernel.
+        op, out = self.kind().op, np.empty_like(x)
+        ran = slab_scan(x, out, op, self.s, carry, threads=threads, cutover_bytes=0)
+        assert ran == (threads > 1)
+        if not ran:
+            lane_scan(x, op, self.s, out=out, carry=carry)
         return out, None
 
 
@@ -74,7 +71,8 @@ class Fused(Row):
         return x, carry.astype(self.dtype)
 
     def serial(self, x, carry):
-        return fused_lane_scan(x, "add", self.s, self.q, carry), carry
+        carry = fused_lane_scan(x, "add", self.s, self.q, carry)
+        return x, carry
 
     def threaded(self, x, carry, threads):
         # No slab path: the kernel keeps threads=None and scans serially.

@@ -1,12 +1,16 @@
-"""Tests for the fused single-pass order-q scan path.
+"""Tests for the single-pass order-q tile loop (``fused_lane_scan``).
 
-The fused contract: inside the exactness gate (integer ADD, order >= 2,
-tuple_size >= 2) every surface — one-shot ``scan_into``, the
-``LaneKernel`` continuation stream, sessions, the sharded file
-driver, the batched serve kernel — produces output bit-identical to
-pass-per-order scanning while touching the payload once.  The fused
-kind has no slab path: ``threads=`` scans it serially, with the same
-bytes.  Outside the gate the fused path must never engage.
+The contract: at order >= 2 and tuple_size >= 2 under any ufunc
+operator (compensated floats aside) every surface — one-shot
+``scan_into``, the ``LaneKernel`` continuation stream, sessions, the
+sharded file driver, the batched serve kernel — produces output
+bit-identical to pass-per-order scanning while touching the payload
+once.  The loop folds each order's running total into a tile's head
+row and accumulates, the serial left fold itself, so exact floats and
+non-add operators match ``repro.reference`` bit for bit.  That shape
+has no slab path: ``threads=`` scans it serially, with the same bytes.
+Integer ``add`` (``fused_supported``) is also the binomial kind the
+sharded splice and the batched kernel use.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.kernels.lane as lane
 from conftest import BOUNDARY_SIZES
 from repro.kernels import (
     FUSED_MIN_TUPLE,
@@ -22,7 +27,6 @@ from repro.kernels import (
     fused_combine,
     fused_lane_scan,
     fused_supported,
-    fused_weights,
     lane_scan,
     scan_into,
 )
@@ -98,6 +102,12 @@ class TestGate:
         )
 
 
+def pin_tile_rows(monkeypatch, rows, s, dtype):
+    """Pin the loop's tiles to ``rows`` lane rows of ``s`` ``dtype``."""
+    monkeypatch.setattr(lane, "FUSED_BLOCK_BYTES",
+                        rows * s * np.dtype(dtype).itemsize)
+
+
 class TestFusedLaneScan:
     @pytest.mark.parametrize("n", BOUNDARY_SIZES)
     @pytest.mark.parametrize("order", (2, 3, 4))
@@ -110,22 +120,21 @@ class TestFusedLaneScan:
         fused_lane_scan(buf, "add", s, order, carry)
         assert np.array_equal(buf, expected)
 
-    @pytest.mark.parametrize("rows_per_tile", (4, 5, 7, 16))
-    def test_tile_boundaries(self, rng, rows_per_tile):
+    @pytest.mark.parametrize("rows", (1, 2, 4, 5, 7, 16))
+    def test_tile_boundaries(self, rng, monkeypatch, rows):
         # Lengths straddling tile boundaries: exact multiples of the
-        # tile, one row short, one element over, runt final tiles
-        # (< order rows), and an unaligned n % s tail at each.
+        # tile, one row short, one element over, final tiles with fewer
+        # rows than orders, and an unaligned n % s tail at each.
         order, s = 3, 4
-        tile = rows_per_tile * s
+        pin_tile_rows(monkeypatch, rows, s, np.int64)
+        tile = rows * s
         for n in (tile - s, tile, tile + 1, 2 * tile - 1, 2 * tile + s + 2,
                   5 * tile + (order - 1) * s, 5 * tile + 3):
             values = full_range(rng, np.int64, n)
             expected = pass_per_order(values, order, s)
             buf = values.copy()
-            carry = np.zeros((order, s), dtype=buf.dtype)
-            fused_lane_scan(buf, "add", s, order, carry,
-                            rows_per_tile=rows_per_tile)
-            assert np.array_equal(buf, expected), (n, rows_per_tile)
+            fused_lane_scan(buf, "add", s, order, None)
+            assert np.array_equal(buf, expected), (n, rows)
 
     def test_shorter_than_one_tile(self, rng):
         order, s = 4, 5
@@ -136,16 +145,17 @@ class TestFusedLaneScan:
         assert np.array_equal(buf, pass_per_order(values, order, s))
 
     @pytest.mark.parametrize("dtype", (np.int8, np.uint8, np.int16))
-    def test_narrow_dtype_wraparound(self, rng, dtype):
-        # Narrow widths wrap within a handful of rows, so every binomial
-        # coefficient and carry splice runs modular; the public dtype
-        # set stops at 32 bits, so these go through the raw kernel.
+    def test_narrow_dtype_wraparound(self, rng, monkeypatch, dtype):
+        # Narrow widths wrap within a handful of rows, so every carry
+        # fold runs modular; the public dtype set stops at 32 bits, so
+        # these go through the raw kernel.
         order, s = 3, 2
+        pin_tile_rows(monkeypatch, 6, s, dtype)
         values = full_range(rng, dtype, 301)
         expected = pass_per_order(values, order, s)
         buf = values.copy()
         carry = np.zeros((order, s), dtype=buf.dtype)
-        fused_lane_scan(buf, "add", s, order, carry, rows_per_tile=6)
+        fused_lane_scan(buf, "add", s, order, carry)
         assert np.array_equal(buf, expected)
 
     def test_uint64_wraparound(self, rng):
@@ -155,12 +165,12 @@ class TestFusedLaneScan:
                         order=order, tuple_size=s)
         assert np.array_equal(out, pass_per_order(values, order, s))
 
-    def test_carry_matrix_matches_running_totals(self, rng):
+    def test_carry_matrix_matches_running_totals(self, rng, monkeypatch):
         order, s = 3, 4
+        pin_tile_rows(monkeypatch, 4, s, np.int64)
         values = full_range(rng, np.int64, 10 * s)
         buf = values.copy()
-        carry = np.zeros((order, s), dtype=buf.dtype)
-        fused_lane_scan(buf, "add", s, order, carry, rows_per_tile=4)
+        carry = fused_lane_scan(buf, "add", s, order, None)
         current = values.copy()
         out = np.empty_like(values)
         op = get_op("add")
@@ -172,8 +182,6 @@ class TestFusedLaneScan:
     def test_pinned_tile_bytes(self, rng, monkeypatch):
         # Tiny tiles: every tile of the scan crosses many tile
         # boundaries.
-        import repro.kernels.lane as lane
-
         order, s = 3, 4
         monkeypatch.setattr(lane, "FUSED_BLOCK_BYTES", 64)
         values = full_range(rng, np.int64, 457)
@@ -214,6 +222,80 @@ class TestScanInto:
                         order=2, tuple_size=3)
         expected = prefix_sum_serial(values, order=2, tuple_size=3, op="max")
         assert np.array_equal(out, expected)
+
+
+#: Non-add integer and exact-float shapes: the loop's serial left fold
+#: must match the reference at every tile edge, signed zeros and NaN
+#: included.
+EVERY_OP = [
+    ("max", np.int64), ("min", np.int32), ("xor", np.uint32),
+    ("and", np.int64), ("or", np.uint64), ("add", np.float64),
+    ("add", np.float32), ("max", np.float64), ("min", np.float32),
+]
+
+
+def draw(rng, dtype, n):
+    if np.dtype(dtype).kind != "f":
+        return full_range(rng, dtype, n)
+    values = (rng.standard_normal(n) * 1e3).astype(dtype)
+    values[rng.random(n) < 0.1] = -0.0
+    values[rng.random(n) < 0.02] = np.nan
+    return values
+
+
+def op_id(case):
+    return f"{case[0]}-{np.dtype(case[1]).name}"
+
+
+class TestEveryOperator:
+    @pytest.mark.parametrize("case", EVERY_OP, ids=op_id)
+    @pytest.mark.parametrize("rows", (1, 2, 5))
+    def test_scan_into_matches_reference(self, rng, monkeypatch, case, rows):
+        # Tiles of fewer rows than orders, tile edges, n < s and tails.
+        op, dtype = case
+        order, s = 3, 4
+        pin_tile_rows(monkeypatch, rows, s, dtype)
+        tile = rows * s
+        for n in (0, 1, s - 1, s, s + 1, tile - 1, tile, tile + 3,
+                  2 * tile + s, 7 * tile + 5):
+            values = draw(rng, dtype, n)
+            want = prefix_sum_serial(values, order=order, tuple_size=s, op=op)
+            got = scan_into(values, np.empty_like(values), op,
+                            order=order, tuple_size=s)
+            assert got.tobytes() == want.tobytes(), n
+
+    @pytest.mark.parametrize("case", EVERY_OP, ids=op_id)
+    def test_kernel_split_feeds_match_reference(self, rng, monkeypatch, case):
+        op, dtype = case
+        order, s = 2, 3
+        pin_tile_rows(monkeypatch, 2, s, dtype)
+        values = draw(rng, dtype, 300)
+        want = prefix_sum_serial(values, order=order, tuple_size=s, op=op)
+        kernel = LaneKernel(op, dtype, tuple_size=s, order=order)
+        parts, pos = [], 0
+        for step in (1, s - 1, 1, s, 7, 64, 2, 300):
+            parts.append(np.asarray(
+                kernel.feed(values[pos:pos + step].copy())).copy())
+            pos += step
+        assert np.concatenate(parts).tobytes() == want.tobytes()
+        # A float chunk starting with some but not all lanes live (the
+        # second) takes the pass loop; every other feed takes the tile
+        # loop.
+        floats = np.dtype(dtype).kind == "f"
+        assert kernel.counters.fused_order_scans == (7 if floats else 8)
+
+    def test_stream_start_folds_no_carry(self):
+        # +0.0 is not float add's exact identity: a leading -0.0 stays.
+        values = np.array([-0.0, -0.0, -0.0, 1.0, -0.0])
+        got = scan_into(values, np.empty_like(values), "add",
+                        order=2, tuple_size=2)
+        assert np.signbit(got[[0, 1, 2, 4]]).all()
+
+    def test_fresh_carry_is_identity_on_empty_phases(self):
+        buf = np.array([5, 7], dtype=np.int32)
+        carry = fused_lane_scan(buf, "min", 4, 2, None)
+        ident = np.iinfo(np.int32).max
+        assert carry.tolist() == [[5, 7, ident, ident]] * 2
 
 
 class TestLaneKernelContinuation:
@@ -296,14 +378,6 @@ class TestFusedCombine:
         out = fused_combine(prev, local, np.array([0, 0]))
         assert np.array_equal(out, prev)
 
-    def test_weights_are_pascal_rows(self):
-        W = fused_weights(5, 3, np.int64, d0=2)
-        import math
-
-        for d in range(5):
-            for k in range(3):
-                assert W[d, k] == math.comb(2 + d + k, k)
-
 
 class TestFusedAcrossStack:
     @pytest.mark.parametrize("threads", (2, 3, 8))
@@ -359,7 +433,10 @@ class TestFusedAcrossStack:
             shards=2, workers=1, chunk_bytes=1 << 10,
         )
         assert result.passes == 2
-        assert result.counters.fused_order_scans == 0
+        # No binomial splice for max: the single-stream fallback runs,
+        # and its chunks take the tile loop.
+        assert result.fallback_reason is not None
+        assert result.counters.fused_order_scans == result.counters.chunks
         out = np.fromfile(tmp_path / "out.bin", dtype=np.int64)
         expected = prefix_sum_serial(values, order=2, tuple_size=3, op="max")
         assert np.array_equal(out, expected)
@@ -385,18 +462,22 @@ class TestFusedAcrossStack:
         assert all(b.counters.fused_order_scans == 2 for b in batched)
 
     def test_planner_plans_fused_serial(self, rng):
-        # The fused kind has no slab path, so the gates plan it serial
-        # at any size and a forced threaded plan is refused; the same
-        # shape under max is the row kind and goes threaded.
+        # Order q >= 2 at s >= 2 has no slab path, so the gates plan it
+        # serial at any size, under add or max, and a forced threaded
+        # plan is refused; the same orders at s == 1 are the row kind
+        # and go threaded.
         machine = Machine(cpu_count=8)
         fused = Workload(nbytes=512 << 20, dtype="int64", op="add",
                          order=3, tuple_size=4)
-        unfused = Workload(nbytes=512 << 20, dtype="int64", op="max",
-                           order=3, tuple_size=4)
+        tiled = Workload(nbytes=512 << 20, dtype="int64", op="max",
+                         order=3, tuple_size=4)
+        row = Workload(nbytes=512 << 20, dtype="int64", op="max",
+                       order=3, tuple_size=1)
         plan_f = plan_scan(fused, machine=machine)
         assert plan_f.chosen.label == "serial"
         assert "fused" in plan_f.reason
-        assert plan_scan(unfused, machine=machine).chosen.label == "threaded:8"
+        assert plan_scan(tiled, machine=machine).chosen.label == "serial"
+        assert plan_scan(row, machine=machine).chosen.label == "threaded:8"
         values = full_range(rng, np.int64, 5003 * 4)
         with pytest.raises(ValueError, match="cannot force"):
             auto_scan(values, order=3, tuple_size=4, force="threaded:2")

@@ -20,7 +20,6 @@ from repro.kernels import (
     ThreadedScan,
     resolve_threads,
     scan_into,
-    threaded_lane_scan,
 )
 from repro.kernels.threaded import _slab_bounds
 from repro.ops import get_op
@@ -126,9 +125,13 @@ def test_oversubscription_determinism():
     op = get_op("add")
     rng = np.random.default_rng(11)
     values = rng.integers(-100, 100, 100_003).astype(np.int64)
-    want = threaded_lane_scan(values, op, 3, threads=8, cutover_bytes=0)
+    def run():
+        return scan_into(values, np.empty_like(values), op, tuple_size=3,
+                         threads=8, cutover_bytes=0)
+
+    want = run()
     for _ in range(3):
-        got = threaded_lane_scan(values, op, 3, threads=8, cutover_bytes=0)
+        got = run()
         _assert_bitwise(got, want)
 
 
@@ -241,7 +244,7 @@ def test_pinned_threads_stay_serial_below_the_cutover(monkeypatch):
     add = get_op("add")
     values = np.arange(2 << 20, dtype=np.int64)
     assert values.nbytes == 16 << 20
-    got = threaded_lane_scan(values, add, 1, threads=2)
+    got = scan_into(values, np.empty_like(values), add, threads=2)
     _assert_bitwise(got, kernels.lane_scan(values, add, 1))
 
 
@@ -252,10 +255,14 @@ def test_runs_slabs_is_the_row_kind_only():
     from repro.kernels.threaded import runs_slabs
 
     assert runs_slabs("add", np.int64)
-    assert runs_slabs("max", np.int64, order=3, tuple_size=4)
+    assert runs_slabs("max", np.int64, order=1, tuple_size=4)
     assert runs_slabs("add", np.int64, order=3, tuple_size=1)
     assert runs_slabs("add", np.float64, float_mode="regrouped")
-    assert not runs_slabs("add", np.int64, order=3, tuple_size=4)  # fused
+    # Order q >= 2 at s >= 2 is the serial tile loop's, for every op.
+    assert not runs_slabs("add", np.int64, order=3, tuple_size=4)
+    assert not runs_slabs("max", np.int64, order=3, tuple_size=4)
+    assert not runs_slabs("add", np.float64, order=2, tuple_size=2,
+                          float_mode="regrouped")
     assert not runs_slabs("add", np.float64, float_mode="compensated")
     assert not runs_slabs("add", np.float64)  # exact
     assert not runs_slabs("add", np.float64, float_mode="exact")
@@ -407,7 +414,17 @@ def test_non_ufunc_op_falls_back_serial():
     rng = np.random.default_rng(3)
     values = rng.integers(-50, 50, 977).astype(np.int64)
     want = kernels.lane_scan(values, op, 3, out=np.empty_like(values))
-    got = threaded_lane_scan(
-        values, op, 3, threads=4, cutover_bytes=0
-    )
+    got = scan_into(values, np.empty_like(values), op, tuple_size=3,
+                    threads=4, cutover_bytes=0)
     _assert_bitwise(got, want)
+
+
+def test_threaded_result_reports_the_slabs_that_ran():
+    # Below the cutover, and with fewer than two whole rows, the slab
+    # driver declines and the result says one thread scanned.
+    values = np.arange(1 << 20)
+    assert ThreadedScan(threads=2).run(values).threads == 1
+    assert ThreadedScan(threads=2, cutover_bytes=0).run(values).threads == 2
+    short = ThreadedScan(threads=2, cutover_bytes=0).run(values[:5], tuple_size=4)
+    assert short.threads == 1
+    _assert_bitwise(short.values, kernels.lane_scan(values[:5], get_op("add"), 4))

@@ -272,15 +272,17 @@ class TestAutoScan:
         assert np.array_equal(got, prefix_sum_serial(values))
 
     def test_forced_arms_agree_with_reference(self, rng):
-        # Order 2 tuple 3 under max is the row kind, so every arm runs;
-        # under add it is the fused kind, which has no slab path.
+        # Order 2 tuple 1 under max is the row kind, so every arm runs;
+        # order 2 tuple 3 runs the serial tile loop under any operator,
+        # which has no slab path.
         values = make_int_array(rng, 5003, dtype=np.int64)
-        want = prefix_sum_serial(values, order=2, tuple_size=3, op="max")
+        want = prefix_sum_serial(values, order=2, tuple_size=1, op="max")
         for force in ("serial", "threaded:2", "threaded:3"):
-            got = auto_scan(values, op="max", order=2, tuple_size=3, force=force)
+            got = auto_scan(values, op="max", order=2, tuple_size=1, force=force)
             assert np.array_equal(got, want), force
-        with pytest.raises(ValueError, match="cannot force"):
-            auto_scan(values, order=2, tuple_size=3, force="threaded:2")
+        for op in ("add", "max"):
+            with pytest.raises(ValueError, match="cannot force"):
+                auto_scan(values, op=op, order=2, tuple_size=3, force="threaded:2")
 
     def test_float_input_plans_serial_and_matches(self, rng):
         values = rng.standard_normal(4096)
@@ -444,6 +446,9 @@ class TestSessionAndCounters:
         # The compensated kind has no slab path.
         assert session_threads("float64", "add", "compensated") is None
         assert session_threads("float64", "max", "compensated") is None
+        # Order q >= 2 at s >= 2 runs the serial tile loop.
+        assert session_threads("int64", "add", order=3, tuple_size=4) is None
+        assert session_threads("int64", "max", order=2, tuple_size=1) == "auto"
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         _reset_machine_memo()
         assert session_threads("int64", "add") is None

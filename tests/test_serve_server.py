@@ -252,6 +252,25 @@ def test_open_plans_threads_without_the_tuner(serve, rng, monkeypatch):
     np.testing.assert_array_equal(got, oracle.feed(chunk.copy()))
 
 
+def test_open_plans_the_sessions_order_and_tuple_size(serve, rng, monkeypatch):
+    # Order 3 tuple 4 runs the serial tile loop, which has no slab
+    # path: a planned OPEN gives it no threads and no planner strategy.
+    from repro.plan.workload import _reset_machine_memo
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    _reset_machine_memo()
+    st, address = serve
+    with ScanClient(address) as client:
+        client.open("tiled", op="add", dtype="int64", order=3, tuple_size=4)
+        chunk = make_int_array(rng, 64, dtype=np.int64)
+        got = client.feed("tiled", chunk)
+    session = st.server.registry.get("tiled")
+    assert session.threads is None
+    assert session.counters.planner_strategy != "session_threads:auto"
+    oracle = ScanSession(op="add", order=3, tuple_size=4, dtype="int64")
+    np.testing.assert_array_equal(got, oracle.feed(chunk.copy()))
+
+
 def test_open_errors_and_unknown_session(serve, rng):
     _, address = serve
     with ScanClient(address) as client:

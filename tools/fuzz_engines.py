@@ -610,94 +610,118 @@ def run_float_eft(config, rng) -> bool:
 
 
 def run_fused_order(config, rng) -> bool:
-    """The ``fused_order`` differential arm: one full-range integer ADD
-    workload inside the fused single-pass gate (``q`` in 2..4, ``s`` in
-    2..8) run through every surface that owns a fused tile path —
-    one-shot :func:`repro.kernels.scan_into`, a ``LaneKernel(order=q)``
-    fed at random split points (mid-tile carry-matrix continuation),
-    a ``ScanSession`` split feed, the sharded file driver
-    with random shard/worker counts, and the serve layer's
-    ``feed_batch`` over three staggered streams (mixing fused batches
-    with short-chunk fallback rounds).  All must agree *bit for bit*
-    with the pass-per-order serial oracle; values are drawn from the
-    dtype's full range so modular wraparound of the binomial carry
-    splice is exercised, not just small sums."""
+    """The ``fused_order`` differential arm: one order-``q`` workload in
+    the single-pass tile loop's domain (``q`` in 2..4, ``s`` in 2..8)
+    run through every surface that reaches it — one-shot
+    :func:`repro.kernels.scan_into`, a ``LaneKernel(order=q)`` fed at
+    random split points after a first chunk shorter than ``s`` (mid-tile
+    carry-matrix continuation), a ``ScanSession`` split feed, the
+    sharded file driver with random shard/worker counts, and the serve
+    layer's ``feed_batch`` over three staggered streams (under integer
+    ``add``, mixing fused batches with short-chunk fallback rounds).
+    Half the arms are
+    integer, under any of the six built-in operators, drawn from the
+    dtype's full range so modular wraparound is exercised; the other
+    half are exact float32/float64 ``add``, ``max`` or ``min`` seeded
+    with signed zeros and NaN.  All must agree *bit for bit* with the
+    serial oracle.  Non-``add`` integer and float sharded jobs take the
+    sharded driver's fallback (:func:`repro.stream.scan_file`, with a
+    ``fallback_reason``); exact-float sessions have no batch key, so
+    float arms skip ``feed_batch``.  The extra draws come from the data
+    ``rng`` so the configurations of the other kinds do not shift."""
     import os
     import tempfile
 
     from repro.kernels import LaneKernel, scan_into
-    from repro.ops import get_op
     from repro.serve.batch import feed_batch
     from repro.stream import ScanSession, scan_file_sharded
 
-    dtype = np.dtype(config["dtype"])
-    q = 2 + config["order"] % 3           # fused orders 2..4
-    s = 2 + config["tuple_size"] % 7      # fused tuple lanes 2..8
+    q = 2 + config["order"] % 3           # orders 2..4
+    s = 2 + config["tuple_size"] % 7      # tuple lanes 2..8
     inclusive = config["inclusive"]
     n = config["n"]
-    info = np.iinfo(dtype)
-    values = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
-    op = get_op("add")
+    floats = bool(rng.integers(0, 2))
+    if floats:
+        dtype = np.dtype(config["float_dtype"])
+        op = str(rng.choice(FLOAT_OPERATORS))
+        values = rng.normal(0.0, 1e3, n).astype(dtype)
+        values[rng.random(n) < 0.05] = -0.0
+        values[rng.random(n) < 0.05] = 0.0
+        values[rng.random(n) < 0.01] = np.nan
+        # A -0.0 head row: only an unfolded stream start keeps it.
+        values[: int(rng.integers(0, s + 1))] = -0.0
+    else:
+        dtype = np.dtype(config["dtype"])
+        op = config["op"]
+        info = np.iinfo(dtype)
+        values = rng.integers(info.min, info.max, n, dtype=dtype, endpoint=True)
+    config.update(dtype=dtype.type, op=op)
 
-    expected = prefix_sum_serial(
-        values, order=q, tuple_size=s, op="add", inclusive=inclusive
-    )
+    def oracle(inclusive):
+        return prefix_sum_serial(
+            values, order=q, tuple_size=s, op=op, inclusive=inclusive
+        )
 
-    def agrees(out):
+    expected = oracle(inclusive)
+
+    def agrees(out, want=expected):
         out = np.asarray(out)
-        return out.dtype == dtype and np.array_equal(out, expected)
+        return out.dtype == dtype and out.tobytes() == want.tobytes()
 
-    # One-shot fused tile scan.
+    # One-shot tile scan.
     if not agrees(scan_into(values, np.empty_like(values), op,
                             order=q, tuple_size=s, inclusive=inclusive)):
         return False
 
-    # LaneKernel continuation: random split points land mid-tile and
-    # mid-stride, so the (q, s) carry matrix must splice every cut.
-    # The kernel is inclusive-only (exclusive is its callers' epilogue),
-    # so this arm always checks against the inclusive reference.
-    expected_inc = expected if inclusive else prefix_sum_serial(
-        values, order=q, tuple_size=s, op="add", inclusive=True
-    )
-    kernel = LaneKernel("add", dtype, tuple_size=s, order=q)
+    # LaneKernel continuation: a first chunk shorter than s leaves some
+    # lanes unseen (float chunks then take the pass loop), and random
+    # split points land mid-tile and mid-stride, so the (q, s) carry
+    # matrix must splice every cut.  The kernel is inclusive-only
+    # (exclusive is its callers' epilogue).
+    kernel = LaneKernel(op, dtype, tuple_size=s, order=q)
     split = np.random.default_rng(config["split_seed"])
     parts, pos = [], 0
+    step = int(split.integers(1, s))
     while pos < n:
-        step = int(split.integers(1, max(2, n // 3 + 1)))
         parts.append(np.asarray(kernel.feed(values[pos : pos + step].copy())).copy())
         pos += step
+        step = int(split.integers(1, max(2, n // 3 + 1)))
     stitched = np.concatenate(parts) if parts else values[:0]
-    if not np.array_equal(stitched, expected_inc):
+    if not agrees(stitched, expected if inclusive else oracle(True)):
         return False
 
     # Session split feed (the serve layer's single-stream path).
     out = SessionSplitScan(seed=config["split_seed"]).run(
-        values, order=q, tuple_size=s, op="add", inclusive=inclusive
+        values, order=q, tuple_size=s, op=op, inclusive=inclusive
     ).values
     if not agrees(out):
         return False
 
-    # Sharded file driver: reduce pass to aggregate matrices, binomial
-    # splice, primed scan pass.
+    # Sharded file driver: integer add splices shard aggregates with the
+    # binomial identity; everything else falls back to scan_file.
     with tempfile.TemporaryDirectory(prefix="fuzz-fused-") as tmp:
         input_path = os.path.join(tmp, "in.bin")
         output_path = os.path.join(tmp, "out.bin")
         values.tofile(input_path)
-        scan_file_sharded(
-            input_path, output_path, dtype=dtype, op="add",
+        result = scan_file_sharded(
+            input_path, output_path, dtype=dtype, op=op,
             order=q, tuple_size=s, inclusive=inclusive,
             shards=config["shards"], workers=min(config["workers"], 3),
             chunk_bytes=config["shard_chunk_bytes"],
         )
+        if (result.fallback_reason is None) != (op == "add" and not floats):
+            return False
         if not agrees(np.fromfile(output_path, dtype=dtype)):
             return False
+    if floats:
+        return True
 
     # Batched serve dispatch: three staggered streams over the same
     # values, each cut independently, so rounds mix fused staging with
     # the short-chunk pass-per-order fallback mid-stream.
     B = 3
     sessions = [
-        ScanSession(op="add", order=q, tuple_size=s, inclusive=inclusive,
+        ScanSession(op=op, order=q, tuple_size=s, inclusive=inclusive,
                     dtype=dtype)
         for _ in range(B)
     ]
