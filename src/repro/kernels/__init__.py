@@ -9,8 +9,8 @@ out-of-core driver, and the multicore workers.  Two entries run it:
 :func:`repro.kernels.threaded.runs_slabs` says where ``threads=``
 applies (the plain row kind only).  See
 :mod:`repro.kernels.lane` for the algorithmic notes (the 2-D
-lane-block trick, the cache-blocked integer path, and the exact-float
-prepend mode) and :mod:`repro.kernels.compensated` for the
+lane-block trick, the cache-blocked integer path, and the head fold
+every carry continuation takes) and :mod:`repro.kernels.compensated` for the
 deterministic float mode built on error-free carries.
 """
 
@@ -37,13 +37,13 @@ from repro.kernels.lane import (
     FUSED_MIN_TUPLE,
     LaneKernel,
     exclusive_shift,
+    fold_head,
     fold_lanes,
     fused_combine,
     fused_deltas,
     fused_lane_scan,
     fused_supported,
     lane_scan,
-    lane_scan_exact,
     lane_totals,
     phase_perm,
     phase_totals,
@@ -77,6 +77,7 @@ __all__ = [
     "compensated_scan_into",
     "compensated_supported",
     "exclusive_shift",
+    "fold_head",
     "fold_lanes",
     "fresh_state",
     "fused_combine",
@@ -86,7 +87,6 @@ __all__ = [
     "get_pool",
     "lane_scan",
     "lane_scan_compensated",
-    "lane_scan_exact",
     "lane_totals",
     "phase_perm",
     "phase_totals",

@@ -47,8 +47,8 @@ Every kind is **bit-identical** to feeding each stream's
 :class:`LaneKernel` alone, because its regrouping is exact: integer
 arithmetic is truly associative (wraparound included), and the
 compensated carry is defined on a fixed segment grid.  Exact-mode
-floats keep the per-stream prepend path; looped operators have no
-batched accumulate to win from.
+floats are fed per stream (:class:`LaneKernel`'s head fold); looped
+operators have no batched accumulate to win from.
 
 :class:`BatchedLaneKernel` owns a grow-only staging buffer (batches
 re-use the allocation) and two occupancy counters, ``dispatches`` and

@@ -4,7 +4,7 @@ Every parallel path in this repo — the sharded driver, the batched
 serve kernel, the threaded slab kernel — regroups the scan's
 reduction, which is exact for fixed-width integers and *wrong by one
 rounding per regroup* for floats.  The exact float path therefore has
-to stay sequential (the prepend-carry kernel).
+to stay sequential (the head-fold continuation).
 
 This module opens the sharded driver and the batched serve kernel to
 floats with error-free transformations (:mod:`repro.ops.eft`).  The

@@ -26,17 +26,14 @@ elements are finished with one vectorized fold from the last full row.
 
 Column-order accumulate walks the matrix row by row, so for wide
 strides (``s * itemsize`` beyond a cache line) each column touch is a
-new cache line and the naive call becomes memory-bound.  For the truly
-associative dtypes (fixed-width integers, wraparound included) the
-kernel therefore processes *row blocks* that fit in cache
-(:data:`BLOCK_BYTES`) and splices them with an in-cache carry fold —
-measurably faster at lane strides of :data:`BLOCKED_MIN_STRIDE_BYTES`
-and wider on chunks of :data:`BLOCKED_MIN_BYTES` and larger, and
-bit-identical, because integer regrouping is exact.  All three numbers
-are committed constants sized from measured crossover tables, the same
-for every dtype, never tuned per run.  Floats keep
-the plain single-call form: it performs the exact per-lane left fold,
-so results stay bit-identical to the serial reference.
+new cache line and the naive call becomes memory-bound.  Integer scans
+therefore process *row blocks* that fit in cache (:data:`BLOCK_BYTES`),
+each block's predecessor row folded into its head row before it is
+accumulated — measurably faster at lane strides of
+:data:`BLOCKED_MIN_STRIDE_BYTES` and wider on chunks of
+:data:`BLOCKED_MIN_BYTES` and larger.  All three numbers are committed
+constants sized from measured integer crossover tables, never tuned per
+run; floats keep the single-call form.
 
 The trick pays even at ``s == 1``: numpy's ``(m, 2)`` axis-0
 accumulate runs several times faster in cache than the 1-D one, so a
@@ -51,19 +48,22 @@ and, or) and to chunks between :data:`_PAIR_MIN_ELEMENTS` and
 than they save, and above the ceiling a fresh-output scan is
 DRAM-bound and the extra scratch pass loses.
 
-Exactness modes
----------------
+Continuation: the head fold
+---------------------------
 
-* :func:`lane_scan` continues a scan by folding a carry row *after*
-  accumulating — one extra vectorized pass, no prepend copies (the
-  ``s == 1`` lane-pair path folds it into the first element instead).
-  The fold regroups the reduction, which is exact for integers; it is
-  the sharded driver's ``float_mode="regrouped"``.
-* :func:`lane_scan_exact` continues by *prepending* the carry row to
-  the chunk (one ``n + s`` buffer) so the ufunc accumulate reproduces
-  the one-shot scan's exact sequence of partial results — float
-  rounding included.  This is the streaming session's bit-exact float
-  path, vectorized across lanes instead of looping per lane.
+A scan continues from a carry the way the paper hands a chunk's carry
+to its first element: :func:`fold_head` folds each live lane's running
+total into that lane's first element of the chunk, ``op(carry, x)``, and
+the accumulate that follows is the serial left fold itself.  It is
+exact for every operator and every dtype, floats and signed zeros
+included, and it costs ``s`` operations where folding over the chunk
+would cost ``n``.  A lane with no element yet folds nothing, not even an
+identity (``0.0 + -0.0`` is ``0.0``).  Every continuation in the layer
+takes this rule: the cache-blocked path across its blocks, the tile
+loop across its tiles, :class:`LaneKernel` across chunks and the slab
+driver's first slab.  A scan that must not write its source passes the
+folded head row as :func:`lane_scan`'s ``head=``, written after its own
+copy.
 
 Higher orders: one tile loop
 ----------------------------
@@ -73,14 +73,13 @@ Order ``q`` repeats the scan ``q`` times.  At ``s >= 2``
 iterates only its computation stage over each chunk while the chunk is
 in cache (Section 3): per cache-sized tile and per order ``j``, fold
 that order's running total into the tile's head row, accumulate the
-tile in place, and keep the last row as the new total.  That is the
-serial left fold itself, so it is exact for every ufunc operator and
-every dtype, floats included.  At ``s == 1`` the ``q`` contiguous passes
-are prefetch-friendly and the tiles lose, so those keep the passes.
+tile in place, and keep the last row as the new total.  At ``s == 1``
+the ``q`` contiguous passes are prefetch-friendly and the tiles lose, so
+those keep the passes.
 
 :func:`scan_into` is the one in-memory one-shot scan and
-:class:`LaneKernel` wraps every mode, at every order, behind the
-carry-continuation ``feed(chunk)`` API: the one state machine the
+:class:`LaneKernel` wraps the continuation, at every order, behind the
+``feed(chunk)`` API: the one state machine the
 streaming session, the sharded driver and the serve batcher all drive.
 Both take ``threads=`` for the row kind's slab-parallel passes.
 """
@@ -97,9 +96,9 @@ from repro.ops import BUILTIN_OPS, AssociativeOp, get_op
 
 #: Row-block byte budget for the cache-blocked wide-stride path.  One
 #: block of ``BLOCK_BYTES // (s * itemsize)`` rows is accumulated while
-#: it is cache-resident, then spliced to the next block with a single
-#: vectorized carry fold.  Sized from a measured crossover table
-#: (CHANGES.md): 256 KiB, 512 KiB and 1 MiB sit on one plateau, and
+#: it is cache-resident, and its last row is folded into the next
+#: block's head row (:func:`fold_head`).  Sized from a measured
+#: crossover table (CHANGES.md): 256 KiB, 512 KiB and 1 MiB sit on one plateau, and
 #: 512 KiB lost at most 4% to the best budget at any int32/int64 shape
 #: measured, against 10% for 256 KiB and 12% for 1 MiB.
 BLOCK_BYTES = 512 << 10
@@ -114,12 +113,13 @@ BLOCKED_MIN_STRIDE_BYTES = 64
 
 #: Chunks at least this large (bytes) take the cache-blocked path; a
 #: smaller chunk stays in cache through the plain accumulate, and the
-#: blocked path's extra carry-fold pass over each block is not paid
-#: back.  In the measured crossover table (CHANGES.md, three batches)
-#: blocked ran 0.70-0.92x of plain at 1 MiB at 64 and 128 B strides,
-#: and 0.78-0.99x at 2 MiB at 64 B; from 4 MiB it won every cell
-#: (1.04-2.70x) but int64 at 64 B, which tied (0.84-1.06x) up to
-#: 32 MiB.  The 2 MiB wins at 128 B (0.97-1.28x) are given up.
+#: per-block calls are not paid back.  In the measured crossover table
+#: (CHANGES.md, three batches, taken when each block's carry was folded
+#: over the whole block) blocked ran 0.70-0.92x of plain at 1 MiB at 64
+#: and 128 B strides, and 0.78-0.99x at 2 MiB at 64 B; from 4 MiB it
+#: won every cell (1.04-2.70x) but int64 at 64 B, which tied
+#: (0.84-1.06x) up to 32 MiB.  The 2 MiB wins at 128 B (0.97-1.28x) are
+#: given up.
 BLOCKED_MIN_BYTES = 4 << 20
 
 #: Tile byte budget for the single-pass order-q tile loop
@@ -169,60 +169,52 @@ def phase_perm(pos: int, tuple_size: int) -> np.ndarray:
     return (int(pos) + np.arange(tuple_size)) % int(tuple_size)
 
 
-def _is_blocked_dtype(dtype: np.dtype) -> bool:
-    # Regrouping the fold is exact only for truly associative
-    # arithmetic; fixed-width integers qualify (wraparound included),
-    # floats do not.
-    return dtype.kind in "iu"
+def fold_head(buf, op, row, live):
+    """Fold a carry row into the head of ``buf``, in place; returns ``buf``.
 
-
-def _lane_scan_strided(src, op, s, out, carry):
-    """Lane scan over non-contiguous 1-D views.
-
-    Any 1-D view is uniformly strided, so when the operator is a real
-    ufunc the ``(m, s)`` lane-block matrix still exists — not as a
-    reshape (that would copy) but as a strided view with row stride
-    ``s * stride`` and column stride ``stride``.  One
-    ``accumulate(axis=0)`` over that view scans all ``s`` lanes in a
-    single call, exactly like the contiguous fast path; only looped
-    (non-ufunc) operators fall back to the per-lane slice loop.
+    ``buf[p] = op(row[p], buf[p])`` for each ``p < min(buf.size,
+    len(row))`` whose ``live[p]`` is set, every such ``p`` when ``live``
+    is ``None``.  ``row`` and ``live`` are in chunk-phase order, so
+    ``buf[p]`` is lane ``p``'s first element: the continuation rule of
+    every scan in this module (see the module notes).  A mask combines
+    at most ``s`` values and copies back the live ones (``np.copyto``'s
+    ``where=``), for ufunc and looped operators alike.
     """
-    n = src.size
-    m = n // s
-    if (
-        op.ufunc is not None
-        and m > 0
-        and src.ndim == 1
-        and out.ndim == 1
-    ):
-        from numpy.lib.stride_tricks import as_strided
+    k = min(buf.size, len(row))
+    head = buf[:k]
+    if live is None:
+        op.apply_into(row[:k], head, out=head)
+    elif live[:k].any():
+        np.copyto(head, op.apply(row[:k], head), where=live[:k])
+    return buf
 
-        if out is not src:
-            # Same copy-then-in-place trick as the contiguous path:
-            # numpy's out-of-place axis-0 accumulate takes the slower
-            # buffered loop, and the strided copy is one vectorized
-            # assignment.
-            out[...] = src
-        (st,) = out.strides
-        out2 = as_strided(out, shape=(m, s), strides=(s * st, st))
-        op.accumulate(out2, axis=0, out=out2)
-        if carry is not None:
-            op.apply_into(carry, out2, out=out2)
-        body = m * s
-        r = n - body
-        if r:
-            # Tail phases continue from the last full row (already
-            # folded); out[body:] still holds the raw source values.
-            op.apply_into(
-                out[body - s : body - s + r], out[body:], out=out[body:]
-            )
-        return out
-    for phase in range(min(n, s)):
-        lane_out = out[phase::s]
-        op.accumulate(src[phase::s], out=lane_out)
-        if carry is not None:
-            op.apply_into(carry[phase], lane_out, out=lane_out)
-    return out
+
+def _tile_scan(buf, op, s, q, carry, live, rows):
+    """In-place order-``q`` lane scan of the 1-D view ``buf``, ``rows``
+    lane rows per tile; returns the ``(q, s)`` carry.
+
+    For each tile and each order ``j`` the tile's head row takes
+    ``carry[j]`` (:func:`fold_head`, on the ``live`` phases of the first
+    tile and on every phase after it), the tile is accumulated in place
+    and its last row becomes ``carry[j]``; the ``n % s`` tail continues
+    the same way.  ``buf`` may be any strided 1-D view: its full rows
+    reshape to an ``(m, s)`` view all the same.
+    """
+    m = buf.size // s
+    out2 = buf[: m * s].reshape(m, s)
+    for i in range(0, m, rows):
+        blk = out2[i : i + rows]
+        for j in range(q):
+            fold_head(blk[0], op, carry[j], live)
+            op.accumulate(blk, axis=0, out=blk)
+            carry[j] = blk[-1]
+        live = None
+    tail = buf[m * s :]
+    if tail.size:
+        for j in range(q):
+            fold_head(tail, op, carry[j], live)
+            carry[j, : tail.size] = tail
+    return carry
 
 
 def _pair_supported(src, op, out) -> bool:
@@ -238,12 +230,13 @@ def _pair_supported(src, op, out) -> bool:
     )
 
 
-def _pair_scan(src, op, out, carry):
+def _pair_scan(src, op, out, head):
     """``s == 1`` scan as a tuple-2 scan plus one shifted combine.
 
     One scratch tile per call holds two head slots and then the tile:
-    ``[c, e, x0, x1, ...]``, with ``c`` the running prefix (the incoming
-    carry, or the identity ``e``).  Per tile, one axis-0 accumulate over
+    ``[c, e, x0, x1, ...]``, with ``c`` the running prefix (the identity
+    ``e`` on the first tile, where ``head``, when given, stands in for
+    ``x0``).  Per tile, one axis-0 accumulate over
     the ``(m, 2)`` pair view leaves ``A[j]`` — the fold of every slot of
     ``j``'s parity up to ``j`` — so ``c`` is folded into the even lane
     only, and ``out[j] = A[j + 2] op A[j + 1]`` joins the two parities
@@ -258,11 +251,11 @@ def _pair_scan(src, op, out, carry):
     tile = min(n + n % 2, _PAIR_TILE_BYTES // dt.itemsize)
     buf = np.empty(tile + 2, dtype=dt)
     buf[:2] = op.identity(dt)
-    if carry is not None:
-        buf[:1] = carry[:1]
     for i in range(0, n, tile):
         k = min(tile, n - i)
         buf[2 : k + 2] = src[i : i + k]
+        if i == 0 and head is not None:
+            buf[2] = head[0]
         # An odd (last) tile is accumulated with one stale slot past
         # its end, to whole pairs; that slot is never read.
         pairs = buf[: k + 2 + k % 2].reshape(-1, 2)
@@ -279,36 +272,38 @@ def lane_scan(
     tuple_size: int = 1,
     *,
     out: Optional[np.ndarray] = None,
-    carry: Optional[np.ndarray] = None,
+    head: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One inclusive lane scan pass of ``src`` into ``out``.
 
     Parameters
     ----------
     src:
-        The chunk (1-D).  Never modified unless ``out`` aliases it —
-        ``out=src`` is the supported zero-copy in-place form
-        (accumulate is a left fold, so aliasing is safe).
+        The chunk (1-D, any stride).  Never modified unless ``out``
+        aliases it — ``out=src`` is the supported zero-copy in-place
+        form (accumulate is a left fold, so aliasing is safe).
     out:
         Destination, same length as ``src``; allocated when ``None``.
-    carry:
-        Optional continuation row in **chunk-phase order** (length
-        ``tuple_size``): entry ``p`` is folded as ``op(carry[p], x)``
-        into every element of phase ``p`` after the local accumulate.
-        Exact for integer dtypes; for floats this is the regrouping
-        (non-bit-exact) mode — use :func:`lane_scan_exact` when bit
-        identity with the one-shot scan is required.
+    head:
+        Optional head row in **chunk-phase order**: the values that
+        stand in for the first ``len(head)`` (at most ``tuple_size``)
+        elements of ``src``, written after the scan's own copy.  A
+        continuation passes its carry folded into them
+        (:func:`fold_head`) when it must not write ``src``; one that may
+        folds ``src`` in place and passes none.
 
-    Returns ``out``.  Without a carry the result is bit-identical to
-    the serial reference's lane scan for every dtype, floats included:
-    each lane is still one sequential left fold.
+    Returns ``out``, bit-identical to the serial reference's lane scan
+    of ``src`` (its head replaced) for every dtype, floats included:
+    each lane is one sequential left fold.
 
     ``s == 1`` integer chunks inside the :func:`_pair_supported` gate
     take the lane-pair path (:func:`_pair_scan`): one scratch tile is
     allocated per call (never shared, so threaded slabs may call this
-    concurrently), and the carry is folded into the first element of
-    the chunk before the accumulate rather than over the whole chunk
-    after it.  The result is the same, bit for bit.
+    concurrently).  Every other chunk is copied into ``out`` when
+    ``out`` is distinct (numpy's out-of-place axis-0 accumulate takes a
+    slower buffered loop, so one streaming copy wins) and scanned there
+    in place; only a 1-D ``s == 1`` scan with no head accumulates
+    straight into ``out``.
     """
     src = np.asarray(src)
     s = int(tuple_size)
@@ -317,124 +312,23 @@ def lane_scan(
     n = src.size
     if n == 0:
         return out
-    if s == 1:
-        if _pair_supported(src, op, out):
-            return _pair_scan(src, op, out, carry)
-        op.accumulate(src, out=out)
-        if carry is not None:
-            op.apply_into(carry[0], out, out=out)
-        return out
-    m, r = divmod(n, s)
-    if m == 0:
-        # Every phase has at most one element: the scan is the input.
-        if out is not src:
-            out[...] = src
-        if carry is not None:
-            op.apply_into(carry[:n], out, out=out)
-        return out
-    if not (src.flags.c_contiguous and out.flags.c_contiguous):
-        return _lane_scan_strided(src, op, s, out, carry)
-    if out is not src:
-        # Axis-0 accumulate into a *distinct* buffer takes numpy's
-        # buffered inner loop and is measurably slower than the
-        # in-place specialization — one streaming copy first, then
-        # accumulating in place, wins despite the extra pass.
+    if s == 1 and _pair_supported(src, op, out):
+        return _pair_scan(src, op, out, head)
+    if out is not src and (s > 1 or head is not None):
         out[...] = src
         src = out
-    body = m * s
-    src2 = src[:body].reshape(m, s)
-    out2 = out[:body].reshape(m, s)
-    stride_bytes = s * src.dtype.itemsize
-    if (_is_blocked_dtype(src.dtype) and stride_bytes >= BLOCKED_MIN_STRIDE_BYTES
-            and src.nbytes >= BLOCKED_MIN_BYTES):
-        rows = max(1, BLOCK_BYTES // stride_bytes)
-        prev = carry
-        for i in range(0, m, rows):
-            blk = out2[i : i + rows]
-            op.accumulate(src2[i : i + rows], axis=0, out=blk)
-            if prev is not None:
-                op.apply_into(prev, blk, out=blk)
-            prev = blk[-1]
-    else:
-        op.accumulate(src2, axis=0, out=out2)
-        if carry is not None:
-            op.apply_into(carry, out2, out=out2)
-    if r:
-        # Tail phases continue from the last full row (already folded).
-        op.apply_into(out[body - s : body - s + r], src[body:], out=out[body:])
-    return out
-
-
-def _lane_scan_exact_strided(chunk, op, s, carry, seen, pos, out):
-    """Mixed seen/unseen lanes (only possible while ``pos < s``)."""
-    for phase in range(min(chunk.size, s)):
-        lane = (pos + phase) % s
-        sl = slice(phase, None, s)
-        vals = chunk[sl]
-        if seen[lane]:
-            ext = np.empty(vals.size + 1, dtype=chunk.dtype)
-            ext[0] = carry[lane]
-            ext[1:] = vals
-            out[sl] = op.accumulate(ext, out=ext)[1:]
-        else:
-            op.accumulate(vals, out=out[sl])
-    return out
-
-
-def lane_scan_exact(
-    chunk: np.ndarray,
-    op: AssociativeOp,
-    tuple_size: int,
-    carry: np.ndarray,
-    seen: np.ndarray,
-    pos: int = 0,
-) -> np.ndarray:
-    """Bit-exact continuation scan: prepend the carry, then accumulate.
-
-    ``carry`` and ``seen`` are in **lane order** (length ``tuple_size``);
-    ``pos`` is the global index of ``chunk[0]``.  Lanes whose ``seen``
-    flag is unset are scanned without a prepend, so non-identities in
-    floating point (``0.0 + (-0.0)``) cannot leak in.  The chunk is
-    never modified; a fresh array is returned.
-
-    The prepend happens for all lanes at once: one ``n + s`` buffer
-    whose first row is the carry permuted into phase order, accumulated
-    as an ``(m + 1, s)`` matrix — per lane this is exactly the
-    ``accumulate([carry, x0, x1, ...])[1:]`` left fold of the one-shot
-    scan, so float rounding is reproduced bit for bit.
-    """
-    chunk = np.asarray(chunk)
-    n = chunk.size
-    s = int(tuple_size)
-    out = np.empty_like(chunk)
-    if n == 0:
-        return out
+    if head is not None:
+        out[: len(head)] = head
     if s == 1:
-        if seen[0]:
-            buf = np.empty(n + 1, dtype=chunk.dtype)
-            buf[0] = carry[0]
-            buf[1:] = chunk
-            op.accumulate(buf, out=buf)
-            out[...] = buf[1:]
-        else:
-            op.accumulate(chunk, out=out)
-        return out
-    perm = phase_perm(pos, s)
-    relevant = seen[perm[: min(n, s)]]
-    if not relevant.any():
-        return lane_scan(chunk, op, s, out=out)
-    if not relevant.all():
-        return _lane_scan_exact_strided(chunk, op, s, carry, seen, pos, out)
-    m, r = divmod(n, s)
-    buf = np.empty(n + s, dtype=chunk.dtype)
-    buf[:s] = carry[perm]
-    buf[s:] = chunk
-    body = (m + 1) * s
-    b2 = buf[:body].reshape(m + 1, s)
-    op.accumulate(b2, axis=0, out=b2)
-    if r:
-        op.apply_into(buf[body - s : body - s + r], chunk[m * s :], out=buf[body:])
-    out[...] = buf[s:]
+        return op.accumulate(src, out=out)
+    rows = max(1, n // s)
+    stride_bytes = s * out.dtype.itemsize
+    # Cache-sized row blocks on wide strides, measured on integers.
+    if (out.dtype.kind in "iu" and stride_bytes >= BLOCKED_MIN_STRIDE_BYTES
+            and out.nbytes >= BLOCKED_MIN_BYTES):
+        rows = BLOCK_BYTES // stride_bytes
+    # No phase is live, so the carry row is written and never read.
+    _tile_scan(out, op, s, 1, np.empty((1, s), out.dtype), np.zeros(s, bool), rows)
     return out
 
 
@@ -472,56 +366,31 @@ def lane_totals(
     return totals
 
 
-def _fold_lanes_strided(buf, op, carry, pos, s, seen):
-    for phase in range(min(buf.size, s)):
-        lane = (pos + phase) % s
-        if seen is not None and not seen[lane]:
-            continue
-        sl = buf[phase::s]
-        op.apply_into(carry[lane], sl, out=sl)
-
-
 def fold_lanes(
     buf: np.ndarray,
     op: AssociativeOp,
     carry: np.ndarray,
     pos: int = 0,
     tuple_size: int = 1,
-    seen: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """In-place ``op(carry[lane], x)`` over a chunk ("Add Resulting
-    Carry i to all Values of Chunk i", Figure 1).
+    """In-place ``op(carry[lane], x)`` over a whole chunk ("Add Resulting
+    Carry i to all Values of Chunk i", Figure 1): the simulator's
+    correction step and the slab driver's fold, never a continuation's
+    (those fold the head row, :func:`fold_head`).
 
-    ``carry`` (and the optional ``seen`` restriction mask) are in lane
-    order; ``pos`` is the global index of ``buf[0]``.  When every lane
-    participates the fold is two vectorized calls — a broadcast over
-    the ``(m, s)`` body view and one over the tail — instead of ``s``
+    ``carry`` is in lane order; ``pos`` is the global index of
+    ``buf[0]``.  The fold is two vectorized calls — a broadcast over the
+    ``(m, s)`` body view and one over the tail — instead of ``s``
     strided passes.
     """
     buf = np.asarray(buf)
-    n = buf.size
     s = int(tuple_size)
-    if n == 0:
-        return buf
-    if seen is not None and not seen.all():
-        if seen.any():
-            _fold_lanes_strided(buf, op, carry, int(pos), s, seen)
-        return buf
-    if s == 1:
-        op.apply_into(carry[0], buf, out=buf)
-        return buf
     row = carry[phase_perm(pos, s)]  # fancy indexing: a contiguous copy
-    m, r = divmod(n, s)
-    if m == 0:
-        op.apply_into(row[:n], buf, out=buf)
-    elif buf.flags.c_contiguous:
-        body = m * s
-        b2 = buf[:body].reshape(m, s)
-        op.apply_into(row, b2, out=b2)
-        if r:
-            op.apply_into(row[:r], buf[body:], out=buf[body:])
-    else:
-        _fold_lanes_strided(buf, op, carry, int(pos), s, None)
+    m = buf.size // s
+    body = buf[: m * s].reshape(m, s)
+    op.apply_into(row, body, out=body)
+    tail = buf[m * s :]
+    op.apply_into(row[: tail.size], tail, out=tail)
     return buf
 
 
@@ -658,49 +527,35 @@ def fused_lane_scan(
     """Single-pass in-place order-``q`` lane scan of ``buf``; returns the
     carry.
 
-    ``buf`` (1-D, C-contiguous) is read and written once: each tile of
-    full lane rows (:data:`FUSED_BLOCK_BYTES`) is scanned to all ``q``
-    orders while cache-resident.  For each order ``j`` the tile's head
-    row first takes that order's running totals, ``op(carry[j - 1],
-    row0)``, then the tile is accumulated in place and its last row
-    becomes the new ``carry[j - 1]``.  The ``n % s`` tail continues from
-    the totals the same way.  That is each lane's serial left fold with
-    no regrouping, so the result is bit-identical to ``q`` separate
-    passes for every ufunc operator and every dtype, floats included.
+    ``buf`` (1-D) is read and written once: each tile of full lane rows
+    (:data:`FUSED_BLOCK_BYTES`) is scanned to all ``q`` orders while
+    cache-resident.  For each order ``j`` the tile's head row first takes
+    that order's running totals, ``op(carry[j - 1], row0)``, then the
+    tile is accumulated in place and its last row becomes the new
+    ``carry[j - 1]``.  The ``n % s`` tail continues from the totals the
+    same way.  That is each lane's serial left fold with no regrouping,
+    so the result is bit-identical to ``q`` separate passes for every
+    operator and every dtype, floats included.
 
     ``carry`` is the ``(q, s)`` running-total matrix in **chunk-phase
-    order** (row ``j - 1`` the order-``j`` totals), advanced in place.
-    ``None`` starts a stream: the first tile folds no carry (``+0.0``
-    is not an exact identity for float ``add``), and a new matrix,
-    identity on phases with no element, is returned.
+    order** (row ``j - 1`` the order-``j`` totals), advanced in place,
+    every phase live.  ``None`` starts a stream: the first tile folds no
+    carry (``+0.0`` is not an exact identity for float ``add``), and a
+    new matrix, identity on phases with no element, is returned.
+    :class:`LaneKernel` runs the same loop with its live-lane mask.
     """
     op = get_op(op)
     s = int(tuple_size)
-    q = int(order)
-    dtype = buf.dtype
-    started = carry is not None
+    live = None
     if carry is None:
-        carry = np.full((q, s), op.identity(dtype), dtype=dtype)
-    m = buf.size // s
-    body = m * s
-    rows = max(1, FUSED_BLOCK_BYTES // (s * dtype.itemsize))
-    out2 = buf[:body].reshape(m, s)
-    for i in range(0, m, rows):
-        blk = out2[i : i + rows]
-        for j in range(q):
-            if started:
-                op.apply_into(carry[j], blk[0], out=blk[0])
-            op.accumulate(blk, axis=0, out=blk)
-            carry[j] = blk[-1]
-        started = True
-    r = buf.size - body
-    if r:
-        tail = buf[body:]
-        for j in range(q):
-            if started:
-                op.apply_into(carry[j, :r], tail, out=tail)
-            carry[j, :r] = tail
-    return carry
+        carry = np.full((int(order), s), op.identity(buf.dtype), dtype=buf.dtype)
+        live = np.zeros(s, dtype=bool)
+    return _tile_scan(buf, op, s, int(order), carry, live, _fused_rows(s, buf.dtype))
+
+
+def _fused_rows(s: int, dtype) -> int:
+    """Lane rows per tile of the order-``q`` tile loop."""
+    return max(1, FUSED_BLOCK_BYTES // (s * np.dtype(dtype).itemsize))
 
 
 def scan_into(
@@ -718,7 +573,7 @@ def scan_into(
     """Order-``q`` lane scan of ``src`` using ``out`` as the only buffer.
 
     The one in-memory one-shot scan.  At ``q >= 2`` and ``s >= 2`` under
-    a ufunc operator (not compensated) with ``out`` 1-D contiguous, the
+    a ufunc operator (not compensated) with ``out`` 1-D, the
     scan is single-pass over memory: one streaming copy into ``out``,
     then :func:`fused_lane_scan` visits each cache-sized tile once for
     all ``q`` orders.  Otherwise pass 1 scans ``src`` into ``out`` and
@@ -746,7 +601,7 @@ def scan_into(
     mode = resolve_float_mode(out.dtype, float_mode)
     if threads is not None and not runs_slabs(op, out.dtype, q, s, mode):
         threads = None
-    if _fused_tiles(op, q, s, mode) and out.ndim == 1 and out.flags.c_contiguous:
+    if _fused_tiles(op, q, s, mode) and out.ndim == 1:
         if out is not src:
             out[...] = src
         fused_lane_scan(out, op, s, q, None)
@@ -779,25 +634,25 @@ class LaneKernel:
     with no element yet), the global index ``pos`` of the next element,
     and ``active``, the lanes whose carry is live.
 
-    Each order's pass continues in one of four modes:
+    Each order's pass continues in one of three modes:
 
-    * in place (integers, and floats under ``float_mode="regrouped"``):
-      the chunk is accumulated and the carry row folded in afterwards.
-      Bit-exact for fixed-width integers; for floats this regroups the
-      fold (the sharded driver's regrouped contract).
-    * prepend (floats under ``float_mode="exact"``, the default):
-      bit-identical to the one-shot scan, float rounding included; a
-      fresh output per pass.
+    * head fold (the default, every dtype): each live lane's carry is
+      folded into its first element of the chunk (:func:`fold_head`)
+      and the chunk is accumulated — the serial left fold, so
+      bit-identical to the one-shot scan for every operator and dtype,
+      float rounding and signed zeros included.  ``float_mode`` picks
+      ``"exact"`` or ``"regrouped"`` floats; both continue this way, and
+      they differ only on the slab driver.
     * compensated (``float_mode="compensated"``, float ``add`` only,
       :mod:`repro.kernels.compensated`): an error-free ``(q, 4, s)``
       state ``comp`` makes results bit-identical for any chunk split
       *and* any thread/shard count, and more accurate than the naive
       fold.
     * delegated (``engine=``, integers only): ``engine.run`` scans the
-      chunk locally and the carry is folded on afterwards, exact
-      because integer regrouping is.  Float dtypes ignore the engine.
+      head-folded chunk, a copy unless the kernel may write the chunk.
+      Float dtypes ignore the engine.
 
-    ``threads`` (``None`` serial) runs the in-place passes on the slab
+    ``threads`` (``None`` serial) runs the head-fold passes on the slab
     driver (:mod:`repro.kernels.threaded`) above ``cutover_bytes``, and
     ``counters.threaded_scans`` counts the passes it ran.  Configurations
     :func:`repro.kernels.threaded.runs_slabs` declines — order ``q >= 2``
@@ -805,19 +660,19 @@ class LaneKernel:
     as ``None`` and scan serially, so results do not change.
 
     At ``order >= 2`` and ``s >= 2`` under a ufunc operator (no engine,
-    not compensated) contiguous chunks take the single-pass tile loop
-    (:func:`fused_lane_scan`) instead of ``q`` passes, and
-    ``counters.fused_order_scans`` counts them.  A float chunk takes it
-    at a stream start or once every lane is live; one that leaves some
-    lane unseen takes the passes.  Both advance the identical carry
-    matrix, bit for bit.
+    not compensated) every chunk takes the single-pass tile loop
+    (:func:`fused_lane_scan`, with the kernel's live-lane mask on its
+    first tile) instead of ``q`` passes, and
+    ``counters.fused_order_scans`` counts them.
 
     ``start`` is the global index of the first element that will be
     fed.  ``prime`` preloads an absolute carry (lane order, the
-    ``carry`` shape) so the kernel's output is final as written; lanes
+    ``carry`` shape) so the kernel's output is final as written.  Lanes
     with no element before ``start`` stay unseen, exactly like a stream
-    that has consumed ``start`` elements.  Unprimed, the kernel scans
-    from a zero carry wherever it starts (the sharded local scan).
+    that has consumed ``start`` elements: their primed carry is never
+    folded, whatever the tuple size, order, dtype or path.  Unprimed,
+    the kernel scans from a zero carry wherever it starts (the sharded
+    local scan).
     """
 
     def __init__(
@@ -862,7 +717,6 @@ class LaneKernel:
                     "an offset with load_state and its error state)"
                 )
             self.comp = np.stack([fresh_state(self.dtype, self.s)] * self.order)
-        self.exact = self.float_mode == "exact"
         self._fused = self.engine is None and _fused_tiles(
             self.op, self.order, self.s, self.float_mode
         )
@@ -875,7 +729,8 @@ class LaneKernel:
         """Continue at global index ``pos`` from an absolute ``carry``
         (and, in compensated mode, its ``(q, 4, s)`` error state): the
         state of a stream that has consumed ``pos`` elements, so exactly
-        the lanes below ``pos`` are live."""
+        the lanes below ``pos`` are live, and only their carries are
+        ever folded."""
         self.pos = int(pos)
         self.carry[...] = carry
         if comp is not None:
@@ -909,9 +764,9 @@ class LaneKernel:
         t = phase_totals(scanned, self.s)
         row[(self.pos + np.arange(t.size)) % self.s] = t
 
-    def _scan(self, src, out, carry_row=None):
+    def _scan(self, src, out, head):
         """Lane scan of ``src`` into ``out`` (allocated when ``None``)
-        with an optional phase-order carry row folded in: on the slab
+        with an optional head row (:func:`lane_scan`): on the slab
         driver when ``threads`` is set and it does not decline."""
         if self.threads is not None:
             from repro.kernels.threaded import slab_scan
@@ -919,12 +774,12 @@ class LaneKernel:
             if out is None:
                 out = np.empty_like(src)
             if slab_scan(
-                src, out, self.op, self.s, carry_row,
+                src, out, self.op, self.s, head,
                 threads=self.threads, cutover_bytes=self.cutover_bytes,
             ):
                 self.counters.threaded_scans += 1
                 return out
-        return lane_scan(src, self.op, self.s, out=out, carry=carry_row)
+        return lane_scan(src, self.op, self.s, out=out, head=head)
 
     def _delegate(self, src):
         """Local scan of ``src`` on the delegated engine (fresh output)."""
@@ -937,32 +792,30 @@ class LaneKernel:
         self.counters.delegated_stage_scans += 1
         return local
 
-    def _scan_row(self, src, j, own):
+    def _scan_row(self, src, j, own, perm, live):
         """One order's continuation pass; advances ``carry[j]``.  With
-        ``own`` the in-place mode may write into ``src``."""
+        ``own`` the pass may write into ``src`` and the carry folds into
+        its head in place; otherwise into a copy of the head row, which
+        the scan writes after its own copy of ``src`` (the delegated
+        engine scans a folded copy of the chunk)."""
         row = self.carry[j]
-        out = src if own else None
         if self.comp is not None:
             from repro.kernels.compensated import lane_scan_compensated
 
             out = lane_scan_compensated(src, self.op, self.s, self.comp[j], self.pos)
-        elif self.exact:
-            out = lane_scan_exact(src, self.op, self.s, row, self.active, self.pos)
-        elif self._seen_all and self.engine is None:
-            s = self.s
-            out = self._scan(src, out, row[phase_perm(self.pos, s)] if s > 1 else row)
         else:
-            # A local scan, then a fold of the live lanes only: unseen
-            # lanes must not even see an identity fold in the float
-            # mode.  A stride-s local scan depends only on the stride,
-            # not on how lanes are labelled, so a delegated engine can
-            # scan any chunk alignment.
+            fold = live is None or live[: src.size].any()
+            if fold and not own and self.engine is not None:
+                src, own = src.copy(), True
+            head = None
+            if fold and own:
+                fold_head(src, self.op, row[perm], live)
+            elif fold:
+                head = fold_head(src[: self.s].copy(), self.op, row[perm], live)
             if self.engine is not None:
                 out = self._delegate(src)
             else:
-                out = self._scan(src, out)
-            if self.active.any():
-                fold_lanes(out, self.op, row, self.pos, self.s, seen=self.active)
+                out = self._scan(src, src if own else None, head)
         self.record_totals(row, out)
         return out
 
@@ -970,8 +823,8 @@ class LaneKernel:
         """Scan the next chunk as a continuation; returns the scanned
         values.
 
-        In the in-place and tile-loop paths ``inplace=True`` scans in the
-        chunk's own buffer and returns it, while ``inplace=False``
+        In the head-fold and tile-loop paths ``inplace=True`` scans in
+        the chunk's own buffer and returns it, while ``inplace=False``
         leaves the chunk untouched: the first pass scans it out of
         place.  The other modes always return a fresh array.
         """
@@ -979,27 +832,18 @@ class LaneKernel:
         n = chunk.size
         if n == 0:
             return chunk
-        # Integer identities fold exactly, so an integer chunk always
-        # folds the carry; a float chunk folds it once every lane is
-        # live and none at a stream start (+0.0 is not float add's
-        # exact identity), and otherwise takes the pass loop.
-        fold = self._seen_all or self.dtype.kind in "iu"
-        if (
-            self._fused
-            and chunk.ndim == 1
-            and (chunk.flags.c_contiguous or not inplace)
-            and (fold or not self.active.any())
-        ):
+        perm = phase_perm(self.pos, self.s)
+        live = None if self._seen_all else self.active[perm]
+        if self._fused and chunk.ndim == 1:
             out = chunk if inplace else chunk.copy()
-            perm = phase_perm(self.pos, self.s)
-            carry = self.carry[:, perm] if fold else None
-            self.carry[:, perm] = fused_lane_scan(
-                out, self.op, self.s, self.order, carry
+            self.carry[:, perm] = _tile_scan(
+                out, self.op, self.s, self.order, self.carry[:, perm], live,
+                _fused_rows(self.s, self.dtype),
             )
             self.counters.fused_order_scans += 1
         else:
             out = chunk
             for j in range(self.order):
-                out = self._scan_row(out, j, own=inplace or j > 0)
+                out = self._scan_row(out, j, inplace or j > 0, perm, live)
         self.advance(n)
         return out

@@ -6,12 +6,16 @@ and it serves one carry kind: the plain row
 contiguous slabs of whole lane rows, scans every slab locally on a
 persistent :class:`~concurrent.futures.ThreadPoolExecutor` worker
 (:func:`slab_local`), splices the ``P`` slab aggregates on the calling
-thread (:func:`repro.kernels.splice`), and folds each slab's incoming
-carry in parallel (:func:`slab_fold`) — the scan→splice→fold
+thread (:func:`repro.kernels.splice`), and folds each later slab's
+incoming carry in parallel (:func:`slab_fold`) — the scan→splice→fold
 decomposition of LightScan and of Zhang, Wang & Ross's SIMD prefix
-sums.  :func:`repro.kernels.scan_into` and
-:class:`repro.kernels.LaneKernel` call it for each row pass when given
-``threads=``, and scan serially where it declines.
+sums.  A continuation's carry enters the way every continuation in
+:mod:`repro.kernels.lane` does: folded into the chunk's head row, which
+the first slab takes after its own copy, so that slab's aggregate is
+already absolute and it is never folded.
+:func:`repro.kernels.scan_into` and :class:`repro.kernels.LaneKernel`
+call it for each row pass when given ``threads=``, and scan serially
+where it declines.
 
 :func:`runs_slabs` is the one gate deciding where ``threads=`` applies.
 Order ``q >= 2`` at ``s >= 2`` has no slab path: the serial tile loop
@@ -35,7 +39,8 @@ keep bit-exactness by default: under ``float_mode="exact"`` a threaded
 scan runs the serial passes (a slab chain would be sequential in the
 carry), and ``"compensated"`` runs the serial error-free-carry kernel
 of :mod:`repro.kernels.compensated`; ``"regrouped"`` opts into the
-regrouped fold (deterministic for a fixed thread count only).
+slab fold, which regroups every slab after the first (deterministic for
+a fixed thread count only).
 
 **Cutover.**  Chunks below :data:`PARALLEL_CUTOVER_BYTES` run on the
 serial kernel, whether the thread count was pinned or ``"auto"``; the
@@ -177,18 +182,18 @@ def runs_slabs(op, dtype, order=1, tuple_size=1, float_mode=None) -> bool:
     return not _fused_tiles(op, order, tuple_size, mode)
 
 
-def slab_local(kind, src, out, lo, hi):
-    """Scan slab ``[lo, hi)`` of ``src`` into ``out`` from a zero carry;
-    returns its aggregate, the slab's last row."""
-    lane_scan(src[lo:hi], kind.op, kind.s, out=out[lo:hi])
+def slab_local(kind, src, out, lo, hi, head=None):
+    """Scan slab ``[lo, hi)`` of ``src`` into ``out`` from a zero carry,
+    or from the chunk's folded ``head`` row (first slab only); returns
+    its aggregate, the slab's last row."""
+    lane_scan(src[lo:hi], kind.op, kind.s, out=out[lo:hi], head=head)
     return out[hi - kind.s : hi]
 
 
-def slab_fold(kind, out, lo, hi, carry, seen) -> None:
+def slab_fold(kind, out, lo, hi, carry) -> None:
     """Fold the ``carry`` entering slab ``[lo, hi)`` into its local scan
-    in ``out``, in place, on the ``seen`` lanes only."""
-    if seen.any():
-        fold_lanes(out[lo:hi], kind.op, carry, lo, kind.s, seen=seen)
+    in ``out``, in place, on every lane."""
+    fold_lanes(out[lo:hi], kind.op, carry, lo, kind.s)
 
 
 def slab_tail(kind, src, out, body, carry) -> None:
@@ -216,22 +221,24 @@ def slab_threads(src, out, op, tuple_size=1, threads=None, cutover_bytes=None) -
 
 
 def slab_scan(
-    src, out, op, tuple_size=1, carry=None, *, threads=None, cutover_bytes=None
+    src, out, op, tuple_size=1, head=None, *, threads=None, cutover_bytes=None
 ) -> bool:
     """The one slab driver: scan → splice → fold over row-slabs of a chunk.
 
     Scans ``src`` into ``out`` (which may alias it) with the row carry
-    kind (:class:`repro.kernels.splice.RowCarry`); ``carry`` is an
-    optional phase-order continuation row.  Returns ``False``, having
-    written nothing, when it declines (:func:`slab_threads` is 1) and
-    the caller scans serially.  Otherwise every slab of whole rows
-    scans locally on the pool (:func:`slab_local`), :func:`splice`
-    chains the slab aggregates on the calling thread, every slab folds
-    its incoming carry on the pool (:func:`slab_fold`),
-    :func:`slab_tail` continues over the partial row past the last
-    slab, and it returns ``True``.  For floats (``"regrouped"``) the
-    splice regroups each lane's fold: deterministic for a fixed thread
-    count, not bit-identical to the serial kernel.
+    kind (:class:`repro.kernels.splice.RowCarry`); ``head`` is an
+    optional folded head row, as for :func:`repro.kernels.lane_scan`.
+    Returns ``False``, having written nothing, when it declines
+    (:func:`slab_threads` is 1) and the caller scans serially.
+    Otherwise every slab of whole rows scans locally on the pool
+    (:func:`slab_local`; the first slab writes ``head`` after its own
+    copy), :func:`splice` chains the slab aggregates on the calling
+    thread from the first slab's, every later slab folds its incoming
+    carry on the pool (:func:`slab_fold`), :func:`slab_tail` continues
+    over the partial row past the last slab, and it returns ``True``.
+    For floats (``"regrouped"``) the splice regroups each later slab's
+    fold: deterministic for a fixed thread count, not bit-identical to
+    the serial kernel.
     """
     s = int(tuple_size)
     threads = slab_threads(src, out, op, s, threads, cutover_bytes)
@@ -241,16 +248,16 @@ def slab_scan(
     kind = RowCarry(op, src.dtype, s)
     bounds = [(lo * s, hi * s) for lo, hi in _slab_bounds(rows, threads)]
     pool = get_pool(threads)
-    aggregates = _gather(
-        pool, [(slab_local, kind, src, out, lo, hi) for lo, hi in bounds]
-    )
-    start = kind.identity() if carry is None else np.asarray(carry)
-    seen = [np.full(s, carry is not None)] + [np.ones(s, dtype=bool)] * (len(bounds) - 1)
-    counts = [np.full(s, (hi - lo) // s) for lo, hi in bounds]
-    incoming, running = splice(kind, start, aggregates, counts, seen)
+    aggregates = _gather(pool, [
+        (slab_local, kind, src, out, lo, hi, None if lo else head)
+        for lo, hi in bounds
+    ])
+    later = bounds[1:]
+    counts = [np.full(s, (hi - lo) // s) for lo, hi in later]
+    seen = [np.ones(s, dtype=bool)] * len(later)
+    incoming, running = splice(kind, aggregates[0], aggregates[1:], counts, seen)
     _gather(pool, [
-        (slab_fold, kind, out, lo, hi, c, lanes)
-        for (lo, hi), c, lanes in zip(bounds, incoming, seen)
+        (slab_fold, kind, out, lo, hi, c) for (lo, hi), c in zip(later, incoming)
     ])
     body = rows * s
     if src.size > body:

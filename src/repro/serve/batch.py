@@ -25,8 +25,8 @@ the plain host path (no delegated engine, no pinned slab thread
 count).  A compensated chunk that would cross a segment boundary
 inside it is fed alone: the crossing advances the per-stream
 double-double chain mid-chunk, a sequential step.  Exact-mode floats
-keep their bit-exact per-session prepend path; the caller simply feeds
-those sessions individually.
+have no batch key (identity padding is not exact for them); the caller
+simply feeds those sessions individually, through the head fold.
 
 Sessions the planner opened with ``threads="auto"`` batch too: below
 the threaded kernel's parallel cutover

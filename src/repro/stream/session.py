@@ -25,30 +25,23 @@ around it: the dtype lock, the counters, the exclusive epilogue and
 the serialized state.  Per order, the kernel continues each chunk in
 one of its modes:
 
-* **Integers (default).**  The lean in-place lane scan: one 2-D
-  accumulate over all lanes, carry folded in afterwards — exact
-  because fixed-width integer arithmetic is truly associative.  Inside
-  the fused gate (integer ADD, ``order >= 2``, ``tuple_size >= 2``)
-  one single-pass tile scan advances all orders at once.
-
-* **Exact floats.**  The prepend continuation: the carry row is
-  *prepended* to the chunk and the ufunc accumulate — a sequential
-  left fold — reproduces the one-shot scan's exact sequence of
-  partial results, float rounding included, which mere
-  ``op(carry, local_scan)`` folding would change.  Lanes with no
-  element yet are scanned without a prepend so that even
-  non-identities-in-floating-point like ``0.0 + (-0.0)`` cannot leak
-  in.
+* **The head fold (default, every dtype).**  Each lane's carry is
+  folded into its first element of the chunk, then one 2-D accumulate
+  scans all lanes: the ufunc accumulate is a sequential left fold, so
+  this reproduces the one-shot scan's exact sequence of partial
+  results, float rounding included.  Lanes with no element yet fold
+  nothing, so that even non-identities-in-floating-point like
+  ``0.0 + (-0.0)`` cannot leak in.  At ``order >= 2`` and
+  ``tuple_size >= 2`` one single-pass tile scan advances all orders at
+  once.
 
 * **Delegated path (``engine=...``).**  For integer dtypes the chunk's
   stage scan is handed to any one-shot engine (``SamScan``, a
-  baseline...) and the carry is folded on afterwards — exact because
-  fixed-width integer arithmetic is truly associative (wraparound
-  included).  The inner engine is constructed once and reused across
-  chunks, so any set-up it does amortizes over the whole stream.
-  Float inputs silently take the exact path: float addition is only
-  pseudo-associative, and the session's contract is bit-identity with
-  the one-shot host scan.
+  baseline...), with the carry folded into the chunk's head first.
+  The inner engine is constructed once and reused across chunks, so
+  any set-up it does amortizes over the whole stream.  Float inputs
+  silently take the head fold on the host: the session's contract is
+  bit-identity with the one-shot host scan.
 
 * **Float modes.**  The default float contract above is
   ``float_mode="exact"``.  ``float_mode="compensated"`` switches float
@@ -57,8 +50,8 @@ one of its modes:
   chunk split, *additionally* bit-identical across shard counts and
   batchable by the serve layer, and more accurate than the naive fold — at the cost of not
   being bit-identical to the exact mode's output.
-  ``float_mode="regrouped"`` opts into the fast in-place integer-style
-  fold (regrouped rounding).
+  ``float_mode="regrouped"`` opts into the slab-parallel splice under
+  ``threads=`` (regrouped rounding); serially it is the head fold.
 
 Sessions serialize their entire state (:meth:`state_dict` /
 :meth:`load_state_dict`) with the carry encoded byte-exactly — the
@@ -124,7 +117,8 @@ class ScanSession:
         one-shot serial scan), ``"compensated"`` (error-free carries:
         bit-identical for any chunk split *and* thread count, more
         accurate than the naive fold, parallel- and batch-friendly), or
-        ``"regrouped"`` (the fast in-place fold; regroups rounding).
+        ``"regrouped"`` (slab-parallel under ``threads=``, regrouping
+        rounding at the splice; serially the same bytes as ``"exact"``).
         Integers ignore it.  Part of :meth:`config` when non-default:
         the mode changes emitted bits, so checkpoints must not cross it.
     """

@@ -701,7 +701,7 @@ def scan_file_sharded(
             output_path=output_path,
             counters=result.counters,
             shards=[(0, result.elements)],
-            passes=order,
+            passes=1,
             shard_counters=[result.counters],
             resumed_shards=int(bool(result.resumed_from)),
             fallback_reason=fallback_reason,

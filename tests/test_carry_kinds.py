@@ -40,17 +40,21 @@ class Row:
         carry = rng.integers(info.min, info.max, self.s)
         return x.astype(self.dtype), carry.astype(self.dtype)
 
+    def head(self, x, carry):
+        """The entering carry folded into the chunk's head row."""
+        return self.kind().op.apply(carry, x[: self.s])
+
     def serial(self, x, carry):
-        return lane_scan(x, self.kind().op, self.s, carry=carry), None
+        return lane_scan(x, self.kind().op, self.s, head=self.head(x, carry)), None
 
     def threaded(self, x, carry, threads):
         # The slab driver runs at every count but one, where it declines
         # and the serial kernel scans, as in LaneKernel.
-        op, out = self.kind().op, np.empty_like(x)
-        ran = slab_scan(x, out, op, self.s, carry, threads=threads, cutover_bytes=0)
+        op, out, head = self.kind().op, np.empty_like(x), self.head(x, carry)
+        ran = slab_scan(x, out, op, self.s, head, threads=threads, cutover_bytes=0)
         assert ran == (threads > 1)
         if not ran:
-            lane_scan(x, op, self.s, out=out, carry=carry)
+            lane_scan(x, op, self.s, out=out, head=head)
         return out, None
 
 
@@ -76,9 +80,11 @@ class Fused(Row):
 
     def threaded(self, x, carry, threads):
         # No slab path: the kernel keeps threads=None and scans serially.
+        # Starting one row late keeps the lane phases and makes every
+        # lane live, as the drawn carry's lanes are.
         kernel = LaneKernel(
-            "add", self.dtype, self.s, prime=carry, order=self.q,
-            threads=threads, cutover_bytes=0,
+            "add", self.dtype, self.s, start=self.s, prime=carry,
+            order=self.q, threads=threads, cutover_bytes=0,
         )
         out = kernel.feed(x)
         assert kernel.threads is None and kernel.counters.threaded_scans == 0
@@ -198,9 +204,9 @@ def test_random_cuts_splice_and_fold_match_serial(name, seed):
     # The slab form (row kind only): each region scanned locally ends on
     # the reduce's aggregate, and folding its incoming carry finishes it.
     out = np.empty_like(x)
-    for (lo, hi), c, agg, lanes in zip(bounds, incoming, aggregates, seen):
+    for (lo, hi), c, agg in zip(bounds, incoming, aggregates):
         _assert_same(slab_local(kind, x, out, lo, hi), agg)
-        slab_fold(kind, out, lo, hi, c, lanes)
+        slab_fold(kind, out, lo, hi, c)
     if x.size > edges[-1]:
         slab_tail(kind, x, out, edges[-1], running)
     _assert_same(out, want)

@@ -6,8 +6,8 @@ with `repro.reference` across op x dtype x order x tuple_size x
 inclusive — including lengths not divisible by the tuple size, chunks
 shorter than one stride, empty and 1-element inputs — and split-point
 equivalence for the carry-continuation `feed()` API at arbitrary
-(mid-tuple) boundaries, in both the in-place integer mode and the
-bit-exact float mode.
+(mid-tuple) boundaries, for integers and floats alike: every
+continuation folds its carry into the chunk's head row and nowhere else.
 """
 
 import numpy as np
@@ -100,19 +100,30 @@ def test_lane_scan_crosses_block_boundaries(monkeypatch):
             )
 
 
-class _CountingOp:
-    """Counts the accumulate calls a lane scan makes: one per row block
-    on the cache-blocked path, one in all on the plain path."""
+class _CountingOp(AssociativeOp):
+    """A built-in operator that counts the accumulate calls a scan makes
+    (one per row block on the cache-blocked path, one in all on the
+    plain path) and the elements it combines outside them."""
 
     def __init__(self, op):
-        self.op, self.accumulates = op, 0
+        super().__init__(
+            op.name, op._fn, op._identity_fn, ufunc=op.ufunc,
+            integer_only=op.integer_only,
+        )
+        self.accumulates = self.applied = 0
 
     def accumulate(self, *args, **kwargs):
         self.accumulates += 1
-        return self.op.accumulate(*args, **kwargs)
+        return super().accumulate(*args, **kwargs)
 
-    def apply_into(self, *args, **kwargs):
-        return self.op.apply_into(*args, **kwargs)
+    def apply(self, a, b):
+        out = super().apply(a, b)
+        self.applied += out.size
+        return out
+
+    def apply_into(self, a, b, out):
+        self.applied += out.size
+        return super().apply_into(a, b, out)
 
 
 @pytest.mark.parametrize("dtype, s", [("int64", 8), ("int32", 32)])
@@ -129,10 +140,80 @@ def test_lane_scan_blocks_only_from_the_size_floor(dtype, s):
         op = _CountingOp(get_op("add"))
         _assert_bitwise(kernels.lane_scan(a[:n], op, s), ref[:n], f"{dtype} n={n}")
         assert op.accumulates == calls, (dtype, n)
-    # A carry row folds into every block of the blocked path.
+    # A carry folded into the head row reaches every block of the
+    # blocked path through each block's predecessor.
     carry = np.arange(1, s + 1, dtype=dtype) * 1000
-    got = kernels.lane_scan(a, get_op("add"), s, carry=carry)
+    got = kernels.lane_scan(a, get_op("add"), s, head=a[:s] + carry)
     _assert_bitwise(got, ref + np.tile(carry, floor // s), f"{dtype} carry")
+
+
+@pytest.mark.parametrize("dtype", ["int64", "float64"])
+@pytest.mark.parametrize("inplace", [True, False])
+def test_continuation_folds_the_head_row_only(dtype, inplace):
+    # A continuation combines at most s more elements outside accumulate
+    # than the same chunk scanned from a stream start (a tail's fold and
+    # the blocked path's per-block fold are the scan's own).  A fold
+    # over the chunk would combine all n.  The last shape is past the
+    # blocked-path floor at a 64 B stride.
+    rng = np.random.default_rng(53)
+    itemsize = np.dtype(dtype).itemsize
+    shapes = [(s, n) for s in range(1, 9) for n in (s - 1 or 1, 5 * s + 3, 4099)]
+    shapes.append((64 // itemsize, kernels.BLOCKED_MIN_BYTES // itemsize + 11))
+    for s, n in shapes:
+        values = _data(rng, 2 * s + n, dtype)
+        want = prefix_sum_serial(values, tuple_size=s, op=get_op("add"))
+        costs = []
+        for first in (2 * s - 1, 0):  # a continuation, then a fresh scan
+            op = _CountingOp(get_op("add"))
+            kernel = LaneKernel(op, dtype, s)
+            kernel.feed(values[:first].copy())
+            chunk = values[first : first + n].copy()
+            op.applied = 0
+            got = kernel.feed(chunk, inplace=inplace)
+            _assert_bitwise(got, want[first : first + n], f"s={s} n={n}")
+            if not inplace:
+                _assert_bitwise(chunk, values[first : first + n])
+            costs.append(op.applied)
+        assert costs[0] - costs[1] <= s, (s, n, costs)
+
+
+def _live_only_reference(op, s, q, start, values):
+    """Per-lane serial oracle of a stream primed with 100 at every order
+    at ``start < s``: lanes below ``start`` continue from it, the rest
+    scan from nothing."""
+    want = np.empty_like(values)
+    for phase in range(s):
+        x = values[phase::s]
+        for _ in range(q):
+            if (start + phase) % s < start:
+                x = op.accumulate(np.concatenate([np.full(1, 100, x.dtype), x]))[1:]
+            else:
+                x = op.accumulate(x)
+        want[phase::s] = x
+    return want
+
+
+def test_primed_below_s_never_folds_unseen_lanes():
+    # A kernel primed at start < s has exactly the lanes below start
+    # live: the primed carry of every other lane is never folded, at
+    # any tuple size, order or dtype, on any path.
+    base = np.arange(1, 41)
+    cases = [(op, dtype, s, q) for op, dtype in (
+        ("add", np.int64), ("max", np.int32), ("add", np.float64),
+    ) for s in (1, 2, 3, 5) for q in (1, 2)]
+    for op, dtype, s, q in cases:
+        values = base.astype(dtype)
+        prime = np.full((q, s), 100, dtype=dtype)
+        for start in range(s):
+            primed = LaneKernel(op, dtype, s, start=start, order=q, prime=prime)
+            got = primed.feed(values.copy())
+            want = _live_only_reference(get_op(op), s, q, start, values)
+            _assert_bitwise(got, want, f"{op} {dtype} s={s} q={q} start={start}")
+    # Nothing below s is live at start 0: the feed is the unprimed one.
+    primed = LaneKernel("add", np.int64, tuple_size=2, order=2,
+                        prime=np.full((2, 2), 100))
+    plain = LaneKernel("add", np.int64, tuple_size=2, order=2)
+    _assert_bitwise(primed.feed(np.arange(1, 9)), plain.feed(np.arange(1, 9)))
 
 
 # -- feed(): split-point equivalence -------------------------------------
@@ -170,8 +251,8 @@ def test_feed_split_equivalence_float_bit_exact(tuple_size):
     a[rng.integers(0, n, 4)] = -0.0
     one_shot = kernels.lane_scan(a, op, tuple_size)
     for cut in range(n + 1):
-        kernel = LaneKernel(op, np.float64, tuple_size)  # float_mode "exact"
-        assert kernel.exact
+        kernel = LaneKernel(op, np.float64, tuple_size)
+        assert kernel.float_mode == "exact"
         parts = [np.asarray(kernel.feed(p.copy())) for p in (a[:cut], a[cut:])]
         _assert_bitwise(np.concatenate(parts), one_shot, f"cut={cut}")
 
@@ -195,13 +276,17 @@ def test_feed_primed_continuation():
 
 
 def test_feed_exact_mode_does_not_mutate_input():
+    # Floats follow the one continuation rule too: inplace=False keeps
+    # the chunk, the stream start and the head-folded continuation alike.
     op = get_op("add")
     a = np.array([1.5, -2.5, 3.5, 4.5, 5.5])
     snapshot = a.copy()
     kernel = LaneKernel(op, np.float64, 2)
-    kernel.feed(a)
-    kernel.feed(a)
+    first = kernel.feed(a, inplace=False)
+    second = kernel.feed(a, inplace=False)
     _assert_bitwise(a, snapshot)
+    _assert_bitwise(np.concatenate([first, second]),
+                    kernels.lane_scan(np.concatenate([a, a]), op, 2))
 
 
 # -- the helper kernels --------------------------------------------------
@@ -223,7 +308,7 @@ def test_phase_totals_and_lane_totals():
     assert kernels.phase_totals(np.array([], dtype=np.int64), 3).size == 0
 
 
-def test_fold_lanes_masked_and_broadcast():
+def test_fold_lanes_broadcast_and_fold_head_masked():
     op = get_op("add")
     a = np.ones(10, dtype=np.int64)
     carry = np.array([10, 20, 30], dtype=np.int64)
@@ -231,10 +316,20 @@ def test_fold_lanes_masked_and_broadcast():
     kernels.fold_lanes(full, op, carry, pos=1, tuple_size=3)
     # phase p holds lane (1 + p) % 3
     assert full.tolist() == [21, 31, 11, 21, 31, 11, 21, 31, 11, 21]
-    masked = a.copy()
-    seen = np.array([True, False, True])
-    kernels.fold_lanes(masked, op, carry, pos=1, tuple_size=3, seen=seen)
-    assert masked.tolist() == [1, 31, 11, 1, 31, 11, 1, 31, 11, 1]
+    # The head fold touches each live phase's first element only; the
+    # row and the mask are in phase order.
+    row = carry[kernels.phase_perm(1, 3)]
+    live = np.array([False, True, True])
+    masked = kernels.fold_head(a.copy(), op, row, live)
+    assert masked.tolist() == [1, 31, 11, 1, 1, 1, 1, 1, 1, 1]
+    assert kernels.fold_head(a[:2].copy(), op, row, None).tolist() == [21, 31]
+    # Unseen lanes take nothing, not even an identity: -0.0 stays.
+    zeros = np.full(3, -0.0)
+    kernels.fold_head(zeros, op, np.zeros(3), np.array([True, False, False]))
+    assert np.signbit(zeros).tolist() == [False, True, True]
+    looped = _looped_concat_op()
+    got = kernels.fold_head(np.array([1, 2, 3]), looped, np.array([1, 1, 1]), live)
+    assert got.tolist() == [1, 6, 7]
 
 
 def test_exclusive_shift_heads_and_tail():
@@ -324,6 +419,7 @@ def test_lane_scan_strided_carry_and_tail():
     s = 3
     base = rng.integers(-50, 50, 2 * (7 * s + 2)).astype(np.int64)
     view = base[::2]                       # length 7*s + 2: ragged tail
+    keep = view.copy()
     carry = rng.integers(-50, 50, s).astype(np.int64)
     want = view.copy()
     for phase in range(s):                 # per-lane oracle
@@ -331,8 +427,9 @@ def test_lane_scan_strided_carry_and_tail():
         op.accumulate(lane, out=lane)
         lane += carry[phase]
     got = kernels.lane_scan(view, op, s, out=np.empty(view.shape, view.dtype),
-                            carry=carry)
+                            head=view[:s] + carry)
     _assert_bitwise(got, want)
+    _assert_bitwise(view.copy(), keep)  # the head goes to out, not src
 
 
 def test_lane_scan_strided_non_ufunc_falls_back_per_lane():
@@ -381,9 +478,9 @@ def pair_calls(monkeypatch):
     calls = []
     real = lane_mod._pair_scan
 
-    def spy(src, op, out, carry):
+    def spy(src, op, out, head):
         calls.append(src.size)
-        return real(src, op, out, carry)
+        return real(src, op, out, head)
 
     monkeypatch.setattr(lane_mod, "_pair_scan", spy)
     return calls
@@ -399,13 +496,15 @@ def test_pair_path_matches_1d_accumulate(opname, dtype, pair_calls):
         for carry in (None, _full_range(rng, 1, dtype)):
             want = _accumulate_oracle(op, values, carry)
             msg = f"n={n} carry={carry is not None}"
+            # The carry folded into the head row, the continuation rule.
+            head = None if carry is None else op.apply(carry, values[:1])
 
             inplace = values.copy()
-            kernels.lane_scan(inplace, op, 1, out=inplace, carry=carry)
+            kernels.lane_scan(inplace, op, 1, out=inplace, head=head)
             _assert_bitwise(inplace, want, "in place " + msg)
 
             src = values.copy()
-            distinct = kernels.lane_scan(src, op, 1, carry=carry)
+            distinct = kernels.lane_scan(src, op, 1, head=head)
             _assert_bitwise(distinct, want, "distinct " + msg)
             _assert_bitwise(src, values, "source untouched " + msg)
 
@@ -413,7 +512,7 @@ def test_pair_path_matches_1d_accumulate(opname, dtype, pair_calls):
             view = base[::2]
             view[...] = values
             odd = base[1::2].copy()
-            kernels.lane_scan(view, op, 1, out=view, carry=carry)
+            kernels.lane_scan(view, op, 1, out=view, head=head)
             _assert_bitwise(view.copy(), want, "strided " + msg)
             _assert_bitwise(base[1::2], odd, "interleaved half " + msg)
 

@@ -125,9 +125,9 @@ class TestSplitPointEquivalence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op", ["add", "max", "mul"])
     def test_float_bit_identity(self, rng, dtype, op):
-        # Floats are only pseudo-associative, so carry *folding* would
-        # round differently; the session's prepend-continuation must
-        # reproduce the one-shot rounding exactly, bit for bit.
+        # Floats are only pseudo-associative, so folding the carry over
+        # a scanned chunk would round differently; the session's head
+        # fold must reproduce the one-shot rounding exactly, bit for bit.
         values = ((rng.random(301) * 2 - 1) * 1000).astype(dtype)
         expected = host_prefix_sum(values, order=2, tuple_size=2, op=op)
         session = ScanSession(op=op, order=2, tuple_size=2)

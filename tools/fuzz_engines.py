@@ -61,7 +61,7 @@ COMPRESSED_SHAPES = ("walk", "uniform", "full")
 #: The "stream" kind's session thread settings, and its float arms
 #: (``None`` keeps the integer draw).
 STREAM_THREADS = (None, 2, "auto")
-STREAM_FLOAT_MODES = (None, "exact", "compensated")
+STREAM_FLOAT_MODES = (None, "exact", "compensated", "regrouped")
 #: One in this many "stream", "file" and "compressed" configurations
 #: redraws its size to span a few scratch tiles of the ``s == 1``
 #: lane-pair scan, which the default sizes never fill.
@@ -119,10 +119,10 @@ class TileCrossings:
         self.crossed = False
         self.configs = 0
 
-        def spy(src, op, out, carry):
+        def spy(src, op, out, head):
             if src.size > _tile_elements(src.dtype):
                 self.crossed = True
-            return self._real(src, op, out, carry)
+            return self._real(src, op, out, head)
 
         lane_mod._pair_scan = spy
 
@@ -615,7 +615,8 @@ def run_fused_order(config, rng) -> bool:
     run through every surface that reaches it — one-shot
     :func:`repro.kernels.scan_into`, a ``LaneKernel(order=q)`` fed at
     random split points after a first chunk shorter than ``s`` (mid-tile
-    carry-matrix continuation), a ``ScanSession`` split feed, the
+    carry-matrix continuation, every feed through the tile loop), a
+    ``ScanSession`` split feed, the
     sharded file driver with random shard/worker counts, and the serve
     layer's ``feed_batch`` over three staggered streams (under integer
     ``add``, mixing fused batches with short-chunk fallback rounds).
@@ -674,10 +675,11 @@ def run_fused_order(config, rng) -> bool:
         return False
 
     # LaneKernel continuation: a first chunk shorter than s leaves some
-    # lanes unseen (float chunks then take the pass loop), and random
-    # split points land mid-tile and mid-stride, so the (q, s) carry
-    # matrix must splice every cut.  The kernel is inclusive-only
-    # (exclusive is its callers' epilogue).
+    # lanes unseen (the next chunk's first tile folds the live lanes
+    # only), and random split points land mid-tile and mid-stride, so
+    # the (q, s) carry matrix must splice every cut.  Every feed takes
+    # the tile loop.  The kernel is inclusive-only (exclusive is its
+    # callers' epilogue).
     kernel = LaneKernel(op, dtype, tuple_size=s, order=q)
     split = np.random.default_rng(config["split_seed"])
     parts, pos = [], 0
@@ -688,6 +690,8 @@ def run_fused_order(config, rng) -> bool:
         step = int(split.integers(1, max(2, n // 3 + 1)))
     stitched = np.concatenate(parts) if parts else values[:0]
     if not agrees(stitched, expected if inclusive else oracle(True)):
+        return False
+    if kernel.counters.fused_order_scans != len(parts):
         return False
 
     # Session split feed (the serve layer's single-stream path).
@@ -905,14 +909,17 @@ def run_stream(config, rng) -> bool:
     ``ScanSession`` (:class:`SessionSplitScan`, state round-trip
     included) opened with ``threads`` drawn from
     :data:`STREAM_THREADS`, over the integer draw or a float64 arm
-    with signed zeros — exact (against the serial reference) or
-    compensated (against the serial compensated kernel) — at orders
+    with signed zeros — exact (against the serial reference),
+    compensated (against the serial compensated kernel) or regrouped
+    (serially against the serial reference, as every continuation is
+    the exact left fold; with threads against a second run at the same
+    thread count, as the slab splice regroups rounding) — at orders
     1–3.  The arm is drawn from
     the data ``rng``, like the "file" kind's draws."""
     from repro.kernels import compensated_scan_into
 
     config["stream_threads"] = STREAM_THREADS[int(rng.integers(0, 3))]
-    mode = STREAM_FLOAT_MODES[int(rng.integers(0, 3))]
+    mode = STREAM_FLOAT_MODES[int(rng.integers(0, len(STREAM_FLOAT_MODES)))]
     config["stream_float_mode"] = mode
     if mode is None:
         dtype = np.dtype(config["dtype"])
@@ -944,6 +951,10 @@ def run_stream(config, rng) -> bool:
         expected = compensated_scan_into(
             values, np.empty_like(values), **args
         )
+    elif mode == "regrouped" and config["stream_threads"] is not None:
+        second = SessionSplitScan(seed=config["split_seed"], float_mode=mode,
+                                  threads=config["stream_threads"])
+        expected = np.asarray(second.run(values, **args).values)
     else:
         expected = _oracle(config, values, **args)
     out = np.asarray(result.values)
