@@ -298,8 +298,8 @@ def scan_file(
 ):
     """Scan a binary file out of core (see :mod:`repro.stream`).
 
-    Reads ``input_path`` in chunks of ``chunk_bytes`` (one read into a
-    fresh array per chunk, scanned in place by a session on
+    Reads ``input_path`` in chunks of ``chunk_bytes`` (one read into
+    one of two reused chunk buffers, scanned in place by a session on
     ``engine``; chunk i+1 is prefetched while chunk i scans, and a
     one-chunk job runs on the calling thread alone) and writes the
     scanned stream to ``output_path`` — bit-identical to a one-shot

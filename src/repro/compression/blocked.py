@@ -149,11 +149,14 @@ def decode_block_payload(
     payload_crc: Optional[int] = None,
     block_index: int = 0,
     decode_engine=None,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Decode one block payload back to its values, exactly.
+    """Decode one block payload back to its values, exactly, into
+    ``out`` when given.
 
-    The CRC is checked first; then the shared residual decoder runs
-    (see :mod:`repro.compression.zigzag` for its two paths).  All
+    The CRC is checked first, before anything is written; then the
+    shared residual decoder runs (see :mod:`repro.compression.zigzag`
+    for its two paths).  All
     coder-layer failures surface as :class:`CodecError` (cause chained)
     so callers can catch one typed error for any malformed container.
     """
@@ -166,7 +169,7 @@ def decode_block_payload(
         )
     return _decode_residuals(
         payload, count, dtype, order, tuple_size, decode_engine,
-        where=f" in block {block_index}",
+        where=f" in block {block_index}", out=out,
     )
 
 
@@ -290,7 +293,7 @@ class BlockedDeltaCodec:
             raise CodecError("payload length does not match the index")
         return blob
 
-    def _decode_payload(self, blob: BlockedBlob, index: int) -> np.ndarray:
+    def _decode_payload(self, blob: BlockedBlob, index: int, out=None) -> np.ndarray:
         offsets = blob.block_offsets()
         start = int(offsets[index])
         payload = blob.data[start : start + blob.payload_sizes[index]]
@@ -307,6 +310,7 @@ class BlockedDeltaCodec:
             payload_crc=crc,
             block_index=index,
             decode_engine=self.decode_engine,
+            out=out,
         )
 
     def decompress_block(self, blob, index: int) -> np.ndarray:
@@ -320,11 +324,11 @@ class BlockedDeltaCodec:
 
     def decompress(self, blob) -> np.ndarray:
         """Decode the whole container (blocks are independent — this
-        loop is what a GPU would run one block per thread block)."""
+        loop is what a GPU would run one block per thread block), each
+        block straight into its slice of the result."""
         parsed = blob if isinstance(blob, BlockedBlob) else self.parse(bytes(blob))
-        if parsed.count == 0:
-            return np.zeros(0, dtype=parsed.dtype)
-        pieces = [
-            self._decode_payload(parsed, index) for index in range(parsed.num_blocks)
-        ]
-        return np.concatenate(pieces)
+        out = np.empty(parsed.count, dtype=parsed.dtype)
+        be = parsed.block_elements
+        for index in range(parsed.num_blocks):
+            self._decode_payload(parsed, index, out[index * be : (index + 1) * be])
+        return out

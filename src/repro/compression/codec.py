@@ -125,7 +125,9 @@ def _best_model(
 
     Per tuple size, order ``q``'s residuals are one difference pass over
     order ``q - 1``'s, so scoring orders 1..3 takes three passes, not
-    1 + 2 + 3.
+    1 + 2 + 3.  Order ``q - 1``'s residuals are spent once order ``q``'s
+    exist, so order ``q`` zigzags into their buffer (order 1 into a
+    fresh one): the candidates need no buffers of their own.
     """
     orders = sorted(set(orders))
     best: Optional[Tuple[int, int, int]] = None
@@ -133,11 +135,14 @@ def _best_model(
     for tuple_size in tuple_sizes:
         residuals, done = array, 0
         for order in orders:
+            spent = None if residuals is array else residuals
             residuals = host_delta_encode(
                 residuals, order=order - done, tuple_size=tuple_size
             )
             done = order
-            zigzagged = zigzag_encode(residuals)
+            zigzagged = (
+                zigzag_encode(residuals) if spent is None else _zigzag(residuals, spent)
+            )
             key = (int(varint_lengths(zigzagged).sum()), order, tuple_size)
             if best is None or key < best:
                 best, coded = key, zigzagged
@@ -266,21 +271,26 @@ def _decode_residuals(
     tuple_size: int,
     decode_engine=None,
     where: str = "",
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The residual decoder both containers share: varint payload ->
     signed residuals -> order-``q`` prefix sum, run in place, so the
-    residual array is the one returned.  A ``decode_engine`` receives
-    the residuals and returns its own result instead.  Varint errors
+    residual array is the one returned.  ``out`` (``count`` elements of
+    ``dtype``) receives the residuals instead of a fresh array, and a
+    ``decode_engine``'s result is copied into it; after a
+    :class:`CodecError` its contents are unspecified.  Varint errors
     surface as :class:`CodecError` naming ``where`` (cause chained).
     """
     try:
-        residuals = _zigzag_varint_decode(payload, count, dtype)
+        residuals = _zigzag_varint_decode(payload, count, dtype, out)
     except ValueError as exc:
         raise CodecError(f"corrupt varint payload{where}: {exc}") from exc
     if decode_engine is not None:
-        return decode_engine.run(
-            residuals, order=order, tuple_size=tuple_size
-        ).values
+        values = decode_engine.run(residuals, order=order, tuple_size=tuple_size).values
+        if out is None:
+            return values
+        np.copyto(out, values)
+        return out
     _validate(residuals, order, tuple_size)
     if residuals.size == 0:
         return residuals

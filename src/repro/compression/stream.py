@@ -127,6 +127,11 @@ class BlockedFileReader:
     re-validating the metadata per open.  ``payload_bytes_read`` and
     ``decode_seconds`` accumulate across calls so drivers can report
     compressed IO and decode time separately from raw IO.
+
+    Blocks decode straight into the caller's memory: every block lying
+    wholly inside a range decodes into its slice of the destination.
+    Only a block the range cuts goes through a one-block cache, so a
+    block shared by two adjacent ranges is read and decoded once.
     """
 
     def __init__(self, path, decode_engine=None, index: Optional[BlockedIndex] = None):
@@ -137,9 +142,9 @@ class BlockedFileReader:
         self._fh = open(self.path, "rb")
         self.payload_bytes_read = 0
         self.decode_seconds = 0.0
-        # One-block decode cache: chunk budgets smaller than a block
-        # would otherwise re-read and re-decode the same block once per
-        # chunk (and boundary blocks get hit by two adjacent chunks).
+        # The one-block cache of a cut block: chunk budgets smaller than
+        # a block would otherwise re-read and re-decode it once per
+        # chunk.
         self._cache_block = -1
         self._cache_values: Optional[np.ndarray] = None
 
@@ -176,7 +181,14 @@ class BlockedFileReader:
             self.index.count - block * self.index.block_elements,
         )
 
-    def _decode(self, payload: bytes, block: int) -> np.ndarray:
+    def _decode(self, block: int, out=None) -> np.ndarray:
+        """Read and decode one block, into ``out`` when given."""
+        self._fh.seek(int(self._offsets[block]))
+        size = self.index.payload_sizes[block]
+        payload = self._fh.read(size)
+        if len(payload) != size:
+            raise CodecError("container truncated under reader")
+        self.payload_bytes_read += size
         start = time.perf_counter()
         values = decode_block_payload(
             payload,
@@ -187,6 +199,7 @@ class BlockedFileReader:
             payload_crc=self.index.payload_crcs[block],
             block_index=block,
             decode_engine=self.decode_engine,
+            out=out,
         )
         self.decode_seconds += time.perf_counter() - start
         return values
@@ -195,20 +208,12 @@ class BlockedFileReader:
         """Decoded values of one block through the one-block cache.
 
         The returned array is the cache's own storage — callers must
-        copy before mutating (:meth:`read_block` / :meth:`read_range`
+        copy before mutating (:meth:`read_block` / :meth:`_read_into`
         do)."""
-        if block == self._cache_block:
-            return self._cache_values
-        self._fh.seek(int(self._offsets[block]))
-        size = self.index.payload_sizes[block]
-        payload = self._fh.read(size)
-        if len(payload) != size:
-            raise CodecError("container truncated under reader")
-        self.payload_bytes_read += size
-        values = self._decode(payload, block)
-        self._cache_block = block
-        self._cache_values = values
-        return values
+        if block != self._cache_block:
+            self._cache_values = self._decode(block)
+            self._cache_block = block
+        return self._cache_values
 
     def read_block(self, block: int) -> np.ndarray:
         """Decode one block (random access)."""
@@ -219,24 +224,31 @@ class BlockedFileReader:
         return self._block_values(block).copy()
 
     def read_range(self, lo: int, hi: int) -> np.ndarray:
-        """Decode elements ``[lo, hi)`` — per-block reads (sequential
-        for a cold range) through the cache, then one stitch.  Always
-        returns memory the caller owns and may scan in place."""
+        """Decode elements ``[lo, hi)`` into a fresh array the caller
+        owns and may scan in place."""
         lo, hi = int(lo), int(hi)
+        return self._read_into(lo, hi, np.empty(max(0, hi - lo), self.dtype))
+
+    def _read_into(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Decode elements ``[lo, hi)`` into the front of ``out`` and
+        return that view: each block wholly inside the range decodes
+        straight into its slice, a cut block is copied from the cache.
+        After a :class:`CodecError` the contents of ``out`` are
+        unspecified."""
         if not 0 <= lo <= hi <= self.count:
             raise CodecError(
                 f"element range [{lo}, {hi}) outside [0, {self.count})"
             )
-        if lo == hi:
-            return np.zeros(0, dtype=self.dtype)
         be = self.index.block_elements
-        b_lo, b_hi = lo // be, -(-hi // be)
-        pieces = [self._block_values(block) for block in range(b_lo, b_hi)]
-        if len(pieces) == 1:
-            return pieces[0][lo - b_lo * be : hi - b_lo * be].copy()
-        # concatenate copies, so the view below never aliases the cache
-        values = np.concatenate(pieces)
-        return values[lo - b_lo * be : hi - b_lo * be]
+        for block in range(lo // be, -(-hi // be) if lo < hi else 0):
+            b_lo = block * be
+            b_hi = b_lo + self._block_count(block)
+            a, b = max(lo, b_lo), min(hi, b_hi)
+            if (a, b) == (b_lo, b_hi) and block != self._cache_block:
+                self._decode(block, out[a - lo : b - lo])
+            else:
+                out[a - lo : b - lo] = self._block_values(block)[a - b_lo : b - b_lo]
+        return out[: hi - lo]
 
     def close(self):
         self._fh.close()
@@ -287,8 +299,8 @@ class BlockedStreamWriter:
         self._data_offset = HEADER_BYTES + INDEX_ENTRY_BYTES * self.num_blocks
         self._entries: List[bytes] = []  # packed index entries, in order
         self._entries_synced = 0
-        self._pending: List[np.ndarray] = []
-        self._pending_elements = 0
+        # The buffered tail, always the writer's own copy (under a block).
+        self._pending = np.empty(0, self.dtype)
         self._elements_fed = 0
         self.encode_seconds = 0.0
         self._finalized = False
@@ -355,9 +367,9 @@ class BlockedStreamWriter:
         """Checkpointable write cursor.  Only valid while the pending
         buffer is empty — the stream driver aligns its chunks to the
         writer's block size precisely so checkpoints land here."""
-        if self._pending_elements:
+        if self._pending.size:
             raise CodecError(
-                f"writer has {self._pending_elements} buffered elements; "
+                f"writer has {self._pending.size} buffered elements; "
                 "checkpoints must land on block boundaries"
             )
         return {
@@ -396,7 +408,8 @@ class BlockedStreamWriter:
 
     def feed(self, values: np.ndarray):
         """Append scanned elements; full blocks are encoded and written
-        immediately (while the chunk is hot), the tail is buffered."""
+        immediately (while the chunk is hot), and a copy of the tail is
+        buffered, so the caller may reuse ``values`` at once."""
         values = np.asarray(values)
         if values.dtype != self.dtype:
             raise CodecError(
@@ -409,21 +422,12 @@ class BlockedStreamWriter:
             raise CodecError(
                 f"fed {self._elements_fed} elements, expected {self.total_count}"
             )
-        self._pending.append(values)
-        self._pending_elements += values.size
-        if self._pending_elements < self.block_elements:
-            return
-        buffered = (
-            self._pending[0]
-            if len(self._pending) == 1
-            else np.concatenate(self._pending)
-        )
-        full = buffered.size - buffered.size % self.block_elements
+        if self._pending.size:
+            values = np.concatenate((self._pending, values))
+        full = values.size - values.size % self.block_elements
         for start in range(0, full, self.block_elements):
-            self._write_block(buffered[start : start + self.block_elements])
-        tail = buffered[full:]
-        self._pending = [tail] if tail.size else []
-        self._pending_elements = int(tail.size)
+            self._write_block(values[start : start + self.block_elements])
+        self._pending = values[full:].copy()
 
     def sync(self):
         """Persist completed index entries and fsync — called before
@@ -445,15 +449,9 @@ class BlockedStreamWriter:
         header (last, so partial files never validate)."""
         if self._finalized:
             return
-        if self._pending_elements:
-            tail = (
-                self._pending[0]
-                if len(self._pending) == 1
-                else np.concatenate(self._pending)
-            )
-            self._write_block(tail)
-            self._pending = []
-            self._pending_elements = 0
+        if self._pending.size:
+            self._write_block(self._pending)
+            self._pending = self._pending[:0]
         if self._elements_fed != self.total_count:
             raise CodecError(
                 f"finalize after {self._elements_fed} of "

@@ -162,7 +162,12 @@ def varint_decode(data: bytes, count: int, dtype=np.uint64) -> np.ndarray:
     ``ValueError`` on truncated input, overlong varints, or trailing
     garbage, reporting the first offending value in stream order.
     """
-    dtype = np.dtype(dtype)
+    return _varint_decode(data, count, np.dtype(dtype))
+
+
+def _varint_decode(data: bytes, count: int, dtype: np.dtype, out=None) -> np.ndarray:
+    """:func:`varint_decode` into ``out`` when given, written only once
+    every check has passed."""
     if dtype.kind != "u":
         raise TypeError(f"varint decoding needs an unsigned dtype, got {dtype}")
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -209,13 +214,14 @@ def varint_decode(data: bytes, count: int, dtype=np.uint64) -> np.ndarray:
             f"{trailing} trailing bytes after decoding {count} varints"
         )
 
-    return _assemble(raw, starts[:count], run_len[:count], dtype)
+    return _assemble(raw, starts[:count], run_len[:count], dtype, out)
 
 
 def _assemble(raw: np.ndarray, starts: np.ndarray, lens: np.ndarray,
-              dtype: np.dtype) -> np.ndarray:
+              dtype: np.dtype, out=None) -> np.ndarray:
     """OR the 7-bit groups of the (valid) varints at ``starts`` with byte
-    lengths ``lens`` into an unsigned ``dtype`` array.
+    lengths ``lens`` into an unsigned ``dtype`` array (``out``, when
+    given).
 
     Pass ``k`` ORs in byte ``k`` of every varint longer than ``k``
     bytes.  While those are at least half of the working set, the pass
@@ -224,7 +230,9 @@ def _assemble(raw: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     A group shifted to bit ``8 * itemsize`` or past it is zero mod
     ``2**bits``, so the loop stops there.
     """
-    out = (raw[starts] & np.uint8(0x7F)).astype(dtype)
+    if out is None:
+        out = np.empty(starts.size, dtype)
+    np.copyto(out, raw[starts] & np.uint8(0x7F), casting="unsafe")
     where = None  # indices of the working set in ``out``; None = all
     last = len(raw) - 1
     for k in range(1, -(-8 * dtype.itemsize // 7)):
@@ -257,9 +265,10 @@ def _assemble(raw: np.ndarray, starts: np.ndarray, lens: np.ndarray,
 _NARROW_SHARE = 10
 
 
-def _zigzag_varint_decode(data: bytes, count: int, dtype) -> np.ndarray:
+def _zigzag_varint_decode(data: bytes, count: int, dtype, out=None) -> np.ndarray:
     """Decode ``count`` zigzag varints straight to signed ``dtype``
-    (int32/int64) residuals.
+    (int32/int64) residuals, into ``out`` when given (its contents are
+    unspecified after a ``ValueError``).
 
     Bit-identical to ``zigzag_decode(varint_decode(data, count,
     unsigned))``, errors included.  Two paths, picked by the payload's
@@ -270,11 +279,11 @@ def _zigzag_varint_decode(data: bytes, count: int, dtype) -> np.ndarray:
       zigzagged as bytes and widened once; the few wide varints — each
       delta block's first residuals, coded against zero — are then
       assembled from the continuation-byte positions and patched in.
-      The widened array, which is returned, is the only block-sized
-      array wider than a byte.  A payload this path finds invalid
-      (terminator count is not ``count``, a trailing continuation
-      byte, an 11-byte run) goes to the general path, whose validation
-      raises the usual error.
+      The destination, widened into with one ``np.copyto``, is the
+      only block-sized array wider than a byte.  A payload this path
+      finds invalid (terminator count is not ``count``, a trailing
+      continuation byte, an 11-byte run) goes to the general path,
+      whose validation raises the usual error.
     * **general**: :func:`varint_decode` (its validation index arrays
       included) straight into the unsigned width, then an in-place
       zigzag.
@@ -282,24 +291,25 @@ def _zigzag_varint_decode(data: bytes, count: int, dtype) -> np.ndarray:
     dtype = np.dtype(dtype)
     raw = np.frombuffer(data, dtype=np.uint8)
     count = int(count)
+    if out is None:
+        out = np.empty(count, dtype)
     if 0 < count and len(raw) and raw[-1] < 0x80:
         ends = raw < 0x80
         wide_bytes = len(raw) - int(np.count_nonzero(ends))
         if (wide_bytes == len(raw) - count
-                and wide_bytes * _NARROW_SHARE <= len(raw)):
-            out = _narrow_decode(raw, ends, wide_bytes, dtype)
-            if out is not None:
-                return out
-    unsigned = varint_decode(data, count, dtype=_UNSIGNED[dtype])
+                and wide_bytes * _NARROW_SHARE <= len(raw)
+                and _narrow_decode(raw, ends, wide_bytes, out) is not None):
+            return out
+    unsigned = _varint_decode(data, count, _UNSIGNED[dtype], out.view(_UNSIGNED[dtype]))
     return _unzigzag(unsigned, unsigned)
 
 
-def _narrow_decode(raw, ends, wide_bytes: int, dtype: np.dtype):
-    """The narrow path of :func:`_zigzag_varint_decode`; ``None`` when a
-    varint is longer than ten bytes."""
+def _narrow_decode(raw, ends, wide_bytes: int, out: np.ndarray):
+    """The narrow path of :func:`_zigzag_varint_decode`, into ``out``;
+    ``None`` when a varint is longer than ten bytes."""
     terms = raw[ends] if wide_bytes else raw.copy()
     # Zigzag the one-byte values as bytes, then widen once.
-    out = _unzigzag(terms, terms).astype(dtype)
+    np.copyto(out, _unzigzag(terms, terms), casting="unsafe")
     if not wide_bytes:
         return out
     cont = np.flatnonzero(~ends)
@@ -310,7 +320,7 @@ def _narrow_decode(raw, ends, wide_bytes: int, dtype: np.dtype):
     lens = np.diff(np.append(heads, wide_bytes)) + 1
     if lens.max() > 10:
         return None
-    unsigned = _assemble(raw, cont[heads], lens, _UNSIGNED[dtype])
+    unsigned = _assemble(raw, cont[heads], lens, _UNSIGNED[out.dtype])
     out[owner[heads]] = _unzigzag(unsigned, unsigned)
     return out
 

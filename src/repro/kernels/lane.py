@@ -832,7 +832,8 @@ class LaneKernel:
         n = chunk.size
         if n == 0:
             return chunk
-        perm = phase_perm(self.pos, self.s)
+        # One lane is phase 0 at every position: no permutation to build.
+        perm = slice(None) if self.s == 1 else phase_perm(self.pos, self.s)
         live = None if self._seen_all else self.active[perm]
         if self._fused and chunk.ndim == 1:
             out = chunk if inplace else chunk.copy()

@@ -2,30 +2,30 @@
 
 :func:`scan_file` cuts the input into ``chunk_bytes`` pieces, and each
 piece costs one read, one scan and one write: the chunk is read with a
-seek and one read into a fresh array the driver owns, the
-:class:`ScanSession` scans that array in place, and the sink writes it.
-Chunk 0 is read on the calling thread.  When a next chunk exists, a
-one-worker prefetch thread reads chunk ``i+1`` while the session (and
-its inner engine — e.g. the threaded kernel, whose thread pool stays
-warm across chunks) scans chunk ``i``; a one-chunk job starts no
-thread and maps nothing.  Peak resident memory is a few chunks
-regardless of file size.  A file that shrinks under the job raises
-:class:`StreamError` on the short read, before the partial chunk is
-scanned or written.
+seek and one read into one of two chunk slots the job reuses
+(:func:`_chunks`), the :class:`ScanSession` scans it in place, and the
+sink writes it.  Chunk 0 is read on the calling thread.  When a next
+chunk exists, a one-worker prefetch thread reads chunk ``i+1`` into the
+other slot while the session (and its inner engine — e.g. the threaded
+kernel, whose thread pool stays warm across chunks) scans chunk ``i``;
+a one-chunk job starts no thread and maps nothing.  Peak resident
+memory is the two chunk slots, whatever the file size.  A file that
+shrinks under the job raises :class:`StreamError` on the short read,
+before the partial chunk is scanned or written.
 
 Compressed streaming: the input and/or output may be a blocked
 ``.samb`` container (:mod:`repro.compression.stream`) instead of raw
 bytes — ``input_format="blocked"`` (or ``"auto"``, which sniffs the
 magic) and ``output_format="blocked"``.  Decode, scan, and encode are
-*fused* per chunk: the prefetch thread decodes container blocks while
-the calling thread scans the previous chunk and feeds the scanned values
-straight into the incremental container writer — each block is touched
-once, while hot, and the bytes crossing the disk are the compressed
-ones.  Chunk boundaries are aligned to the least common multiple of
-the input and output block sizes so every checkpoint lands on a block
-boundary; the checkpoint then records the container cursor alongside
-the session state, keeping crash-resume bit-identical in every format
-combination.
+*fused* per chunk: the prefetch thread decodes container blocks
+straight into a chunk slot while the calling thread scans the previous
+chunk and feeds the scanned values straight into the incremental
+container writer — each block is touched once, while hot, and the
+bytes crossing the disk are the compressed ones.  Chunk boundaries
+are aligned to the least common multiple of the input and output block
+sizes so every checkpoint lands on a block boundary; the checkpoint
+then records the container cursor alongside the session state, keeping
+crash-resume bit-identical in every format combination.
 
 Durability: every ``checkpoint_every`` chunks the scanned output is
 fsync'd and the session state is written atomically to the checkpoint
@@ -41,6 +41,7 @@ a one-shot scan.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -139,14 +140,11 @@ def _aligned_take(elements: int, align: int, stride: int) -> int:
     return max(align, elements - elements % align)
 
 
-def _read_raw(fh, path: str, dtype, lo: int, hi: int, buf=None) -> np.ndarray:
+def _read_raw(fh, path: str, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
     """Elements ``[lo, hi)`` of the raw file open as ``fh``, read with a
-    seek and one ``readinto`` into a fresh array the caller owns, or
-    into the front of ``buf`` (a buffer the caller reuses)."""
-    if buf is None:
-        chunk = np.empty(hi - lo, dtype=dtype)
-    else:
-        chunk = buf[: hi - lo]
+    seek and one ``readinto`` into the front of ``out`` (a chunk slot
+    of :func:`_chunks`); returns that view."""
+    chunk = out[: hi - lo]
     fh.seek(lo * chunk.itemsize)
     got = fh.readinto(memoryview(chunk).cast("B"))
     if got != chunk.nbytes:
@@ -156,6 +154,66 @@ def _read_raw(fh, path: str, dtype, lo: int, hi: int, buf=None) -> np.ndarray:
             f"truncated while the job ran?)"
         )
     return chunk
+
+
+def _chunks(fill, dtype, lo: int, end: int, span, counters, *, reader=None,
+            prefetch: bool = True, count_container: bool = True):
+    """Yield the chunks of ``[lo, end)``, each ``[pos, span(pos))``
+    filled by ``fill(pos, hi, out)``: a raw read or, with ``reader``,
+    a ``.samb`` decode (:meth:`BlockedFileReader._read_into`).
+
+    The pass owns two chunk slots, allocated once and grown only when
+    a take outgrows them.  With ``prefetch`` a one-worker thread,
+    started by the first prefetch (a one-chunk pass starts none),
+    fills the other slot with the next chunk while the caller works on
+    this one; without, one slot serves every chunk.  A yielded chunk
+    is a view into its slot: the caller scans it in place and writes
+    it out before asking for the next chunk, and keeps no view of it.
+    Each fill's seconds are split into ``counters.seconds_read`` and
+    ``seconds_decode``; with ``count_container`` a decoded chunk also
+    counts its payload and decoded bytes.
+    """
+    slots = [np.empty(0, dtype), np.empty(0, dtype)]
+
+    def load(pos, hi, slot):
+        if slots[slot].size < hi - pos:
+            slots[slot] = np.empty(hi - pos, dtype)
+        t0 = time.perf_counter()
+        if reader is None:
+            chunk = fill(pos, hi, slots[slot])
+            return chunk, time.perf_counter() - t0, 0.0, 0
+        decode0, payload0 = reader.decode_seconds, reader.payload_bytes_read
+        chunk = fill(pos, hi, slots[slot])
+        decode = reader.decode_seconds - decode0
+        return (chunk, max(0.0, time.perf_counter() - t0 - decode), decode,
+                reader.payload_bytes_read - payload0)
+
+    pool = pending = None
+    turn = 0
+    try:
+        while lo < end:
+            if pending is None:
+                chunk, read, decode, payload = load(lo, span(lo), turn)
+            else:
+                (chunk, read, decode, payload), turn = pending.result(), 1 - turn
+            # Counted as the chunk is taken, so a checkpoint never
+            # counts the chunk being prefetched.
+            counters.seconds_read += read
+            counters.seconds_decode += decode
+            if reader is not None and count_container:
+                counters.compressed_bytes_in += payload
+                counters.decoded_bytes_in += chunk.nbytes
+            lo += len(chunk)
+            pending = None
+            if prefetch and lo < end:
+                # The next chunk's size is the one decided before this
+                # chunk: adaptive resizing lags one chunk behind.
+                pool = pool or ThreadPoolExecutor(max_workers=1)
+                pending = pool.submit(load, lo, span(lo), slot=1 - turn)
+            yield chunk
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
 
 def resolve_input_format(input_path, input_format: str) -> str:
@@ -410,74 +468,32 @@ def scan_file(
         if output_format == "blocked":
             io_record["output_block_elements"] = out_block
 
-    # Not a memmap: each chunk is read into a fresh array, which the
-    # session may then scan in place.
+    # Not a memmap: each chunk is read (or decoded) into one of two
+    # slots the job reuses, which the session then scans in place.
     source = open(input_path, "rb") if reader is None else None
-
-    def fetch(lo: int, hi: int):
-        """Read (and, for blocked input, decode) one chunk into memory
-        the driver owns.  Returns timings split so decode seconds and
-        compressed bytes are attributed separately from raw IO."""
-        t0 = time.perf_counter()
-        if reader is not None:
-            decode0 = reader.decode_seconds
-            payload0 = reader.payload_bytes_read
-            chunk = reader.read_range(lo, hi)
-            elapsed = time.perf_counter() - t0
-            decode = reader.decode_seconds - decode0
-            return (
-                chunk,
-                max(0.0, elapsed - decode),
-                decode,
-                reader.payload_bytes_read - payload0,
-            )
-        chunk = _read_raw(source, input_path, resolved_dtype, lo, hi)
-        return chunk, time.perf_counter() - t0, 0.0, 0
-
-    # Created only when a next chunk exists: a one-chunk job starts no
-    # thread.
-    prefetcher = None
+    chunker = _AdaptiveChunker(chunk_elements, itemsize, adaptive_chunks, counters)
+    chunks = _chunks(
+        reader._read_into if reader is not None
+        else functools.partial(_read_raw, source, input_path),
+        resolved_dtype, start_elements, total_elements,
+        lambda pos: min(pos + _aligned_take(chunker.elements, align, stride),
+                        total_elements),
+        counters, reader=reader,
+    )
     position = start_elements
     chunks_done = 0
     since_checkpoint = 0
-    chunker = _AdaptiveChunker(chunk_elements, itemsize, adaptive_chunks, counters)
-
-    def take() -> int:
-        return _aligned_take(chunker.elements, align, stride)
 
     try:
-        pending = None
-        while position < total_elements:
-            chunk, read_seconds, decode_seconds, payload_bytes = (
-                fetch(position, min(position + take(), total_elements))
-                if pending is None
-                else pending.result()
-            )
-            counters.seconds_read += read_seconds
-            counters.seconds_decode += decode_seconds
-            counters.compressed_bytes_in += payload_bytes
-            if reader is not None:
-                counters.decoded_bytes_in += chunk.nbytes
-            next_position = position + len(chunk)
-            if next_position < total_elements:
-                # The prefetch of chunk i+1 uses the size decided after
-                # chunk i-1 — adaptive resizing lags one chunk behind
-                # the measurement, which is fine for a damped doubler.
-                if prefetcher is None:
-                    prefetcher = ThreadPoolExecutor(max_workers=1)
-                pending = prefetcher.submit(
-                    fetch,
-                    next_position,
-                    min(next_position + take(), total_elements),
-                )
-            t_chunk = time.perf_counter()
+        t_chunk = time.perf_counter()
+        for chunk in chunks:
             scanned = session._feed(chunk, own=True)
             t0 = time.perf_counter()
             encode_seconds = sink.write(scanned)
             counters.seconds_write += time.perf_counter() - t0 - encode_seconds
             counters.bytes_out += scanned.nbytes
-            chunker.observe(read_seconds + time.perf_counter() - t_chunk)
-            position = next_position
+            chunker.observe(time.perf_counter() - t_chunk)
+            position += len(chunk)
             chunks_done += 1
             since_checkpoint += 1
             if (
@@ -496,13 +512,13 @@ def scan_file(
                     f"injected failure after {chunks_done} chunks "
                     f"(element {position} of {total_elements})"
                 )
+            t_chunk = time.perf_counter()
         t0 = time.perf_counter()
         sink.finish()
         counters.seconds_write += time.perf_counter() - t0
     finally:
         sink.close()
-        if prefetcher is not None:
-            prefetcher.shutdown(wait=True, cancel_futures=True)
+        chunks.close()
         if reader is not None:
             reader.close()
         if source is not None:

@@ -330,7 +330,8 @@ class ScanSession:
     def _feed(self, chunk, own: bool) -> np.ndarray:
         """:meth:`feed`, where ``own=True`` hands the chunk's buffer to
         the session: the scan may run in place in it and return it (the
-        file driver reads every chunk into a fresh array it owns)."""
+        file driver's chunks are views into its reused chunk slots,
+        which the sink writes before the slot is refilled)."""
         array = np.asarray(chunk)
         if array.ndim != 1:
             raise ValueError(f"expected a 1-D chunk, got shape {array.shape}")

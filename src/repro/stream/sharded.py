@@ -56,6 +56,7 @@ unfinished shards under ``resume=True``.
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import threading
 import time
@@ -79,6 +80,7 @@ from repro.stream.counters import StreamCounters
 from repro.stream.driver import (
     DEFAULT_CHUNK_BYTES,
     _AdaptiveChunker,
+    _chunks,
     _read_raw,
     resolve_input_format,
     scan_file,
@@ -419,14 +421,15 @@ def _shard_pass(job: _ShardedJob, shard_index, carry=None):
     each chunk, and the region of the output is written and fsynced; it
     returns ``(None, counters)``.
 
-    Raw chunks are read like :func:`repro.stream.scan_file` reads them
-    (a short read raises :class:`StreamError`), into one buffer the
-    pass reuses.  A blocked input decodes
-    through a one-deep prefetch: the next chunk's blocks decode on a
-    side thread while the current chunk scans.  Depth 1 means
-    ``read_range`` calls never overlap each other (the reader's handle
-    stays single-threaded); values are unaffected — container inputs
-    are integers, and integer scans are split-invariant.
+    Chunks come from :func:`repro.stream.driver._chunks`, the chunk
+    source of :func:`repro.stream.scan_file`: raw chunks are read into
+    one buffer the pass reuses (a short read raises
+    :class:`StreamError`), and a blocked input decodes into two, through
+    a one-deep prefetch: the next chunk's blocks decode on a side
+    thread while the current chunk scans.  Depth 1 means decodes never
+    overlap each other (the reader's handle stays single-threaded);
+    values are unaffected — container inputs are integers, and integer
+    scans are split-invariant.
     """
     lo, hi = job.shards[shard_index]
     write = carry is not None
@@ -456,52 +459,32 @@ def _shard_pass(job: _ShardedJob, shard_index, carry=None):
     chunker = _AdaptiveChunker(
         elements, job.itemsize, job.adaptive_chunks and not fixed, counters
     )
-    # Raw chunks land in one buffer per pass, reused chunk after chunk:
-    # a fresh chunk-sized array would page-fault on every chunk.
-    buf = np.empty(0, job.dtype)
-
-    def next_take(pos):
-        return min(chunker.elements, hi - pos)
 
     with contextlib.ExitStack() as stack:
-        reader = prefetch = in_fh = out_fh = None
+        reader = out_fh = None
         if job.blocked_index is not None:
             # Each task opens its own handle; the parsed index is shared.
             reader = stack.enter_context(
                 BlockedFileReader(job.input_path, index=job.blocked_index)
             )
-            prefetch = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="shard-decode"
-            )
-            stack.callback(prefetch.shutdown, wait=True, cancel_futures=True)
+            fill = reader._read_into
         else:
             in_fh = stack.enter_context(open(job.input_path, "rb"))
+            fill = functools.partial(_read_raw, in_fh, job.input_path)
         if write:
             out_fh = stack.enter_context(open(job.output_path, "r+b"))
             out_fh.seek(lo * job.itemsize)
-        pos = lo
-        pending = None  # future of the prefetched chunk
-        while pos < hi:
-            chunk_start = time.perf_counter()
-            if pending is not None:
-                chunk = pending.result()
-                pending = None
-                counters.overlapped_decodes += 1
-            elif reader is not None:
-                chunk = reader.read_range(pos, pos + next_take(pos))
-            else:
-                take = next_take(pos)
-                if buf.size < take:
-                    buf = np.empty(take, job.dtype)
-                chunk = _read_raw(
-                    in_fh, job.input_path, job.dtype, pos, pos + take, buf
-                )
-            end = pos + len(chunk)
+        # The container's bytes count once, at the pass that decodes
+        # every block: the reduce re-read must not skew the ratio.
+        chunks = _chunks(
+            fill, job.dtype, lo, hi,
+            lambda pos: min(pos + chunker.elements, hi), counters,
+            reader=reader, prefetch=reader is not None, count_container=write,
+        )
+        stack.callback(chunks.close)
+        t_chunk = time.perf_counter()
+        for chunk in chunks:
             t_read = time.perf_counter()
-            if prefetch is not None and end < hi:
-                pending = prefetch.submit(
-                    reader.read_range, end, end + next_take(end)
-                )
             heads = kernel.heads() if shift else None
             with lock:
                 chunk = kernel.feed(chunk)
@@ -511,36 +494,23 @@ def _shard_pass(job: _ShardedJob, shard_index, carry=None):
             if write:
                 out_fh.write(memoryview(chunk).cast("B"))
             t_write = time.perf_counter()
-            counters.seconds_read += t_read - chunk_start
             counters.seconds_scan += t_scan - t_read
             counters.seconds_write += t_write - t_scan
             counters.chunks += 1
-            pos = end
-            chunker.observe(t_write - chunk_start)
+            chunker.observe(t_write - t_chunk)
+            t_chunk = t_write
         if write:
             t0 = time.perf_counter()
             out_fh.flush()
             os.fsync(out_fh.fileno())
             counters.seconds_write += time.perf_counter() - t0
+        if reader is not None:
+            # Every chunk but the first of a blocked pass was prefetched.
+            counters.overlapped_decodes += max(0, counters.chunks - 1)
     nbytes = (hi - lo) * job.itemsize
     counters.bytes_in += nbytes
-    if reader is not None:
-        # read_range was timed under seconds_read; reattribute its
-        # decode share so the phases decompose like the fused driver.
-        # Prefetched decodes ran off the loop's clock entirely (their
-        # wall-clock hid under the scan), so the subtraction clamps at
-        # zero rather than going negative.
-        counters.seconds_decode += reader.decode_seconds
-        counters.seconds_read = max(
-            0.0, counters.seconds_read - reader.decode_seconds
-        )
     if not write:
         return job.kind.aggregate(kernel), counters
-    if reader is not None:
-        # The container's bytes count once, at the pass that decodes
-        # every block: the reduce re-read must not skew the ratio.
-        counters.decoded_bytes_in += nbytes
-        counters.compressed_bytes_in += reader.payload_bytes_read
     counters.elements += hi - lo
     counters.bytes_out += nbytes
     counters.shards += 1

@@ -321,18 +321,25 @@ class CompressedScan:
     single-session or sharded, optionally killed mid-job by the
     injected-failure hook and resumed from its checkpoint/manifest —
     then reads the scanned stream back (decoding it again when the
-    output was itself blocked).  The oracle sees only raw values, so
+    output was itself blocked).  A single-session job may size its
+    chunks adaptively and a sharded one may run two workers.  The
+    oracle sees only raw values, so
     codec round-trip, block-aligned shard planning, carry splice, and
     resume must compose to bit-identical output.
     """
 
     def __init__(self, *, block_elements, codec_order, sharded, shards,
-                 chunk_bytes, output_blocked, crash):
+                 chunk_bytes, output_blocked, crash, adaptive=False,
+                 workers=1):
         self.block_elements = block_elements
         self.codec_order = codec_order
         self.sharded = sharded
         self.shards = shards
         self.chunk_bytes = chunk_bytes
+        # Adaptive chunks regrow the driver's chunk slots mid-job;
+        # two shard workers decode two shards' chunks at once.
+        self.adaptive = adaptive
+        self.workers = workers
         # Blocked output is single-session only (a .samb container is
         # written by one sequential writer).
         self.output_blocked = output_blocked and not sharded
@@ -374,7 +381,7 @@ class CompressedScan:
                     try:
                         scan_file_sharded(
                             input_path, output_path, shards=self.shards,
-                            workers=1, chunk_bytes=self.chunk_bytes,
+                            workers=self.workers, chunk_bytes=self.chunk_bytes,
                             **kwargs, **extra,
                         )
                     except InjectedFailureError:
@@ -392,6 +399,7 @@ class CompressedScan:
                         scan_file(
                             input_path, output_path,
                             chunk_bytes=self.chunk_bytes,
+                            adaptive_chunks=self.adaptive,
                             checkpoint_every=1, **kwargs, **extra,
                         )
                     except InjectedFailureError:
@@ -754,9 +762,9 @@ def run_file(config, rng) -> bool:
     """The ``file`` differential arm: one random array round-tripped
     through :func:`repro.stream.scan_file` with a chunk budget of one
     element, below the file size, exactly the file size or above it
-    (the one-chunk job, read and scanned on the calling thread), for
-    integer and exact-mode float dtypes, against the serial oracle.
-    The extra draws come from the data ``rng`` so the configurations
+    (the one-chunk job, read and scanned on the calling thread), with
+    ``adaptive_chunks`` on or off, for integer and exact-mode float
+    dtypes, against the serial oracle.  The extra draws come from the data ``rng`` so the configurations
     of the other kinds do not shift."""
     import os
     import tempfile
@@ -782,7 +790,9 @@ def run_file(config, rng) -> bool:
         "exact": max(1, nbytes),
         "above": nbytes + int(rng.integers(1, 1 << 16)),
     }[chunk]
-    config.update(dtype=dtype.type, op=op, file_chunk=chunk)
+    adaptive = bool(rng.integers(0, 2))
+    config.update(dtype=dtype.type, op=op, file_chunk=chunk,
+                  file_adaptive=adaptive)
     kwargs = dict(order=config["order"], tuple_size=config["tuple_size"],
                   op=op, inclusive=config["inclusive"])
     with tempfile.TemporaryDirectory(prefix="fuzz-file-") as tmp:
@@ -790,7 +800,7 @@ def run_file(config, rng) -> bool:
         output_path = os.path.join(tmp, "out.bin")
         values.tofile(input_path)
         scan_file(input_path, output_path, dtype=dtype,
-                  chunk_bytes=chunk_bytes, **kwargs)
+                  chunk_bytes=chunk_bytes, adaptive_chunks=adaptive, **kwargs)
         out = np.fromfile(output_path, dtype=dtype)
     expected = _oracle(config, values, **kwargs)
     return out.dtype == expected.dtype and out.tobytes() == expected.tobytes()
@@ -842,6 +852,8 @@ def build_engine(config):
             chunk_bytes=config["shard_chunk_bytes"],
             output_blocked=config["compressed_output_blocked"],
             crash=config["compressed_crash"],
+            adaptive=config.get("compressed_adaptive", False),
+            workers=config.get("compressed_workers", 1),
         )
     if kind == "sharded":
         return ShardedFileScan(
@@ -992,7 +1004,9 @@ def run_one(config, rng) -> bool:
         # Drawn from the data rng, like the "file" kind's draws, so the
         # other kinds' configurations do not shift.
         shape = str(rng.choice(COMPRESSED_SHAPES))
-        config["compressed_shape"] = shape
+        config.update(compressed_shape=shape,
+                      compressed_adaptive=bool(rng.integers(0, 2)),
+                      compressed_workers=int(rng.integers(1, 3)))
         values = _compressed_signal(rng, shape, dtype, config["n"])
     elif dtype.kind == "u":
         values = rng.integers(0, 2**16, config["n"]).astype(dtype)
